@@ -159,7 +159,7 @@ void upsert_ablation(const bench::BenchArgs& args) {
     const auto tree = kv::make_engine(kv::EngineKind::kBeTree, dev, io, cfg);
     tree->bulk_load(counters, [](uint64_t i) {
       return std::make_pair(kv::encode_key(i, 16),
-                            betree::encode_counter(0));
+                            kv::encode_counter(0));
     });
     Rng rng(args.seed);
     dev.clear_stats();
@@ -170,8 +170,8 @@ void upsert_ablation(const bench::BenchArgs& args) {
         tree->upsert(key, 1);
       } else {
         const auto cur = tree->get(key);
-        const uint64_t v = cur ? betree::decode_counter(*cur) : 0;
-        tree->put(key, betree::encode_counter(v + 1));
+        const uint64_t v = cur ? kv::decode_counter(*cur) : 0;
+        tree->put(key, kv::encode_counter(v + 1));
       }
     }
     tree->flush();

@@ -189,7 +189,7 @@ LeafFixture make_leaf_fixture(uint32_t count, size_t key_bytes,
 node::SlottedPage slotted_from_fixture(const LeafFixture& fx) {
   node::SlottedPage page;
   page.build_from_image(fx.image.data(), fx.image.size(), fx.count,
-                        [](const uint8_t* p) {
+                        /*header_bytes=*/6, [](const uint8_t* p) {
                           uint16_t klen;
                           uint32_t vlen;
                           std::memcpy(&klen, p, sizeof klen);
@@ -240,7 +240,7 @@ void section_search(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       std::memcpy(image.data() + at + 2, key.data(), key.size());
     }
     slotted[n].build_from_image(image.data(), image.size(), pivots,
-                                [](const uint8_t* p) {
+                                /*header_bytes=*/2, [](const uint8_t* p) {
                                   uint16_t klen;
                                   std::memcpy(&klen, p, sizeof klen);
                                   return size_t{2} + klen;

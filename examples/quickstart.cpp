@@ -48,7 +48,7 @@ int main() {
   for (int i = 0; i < 1000; ++i) db->upsert("page-views", 1);
   std::printf("page-views counter: %llu\n",
               static_cast<unsigned long long>(
-                  betree::decode_counter(*db->get("page-views"))));
+                  kv::decode_counter(*db->get("page-views"))));
 
   // 6. Deletes are tombstone messages.
   db->erase(kv::encode_key(123));

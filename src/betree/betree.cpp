@@ -50,6 +50,11 @@ BeTree::BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config)
 
 BeTree::~BeTree() { DAMKIT_CHECK_OK(pool_->flush_all()); }
 
+const kv::Capabilities& BeTree::capabilities() const {
+  static constexpr kv::Capabilities kCaps{.native_upsert = true};
+  return kCaps;
+}
+
 StatusOr<BeTree::NodeRef> BeTree::try_fetch(uint64_t id) {
   DAMKIT_CHECK(id != kInvalidNode);
   if (NodeRef cached = pool_->get<BeTreeNode>(id)) return cached;
@@ -87,10 +92,6 @@ Status BeTree::prefetch_children(const BeTreeNode& node, size_t begin,
   return Status();
 }
 
-void BeTree::put(std::string_view key, std::string_view value) {
-  DAMKIT_CHECK_OK(try_put(key, value));
-}
-
 Status BeTree::try_put(std::string_view key, std::string_view value) {
   // A leaf must be able to hold two entries or splitting cannot make
   // progress; surface misconfiguration loudly.
@@ -104,16 +105,10 @@ Status BeTree::try_put(std::string_view key, std::string_view value) {
       Message{MessageKind::kPut, std::string(key), std::string(value)});
 }
 
-void BeTree::erase(std::string_view key) { DAMKIT_CHECK_OK(try_erase(key)); }
-
 Status BeTree::try_erase(std::string_view key) {
   ++op_stats_.erases;
   op_stats_.logical_bytes_written += key.size();
   return root_add(Message{MessageKind::kTombstone, std::string(key), {}});
-}
-
-void BeTree::upsert(std::string_view key, int64_t delta) {
-  DAMKIT_CHECK_OK(try_upsert(key, delta));
 }
 
 Status BeTree::try_upsert(std::string_view key, int64_t delta) {
@@ -359,12 +354,6 @@ Status BeTree::collapse_root() {
   return Status();
 }
 
-std::optional<std::string> BeTree::get(std::string_view key) {
-  StatusOr<std::optional<std::string>> v = try_get(key);
-  DAMKIT_CHECK_OK(v.status());
-  return *std::move(v);
-}
-
 StatusOr<std::optional<std::string>> BeTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
@@ -484,16 +473,8 @@ StatusOr<bool> BeTree::scan_rec(
   return false;
 }
 
-std::vector<std::pair<std::string, std::string>> BeTree::scan(
-    std::string_view lo, size_t limit) {
-  StatusOr<std::vector<std::pair<std::string, std::string>>> out =
-      try_scan(lo, limit);
-  DAMKIT_CHECK_OK(out.status());
-  return *std::move(out);
-}
-
-StatusOr<std::vector<std::pair<std::string, std::string>>> BeTree::try_scan(
-    std::string_view lo, size_t limit) {
+StatusOr<std::vector<std::pair<std::string, std::string>>>
+BeTree::try_range_scan(std::string_view lo, size_t limit) {
   ++op_stats_.scans;
   std::vector<std::pair<std::string, std::string>> out;
   if (root_ == kInvalidNode || limit == 0) return out;
@@ -570,10 +551,6 @@ void BeTree::bulk_load(
   }
   root_ = level.front().second;
 }
-
-void BeTree::flush_cache() { DAMKIT_CHECK_OK(pool_->flush_all()); }
-
-Status BeTree::try_flush_cache() { return pool_->flush_all(); }
 
 void BeTree::export_metrics(stats::MetricsRegistry& reg,
                             std::string_view prefix) const {

@@ -20,6 +20,7 @@
 #include "betree/betree_node.h"
 #include "blockdev/block_device.h"
 #include "cache/buffer_pool.h"
+#include "kv/dictionary.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
 #include "stats/trace_buffer.h"
@@ -68,60 +69,53 @@ struct BeTreeOpStats {
   uint64_t logical_bytes_written = 0;
 };
 
-class BeTree {
+class BeTree : public kv::Dictionary {
  public:
   BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config);
-  virtual ~BeTree();
+  ~BeTree() override;
 
-  BeTree(const BeTree&) = delete;
-  BeTree& operator=(const BeTree&) = delete;
+  std::string_view name() const override { return "betree"; }
+  const kv::Capabilities& capabilities() const override;
 
-  /// Insert or overwrite.
-  void put(std::string_view key, std::string_view value);
-  /// Fallible put. Non-OK means some IO along the message path gave up
-  /// after retries; the tree stays structurally valid and no previously
+  /// Insert or overwrite. Non-OK means some IO along the message path gave
+  /// up after retries; the tree stays structurally valid and no previously
   /// acknowledged data is lost, but this message may not have been applied.
-  Status try_put(std::string_view key, std::string_view value);
-  /// Delete (tombstone message; returns void — a Bε-tree delete is blind).
-  void erase(std::string_view key);
-  Status try_erase(std::string_view key);
+  Status try_put(std::string_view key, std::string_view value) override;
+  /// Delete (a tombstone message; a Bε-tree delete is blind).
+  Status try_erase(std::string_view key) override;
   /// Blind counter increment (8-byte LE semantics, see message.h).
-  void upsert(std::string_view key, int64_t delta);
-  Status try_upsert(std::string_view key, int64_t delta);
+  Status try_upsert(std::string_view key, int64_t delta) override;
 
-  /// Point query (CHECK-aborts on IO failure; see try_get).
-  std::optional<std::string> get(std::string_view key);
-  virtual StatusOr<std::optional<std::string>> try_get(std::string_view key);
+  /// Point query.
+  StatusOr<std::optional<std::string>> try_get(std::string_view key) override;
 
   /// Range query: up to `limit` live pairs with key >= lo, in key order.
-  std::vector<std::pair<std::string, std::string>> scan(std::string_view lo,
-                                                        size_t limit);
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_scan(
-      std::string_view lo, size_t limit);
+  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
+      std::string_view lo, size_t limit) override;
 
   /// Build from `count` strictly-ascending items; tree must be empty.
   void bulk_load(uint64_t count,
                  const std::function<std::pair<std::string, std::string>(
-                     uint64_t)>& item);
+                     uint64_t)>& item) override;
 
-  void flush_cache();  // write back all dirty nodes
-  /// Fallible checkpoint: failed nodes stay dirty (retried on next call).
-  Status try_flush_cache();
+  /// Write back dirty nodes; failed nodes stay dirty (retried next call).
+  Status checkpoint() override { return pool_->flush_all(); }
 
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() { pool_->discard_all(); }
+  void abandon() override { pool_->discard_all(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
-  void set_retry_policy(const blockdev::RetryPolicy& policy) {
+  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
     store_.set_retry_policy(policy);
   }
-  const blockdev::RetryCounters& retry_counters() const {
+  blockdev::RetryCounters retry_counters() const override {
     return store_.retry_counters();
   }
 
-  size_t height() const { return height_; }
+  size_t height() const override { return height_; }
+  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
   size_t target_fanout() const { return fanout_; }
   uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
   const BeTreeOpStats& op_stats() const { return op_stats_; }
@@ -132,7 +126,7 @@ class BeTree {
   /// Structural invariants: key ordering, buffer routing (every buffered
   /// message's key lies in its child's range), size accounting, uniform
   /// leaf depth, fanout bounds.
-  void check_invariants();
+  void check_invariants() override;
 
   /// Flush counts by the depth of the flushing node at flush time (root =
   /// 0). Depths are as-of-flush: a later root split does not re-label
@@ -142,13 +136,15 @@ class BeTree {
   }
 
   /// Structured-event sink for flush events (nullptr disables).
-  void set_event_trace(stats::TraceBuffer* events) { events_ = events; }
+  void set_event_trace(stats::TraceBuffer* events) override {
+    events_ = events;
+  }
 
   /// Export op counters, per-depth flush counts (`<prefix>flushes.depth<d>`),
   /// cache (`<prefix>cache.`), store IO mix (`<prefix>store.`), and write
   /// amplification under `prefix` (e.g. "betree.").
-  virtual void export_metrics(stats::MetricsRegistry& reg,
-                              std::string_view prefix) const;
+  void export_metrics(stats::MetricsRegistry& reg,
+                      std::string_view prefix) const override;
 
  protected:
   using NodeRef = std::shared_ptr<BeTreeNode>;

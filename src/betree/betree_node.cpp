@@ -13,11 +13,17 @@ namespace {
 
 constexpr uint32_t kMagic = 0x4245544e;  // "BETN"
 
+// Record headers: leaf [u16 klen][u32 vlen], pivot [u16 klen].
+constexpr size_t kLeafRecordHeader = 6;
+constexpr size_t kPivotRecordHeader = 2;
+
 size_t leaf_record_len(const uint8_t* p) {
-  return size_t{6} + load_u16(p) + load_u32(p + 2);
+  return kLeafRecordHeader + load_u16(p) + load_u32(p + 2);
 }
 
-size_t pivot_record_len(const uint8_t* p) { return size_t{2} + load_u16(p); }
+size_t pivot_record_len(const uint8_t* p) {
+  return kPivotRecordHeader + load_u16(p);
+}
 
 std::string_view leaf_record_key(std::string_view rec) {
   return rec.substr(6, load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
@@ -268,7 +274,7 @@ std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
   if (leaf) {
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(), count,
-                                  leaf_record_len);
+                                  kLeafRecordHeader, leaf_record_len);
     return node;
   }
   // Internal layout: per child [u64 child][u32 msg count][msg records...],
@@ -301,7 +307,7 @@ std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
   }
   node->pivots_.build_from_prefix(base + off, size - off,
                                   count == 0 ? 0 : count - 1,
-                                  pivot_record_len);
+                                  kPivotRecordHeader, pivot_record_len);
   return node;
 }
 

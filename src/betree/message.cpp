@@ -1,23 +1,12 @@
 #include "betree/message.h"
 
-#include "util/bytes.h"
+#include "kv/dictionary.h"
 #include "util/status.h"
 
 namespace damkit::betree {
 
-std::string encode_counter(uint64_t v) {
-  std::string out(8, '\0');
-  store_u64(reinterpret_cast<uint8_t*>(out.data()), v);
-  return out;
-}
-
-uint64_t decode_counter(std::string_view v) {
-  if (v.size() != 8) return 0;  // non-counter values count as zero
-  return load_u64(reinterpret_cast<const uint8_t*>(v.data()));
-}
-
 std::string encode_delta(int64_t d) {
-  return encode_counter(static_cast<uint64_t>(d));
+  return kv::encode_counter(static_cast<uint64_t>(d));
 }
 
 std::optional<std::string> apply_message(std::optional<std::string> base,
@@ -28,9 +17,8 @@ std::optional<std::string> apply_message(std::optional<std::string> base,
     case MessageKind::kTombstone:
       return std::nullopt;
     case MessageKind::kUpsert: {
-      const uint64_t current = base.has_value() ? decode_counter(*base) : 0;
-      const uint64_t delta = decode_counter(msg.payload);
-      return encode_counter(current + delta);  // wrap-around by design
+      const auto delta = static_cast<int64_t>(kv::decode_counter(msg.payload));
+      return kv::add_to_counter(base, delta);
     }
   }
   DAMKIT_CHECK_MSG(false, "unknown message kind");

@@ -120,10 +120,8 @@ class MsgRange {
   size_t count_ = 0;
 };
 
-/// Encode a counter for use with kUpsert payloads/values.
-std::string encode_counter(uint64_t v);
-uint64_t decode_counter(std::string_view v);
-/// Encode a (possibly negative) upsert delta.
+/// Encode a (possibly negative) upsert delta as a kUpsert payload (the
+/// kv::encode_counter format; arithmetic wraps).
 std::string encode_delta(int64_t d);
 
 /// Apply one message to the current state of a key (nullopt = absent).

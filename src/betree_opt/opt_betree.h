@@ -39,6 +39,8 @@ class OptBeTree final : public betree::BeTree {
  public:
   OptBeTree(sim::Device& dev, sim::IoContext& io, betree::BeTreeConfig config);
 
+  std::string_view name() const override { return "opt-betree"; }
+
   /// Point query using sub-node IOs: per internal level, one IO covering
   /// the child's pivot block plus the one buffer segment on the query
   /// path; at the leaf, one basement chunk.

@@ -39,6 +39,11 @@ BTree::BTree(sim::Device& dev, sim::IoContext& io, BTreeConfig config)
 
 BTree::~BTree() { DAMKIT_CHECK_OK(pool_->flush_all()); }
 
+const kv::Capabilities& BTree::capabilities() const {
+  static constexpr kv::Capabilities kCaps{};  // RMW upsert, native bulk load
+  return kCaps;
+}
+
 StatusOr<BTree::NodeRef> BTree::try_fetch(uint64_t id) {
   DAMKIT_CHECK(id != kInvalidNode);
   if (NodeRef cached = pool_->get<BTreeNode>(id)) return cached;
@@ -73,10 +78,6 @@ Status BTree::descend(std::string_view key, uint64_t* leaf_id,
   *leaf_id = id;
   *leaf = *std::move(node);
   return Status();
-}
-
-void BTree::put(std::string_view key, std::string_view value) {
-  DAMKIT_CHECK_OK(try_put(key, value));
 }
 
 Status BTree::try_put(std::string_view key, std::string_view value) {
@@ -153,12 +154,6 @@ Status BTree::split_upward(std::vector<PathEntry>& path, uint64_t node_id,
   return Status();
 }
 
-std::optional<std::string> BTree::get(std::string_view key) {
-  StatusOr<std::optional<std::string>> v = try_get(key);
-  DAMKIT_CHECK_OK(v.status());
-  return *std::move(v);
-}
-
 StatusOr<std::optional<std::string>> BTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
@@ -170,29 +165,29 @@ StatusOr<std::optional<std::string>> BTree::try_get(std::string_view key) {
   return std::optional<std::string>(std::string(leaf->value(i)));
 }
 
-bool BTree::erase(std::string_view key) {
-  StatusOr<bool> erased = try_erase(key);
-  DAMKIT_CHECK_OK(erased.status());
-  return *erased;
-}
-
-StatusOr<bool> BTree::try_erase(std::string_view key) {
+Status BTree::try_erase(std::string_view key) {
   ++op_stats_.erases;
-  if (root_ == kInvalidNode) return false;
+  if (root_ == kInvalidNode) return Status();
   std::vector<PathEntry> path;
   uint64_t leaf_id;
   NodeRef leaf;
   DAMKIT_RETURN_IF_ERROR(descend(key, &leaf_id, &path, &leaf));
-  if (!leaf->leaf_erase(key)) return false;
+  if (!leaf->leaf_erase(key)) return Status();
   --size_;
   op_stats_.logical_bytes_written += key.size();
   mark_dirty(leaf_id);
   if (underflowing(*leaf) && !path.empty()) {
     // The key is already gone; a rebalance failure leaves the tree valid
     // but under-filled, and the error is still surfaced to the caller.
-    DAMKIT_RETURN_IF_ERROR(rebalance_upward(path, leaf_id, leaf));
+    return rebalance_upward(path, leaf_id, leaf);
   }
-  return true;
+  return Status();
+}
+
+Status BTree::try_upsert(std::string_view key, int64_t delta) {
+  StatusOr<std::optional<std::string>> current = try_get(key);
+  DAMKIT_RETURN_IF_ERROR(current.status());
+  return try_put(key, kv::add_to_counter(*current, delta));
 }
 
 Status BTree::rebalance_upward(std::vector<PathEntry>& path, uint64_t node_id,
@@ -269,16 +264,8 @@ Status BTree::rebalance_upward(std::vector<PathEntry>& path, uint64_t node_id,
   return Status();
 }
 
-std::vector<std::pair<std::string, std::string>> BTree::scan(
-    std::string_view lo, size_t limit) {
-  StatusOr<std::vector<std::pair<std::string, std::string>>> out =
-      try_scan(lo, limit);
-  DAMKIT_CHECK_OK(out.status());
-  return *std::move(out);
-}
-
-StatusOr<std::vector<std::pair<std::string, std::string>>> BTree::try_scan(
-    std::string_view lo, size_t limit) {
+StatusOr<std::vector<std::pair<std::string, std::string>>>
+BTree::try_range_scan(std::string_view lo, size_t limit) {
   ++op_stats_.scans;
   std::vector<std::pair<std::string, std::string>> out;
   if (root_ == kInvalidNode || limit == 0) return out;
@@ -401,10 +388,6 @@ void BTree::bulk_load(
   }
   root_ = below.nodes.front().second;
 }
-
-void BTree::flush() { DAMKIT_CHECK_OK(pool_->flush_all()); }
-
-Status BTree::try_flush() { return pool_->flush_all(); }
 
 void BTree::check_invariants() {
   if (root_ == kInvalidNode) {

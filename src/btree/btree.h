@@ -19,6 +19,7 @@
 #include "blockdev/block_device.h"
 #include "btree/btree_node.h"
 #include "cache/buffer_pool.h"
+#include "kv/dictionary.h"
 #include "sim/device.h"
 
 namespace damkit::btree {
@@ -49,66 +50,62 @@ struct BTreeOpStats {
   uint64_t logical_bytes_written = 0;  // key+value bytes the user modified
 };
 
-class BTree {
+class BTree final : public kv::Dictionary {
  public:
   BTree(sim::Device& dev, sim::IoContext& io, BTreeConfig config);
-  ~BTree();
+  ~BTree() override;
 
-  BTree(const BTree&) = delete;
-  BTree& operator=(const BTree&) = delete;
+  std::string_view name() const override { return "btree"; }
+  const kv::Capabilities& capabilities() const override;
 
-  /// Insert or overwrite a key/value pair.
-  void put(std::string_view key, std::string_view value);
-  /// Fallible put: non-OK means the tree was not modified, except that an
-  /// error during split propagation may leave a node transiently
+  /// Insert or overwrite. Non-OK means the tree was not modified, except
+  /// that an error during split propagation may leave a node transiently
   /// overflowing — reads stay correct and a later put retries the split.
-  Status try_put(std::string_view key, std::string_view value);
+  Status try_put(std::string_view key, std::string_view value) override;
 
-  /// Point query; returns the value if present.
-  std::optional<std::string> get(std::string_view key);
-  StatusOr<std::optional<std::string>> try_get(std::string_view key);
+  /// Point query; the value if present.
+  StatusOr<std::optional<std::string>> try_get(std::string_view key) override;
 
-  /// Delete; returns true if the key existed.
-  bool erase(std::string_view key);
-  /// Fallible erase. A non-OK status after the key was already removed
-  /// (rebalance IO failed) still reports the error; the tree stays valid
-  /// but may be transiently under-filled.
-  StatusOr<bool> try_erase(std::string_view key);
+  /// Delete. A non-OK status after the key was already removed (rebalance
+  /// IO failed) still reports the error; the tree stays valid but may be
+  /// transiently under-filled.
+  Status try_erase(std::string_view key) override;
+
+  /// No native upsert: read-modify-write of the counter (try_get, then
+  /// try_put), so a failed read leaves the key untouched.
+  Status try_upsert(std::string_view key, int64_t delta) override;
 
   /// Range query: up to `limit` pairs with key >= `lo`, in key order.
-  std::vector<std::pair<std::string, std::string>> scan(std::string_view lo,
-                                                        size_t limit);
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_scan(
-      std::string_view lo, size_t limit);
+  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
+      std::string_view lo, size_t limit) override;
 
   /// Build the tree from `count` items in strictly ascending key order;
   /// item(i) supplies the i-th pair. The tree must be empty. Nodes are
   /// written once each, bottom-up.
   void bulk_load(uint64_t count,
                  const std::function<std::pair<std::string, std::string>(
-                     uint64_t)>& item);
+                     uint64_t)>& item) override;
 
-  /// Write back all dirty nodes (checkpoint).
-  void flush();
-  /// Fallible checkpoint: failed nodes stay dirty in the cache (no data
+  /// Write back dirty nodes: failed nodes stay dirty in the cache (no data
   /// loss); calling again retries exactly the still-dirty set.
-  Status try_flush();
+  Status checkpoint() override { return pool_->flush_all(); }
 
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() { pool_->discard_all(); }
+  void abandon() override { pool_->discard_all(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
-  void set_retry_policy(const blockdev::RetryPolicy& policy) {
+  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
     store_.set_retry_policy(policy);
   }
-  const blockdev::RetryCounters& retry_counters() const {
+  blockdev::RetryCounters retry_counters() const override {
     return store_.retry_counters();
   }
 
   uint64_t size() const { return size_; }
-  size_t height() const { return height_; }
+  size_t height() const override { return height_; }
+  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
   uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
   const BTreeOpStats& op_stats() const { return op_stats_; }
   const cache::BufferPoolStats& cache_stats() const { return pool_->stats(); }
@@ -117,13 +114,13 @@ class BTree {
 
   /// Structural invariant check (test support): key order within and
   /// across nodes, child counts, leaf chain consistency, size accounting.
-  void check_invariants();
+  void check_invariants() override;
 
   /// Export op counters, cache (`<prefix>cache.`), node-store IO mix
   /// (`<prefix>store.`), and derived gauges (write amplification vs the
   /// device bytes this tree's store moved) under `prefix` (e.g. "btree.").
   void export_metrics(stats::MetricsRegistry& reg,
-                      std::string_view prefix) const;
+                      std::string_view prefix) const override;
 
  private:
   using NodeRef = std::shared_ptr<BTreeNode>;

@@ -12,11 +12,17 @@ namespace {
 
 constexpr uint32_t kMagic = 0x42544e44;  // "BTND"
 
+// Record headers: leaf [u16 klen][u32 vlen], pivot [u16 klen].
+constexpr size_t kLeafRecordHeader = 6;
+constexpr size_t kPivotRecordHeader = 2;
+
 size_t leaf_record_len(const uint8_t* p) {
-  return size_t{6} + load_u16(p) + load_u32(p + 2);
+  return kLeafRecordHeader + load_u16(p) + load_u32(p + 2);
 }
 
-size_t pivot_record_len(const uint8_t* p) { return size_t{2} + load_u16(p); }
+size_t pivot_record_len(const uint8_t* p) {
+  return kPivotRecordHeader + load_u16(p);
+}
 
 std::string_view leaf_record_key(std::string_view rec) {
   return rec.substr(6, load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
@@ -290,14 +296,14 @@ std::shared_ptr<BTreeNode> BTreeNode::deserialize(
   if (leaf) {
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(), count,
-                                  leaf_record_len);
+                                  kLeafRecordHeader, leaf_record_len);
   } else {
     node->children_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) node->children_.push_back(r.get_u64());
     node->page_.build_from_prefix(image.data() + r.position(),
                                   image.size() - r.position(),
                                   count == 0 ? 0 : count - 1,
-                                  pivot_record_len);
+                                  kPivotRecordHeader, pivot_record_len);
   }
   return node;
 }

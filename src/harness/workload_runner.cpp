@@ -104,45 +104,25 @@ PutGetResult run_put_get(kv::Dictionary& dict, const PutGetSpec& spec) {
   DAMKIT_CHECK(spec.key_of != nullptr);
   DAMKIT_CHECK(spec.key_modulus > 0);
   PutGetResult result;
+  const auto landed = [&](const Status& status) {
+    if (status.ok()) return true;
+    DAMKIT_CHECK_MSG(spec.tolerate_failures, status.to_string());
+    ++result.failed_ops;
+    return false;
+  };
   Rng rng(spec.seed);
   const std::string value(spec.value_bytes, 'v');
   for (uint64_t i = 0; i < spec.puts; ++i) {
     const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    if (spec.fallible) {
-      const Status put = dict.try_put(key, value);
-      if (!put.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      }
-    } else {
-      dict.put(key, value);
-    }
+    landed(dict.try_put(key, value));
   }
   for (uint64_t i = 0; i < spec.gets; ++i) {
     const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    if (spec.fallible) {
-      StatusOr<std::optional<std::string>> hit = dict.try_get(key);
-      if (!hit.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      } else if (hit->has_value()) {
-        ++result.get_hits;
-      }
-    } else {
-      if (dict.get(key).has_value()) ++result.get_hits;
-    }
+    const StatusOr<std::optional<std::string>> hit = dict.try_get(key);
+    if (landed(hit.status()) && hit->has_value()) ++result.get_hits;
   }
   for (uint64_t i = 0; i < spec.scans; ++i) {
-    if (spec.fallible) {
-      const Status scan =
-          dict.try_range_scan(spec.key_of(0), spec.scan_limit).status();
-      if (!scan.ok()) {
-        DAMKIT_CHECK(spec.tolerate_failures);
-        ++result.failed_ops;
-      }
-    } else {
-      (void)dict.range_scan(spec.key_of(0), spec.scan_limit);
-    }
+    landed(dict.try_range_scan(spec.key_of(0), spec.scan_limit).status());
   }
   return result;
 }

@@ -34,7 +34,8 @@ namespace damkit::harness {
 // ---------------------------------------------------------------------------
 
 struct WorkloadRunOptions {
-  /// Drive the try_* twins; non-OK ops count as failed instead of aborting.
+  /// Non-OK ops count as failed instead of CHECK-aborting, and the final
+  /// write-back is checkpoint() with retries instead of flush().
   bool fallible = false;
   /// Write back all dirty state after the op stream (charged to the run).
   bool flush_at_end = true;
@@ -55,7 +56,7 @@ struct WorkloadRunResult {
 /// run() exactly — same counters, same digest, same serial simulated time
 /// — plus the concurrent timeline computed by serve::Scheduler.
 struct ConcurrentRunOptions {
-  /// Client sessions (the CLI/bench --clients flag).
+  /// Concurrent clients (the CLI/bench --clients flag).
   uint64_t clients = 1;
   /// Per-client admission depth (--inflight).
   uint64_t inflight = 4;
@@ -96,7 +97,7 @@ class WorkloadRunner {
   WorkloadRunResult run(const kv::WorkloadSpec& spec, uint64_t ops,
                         const WorkloadRunOptions& options = {});
 
-  /// Serve the same op stream through k concurrent client sessions (see
+  /// Serve the same op stream to k concurrent clients (see
   /// serve::Scheduler). Digest and counters equal run()'s by construction;
   /// the concurrent makespan, speedup, and latency tails are added on top.
   ConcurrentRunResult run_concurrent(const kv::WorkloadSpec& spec,
@@ -126,10 +127,8 @@ struct PutGetSpec {
   /// Scans issued after the gets, each from key_of(0), this many pairs.
   uint64_t scans = 0;
   size_t scan_limit = 0;
-  /// Use try_* twins and CHECK-fail on non-OK (the CLI's fault-free path).
-  bool fallible = false;
-  /// With fallible: count non-OK ops instead of CHECK-failing (the CLI's
-  /// fault-injection path, where surfaced give-ups are expected).
+  /// Count non-OK ops instead of CHECK-failing (the CLI's fault-injection
+  /// path, where surfaced give-ups are expected).
   bool tolerate_failures = false;
 };
 

@@ -2,10 +2,12 @@
 // (§5–§8) need: one workload driven against B-tree, Bε-tree, optimized
 // Bε-tree, LSM-tree, and PDAM B-tree under one cost model.
 //
-// Every engine adapter forwards straight to the concrete tree — a call
-// through kv::Dictionary charges exactly the simulated time the direct
-// call would (virtual dispatch is host-side only), so single-engine
-// results are bit-identical to the pre-interface code paths.
+// The B-tree, both Bε-trees, and the LSM-tree implement this interface
+// themselves, so a call through kv::Dictionary charges exactly the
+// simulated time of the tree's own code (virtual dispatch is host-side
+// only). Each engine implements one fallible surface — the try_* methods
+// and checkpoint(); the CHECK-abort forms (put/get/erase/upsert/
+// range_scan/flush) are written once, here, on top of it.
 //
 // Engines differ in what they support natively; the Capabilities
 // descriptor records how each call is realized (e.g. a Bε-tree upsert is
@@ -44,14 +46,23 @@ struct Capabilities {
   int shard_count = 1;
 };
 
+/// The 8-byte little-endian counter upserts maintain. A value that is not
+/// exactly 8 bytes (or an absent key) decodes as zero.
+std::string encode_counter(uint64_t v);
+uint64_t decode_counter(std::string_view v);
+/// The counter after an upsert of `delta` (absent = 0, arithmetic wraps):
+/// what engines without native upserts write back.
+std::string add_to_counter(const std::optional<std::string>& counter,
+                           int64_t delta);
+
 /// Abstract ordered key-value dictionary over a simulated device.
 ///
-/// Infallible methods CHECK-abort on unrecoverable device errors (the
-/// non-faulting experiment path); the try_* twins surface a Status after
-/// the engine's retry policy is exhausted and never abort. `flush` /
-/// `checkpoint` are the write-back pair: flush is the infallible full
-/// checkpoint, checkpoint() is one fallible attempt whose failure leaves
-/// the remaining dirty state intact for a retry.
+/// The try_* methods surface a Status once the engine's retry policy is
+/// exhausted and never abort; checkpoint() is one fallible write-back
+/// attempt whose failure leaves the remaining dirty state intact for a
+/// retry. The infallible forms call their fallible twin and CHECK-abort
+/// with its status (the non-faulting experiment path); flush() is the
+/// infallible checkpoint.
 class Dictionary {
  public:
   virtual ~Dictionary();
@@ -64,25 +75,25 @@ class Dictionary {
   virtual std::string_view name() const = 0;
   virtual const Capabilities& capabilities() const = 0;
 
-  virtual void put(std::string_view key, std::string_view value) = 0;
+  virtual void put(std::string_view key, std::string_view value);
   virtual Status try_put(std::string_view key, std::string_view value) = 0;
 
-  virtual std::optional<std::string> get(std::string_view key) = 0;
+  virtual std::optional<std::string> get(std::string_view key);
   virtual StatusOr<std::optional<std::string>> try_get(
       std::string_view key) = 0;
 
   /// Delete (blind: engines that know whether the key existed discard it).
-  virtual void erase(std::string_view key) = 0;
+  virtual void erase(std::string_view key);
   virtual Status try_erase(std::string_view key) = 0;
 
-  /// Add `delta` to the 8-byte LE counter stored at `key` (absent = 0,
-  /// wrap-around by design — betree::encode_counter/decode_counter).
-  virtual void upsert(std::string_view key, int64_t delta) = 0;
+  /// Add `delta` to the counter stored at `key` (absent = 0, wrap-around
+  /// by design — encode_counter/decode_counter).
+  virtual void upsert(std::string_view key, int64_t delta);
   virtual Status try_upsert(std::string_view key, int64_t delta) = 0;
 
   /// Up to `limit` pairs with key >= `lo`, in key order.
   virtual std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) = 0;
+      std::string_view lo, size_t limit);
   virtual StatusOr<std::vector<std::pair<std::string, std::string>>>
   try_range_scan(std::string_view lo, size_t limit) = 0;
 
@@ -93,8 +104,8 @@ class Dictionary {
       const std::function<std::pair<std::string, std::string>(uint64_t)>&
           item) = 0;
 
-  /// Write back all dirty state (infallible checkpoint).
-  virtual void flush() = 0;
+  /// Write back all dirty state: CHECK_OK(checkpoint()) by default.
+  virtual void flush();
   /// One fallible checkpoint attempt: failed extents stay dirty (no data
   /// loss); calling again retries exactly the remaining set.
   virtual Status checkpoint() = 0;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "betree/message.h"
 #include "betree_opt/opt_betree.h"
 #include "blockdev/retry.h"
 #include "node/slotted_page.h"
@@ -16,258 +15,6 @@
 namespace damkit::kv {
 
 namespace {
-
-// Shared read-modify-write upsert emulation for engines without native
-// upserts. Byte-for-byte the semantics of betree::apply_message(kUpsert):
-// absent counts as zero, arithmetic wraps.
-std::string bump_counter(const std::optional<std::string>& current,
-                         int64_t delta) {
-  const uint64_t base =
-      current.has_value() ? betree::decode_counter(*current) : 0;
-  return betree::encode_counter(base + static_cast<uint64_t>(delta));
-}
-
-// ---------------------------------------------------------------------------
-// B-tree
-// ---------------------------------------------------------------------------
-
-class BTreeEngine final : public Dictionary {
- public:
-  BTreeEngine(sim::Device& dev, sim::IoContext& io,
-              const btree::BTreeConfig& config)
-      : tree_(dev, io, config) {
-    caps_.native_upsert = false;
-    caps_.native_bulk_load = true;
-  }
-
-  std::string_view name() const override { return "btree"; }
-  const Capabilities& capabilities() const override { return caps_; }
-
-  void put(std::string_view key, std::string_view value) override {
-    tree_.put(key, value);
-  }
-  Status try_put(std::string_view key, std::string_view value) override {
-    return tree_.try_put(key, value);
-  }
-  std::optional<std::string> get(std::string_view key) override {
-    return tree_.get(key);
-  }
-  StatusOr<std::optional<std::string>> try_get(std::string_view key) override {
-    return tree_.try_get(key);
-  }
-  void erase(std::string_view key) override { (void)tree_.erase(key); }
-  Status try_erase(std::string_view key) override {
-    return tree_.try_erase(key).status();
-  }
-  void upsert(std::string_view key, int64_t delta) override {
-    tree_.put(key, bump_counter(tree_.get(key), delta));
-  }
-  Status try_upsert(std::string_view key, int64_t delta) override {
-    StatusOr<std::optional<std::string>> current = tree_.try_get(key);
-    if (!current.ok()) return current.status();
-    return tree_.try_put(key, bump_counter(*current, delta));
-  }
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_.scan(lo, limit);
-  }
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_.try_scan(lo, limit);
-  }
-  void bulk_load(
-      uint64_t count,
-      const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
-      override {
-    tree_.bulk_load(count, item);
-  }
-  void flush() override { tree_.flush(); }
-  Status checkpoint() override { return tree_.try_flush(); }
-  void abandon() override { tree_.abandon(); }
-  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    tree_.set_retry_policy(policy);
-  }
-  blockdev::RetryCounters retry_counters() const override {
-    return tree_.retry_counters();
-  }
-  size_t height() const override { return tree_.height(); }
-  double cache_hit_rate() const override {
-    return tree_.cache_stats().hit_rate();
-  }
-  void check_invariants() override { tree_.check_invariants(); }
-  void export_metrics(stats::MetricsRegistry& reg,
-                      std::string_view prefix) const override {
-    tree_.export_metrics(reg, prefix);
-  }
-
- private:
-  btree::BTree tree_;
-  Capabilities caps_;
-};
-
-// ---------------------------------------------------------------------------
-// Bε-tree and its optimized variant (one adapter; OptBeTree is-a BeTree)
-// ---------------------------------------------------------------------------
-
-class BeTreeEngine final : public Dictionary {
- public:
-  BeTreeEngine(sim::Device& dev, sim::IoContext& io,
-               const betree::BeTreeConfig& config, bool optimized)
-      : tree_(optimized ? std::unique_ptr<betree::BeTree>(
-                              std::make_unique<betree_opt::OptBeTree>(dev, io,
-                                                                      config))
-                        : std::make_unique<betree::BeTree>(dev, io, config)),
-        name_(optimized ? "opt-betree" : "betree") {
-    caps_.native_upsert = true;
-    caps_.native_bulk_load = true;
-  }
-
-  std::string_view name() const override { return name_; }
-  const Capabilities& capabilities() const override { return caps_; }
-
-  void put(std::string_view key, std::string_view value) override {
-    tree_->put(key, value);
-  }
-  Status try_put(std::string_view key, std::string_view value) override {
-    return tree_->try_put(key, value);
-  }
-  std::optional<std::string> get(std::string_view key) override {
-    return tree_->get(key);
-  }
-  StatusOr<std::optional<std::string>> try_get(std::string_view key) override {
-    return tree_->try_get(key);
-  }
-  void erase(std::string_view key) override { tree_->erase(key); }
-  Status try_erase(std::string_view key) override {
-    return tree_->try_erase(key);
-  }
-  void upsert(std::string_view key, int64_t delta) override {
-    tree_->upsert(key, delta);
-  }
-  Status try_upsert(std::string_view key, int64_t delta) override {
-    return tree_->try_upsert(key, delta);
-  }
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_->scan(lo, limit);
-  }
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_->try_scan(lo, limit);
-  }
-  void bulk_load(
-      uint64_t count,
-      const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
-      override {
-    tree_->bulk_load(count, item);
-  }
-  void flush() override { tree_->flush_cache(); }
-  Status checkpoint() override { return tree_->try_flush_cache(); }
-  void abandon() override { tree_->abandon(); }
-  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    tree_->set_retry_policy(policy);
-  }
-  blockdev::RetryCounters retry_counters() const override {
-    return tree_->retry_counters();
-  }
-  size_t height() const override { return tree_->height(); }
-  double cache_hit_rate() const override {
-    return tree_->cache_stats().hit_rate();
-  }
-  void check_invariants() override { tree_->check_invariants(); }
-  void set_event_trace(stats::TraceBuffer* events) override {
-    tree_->set_event_trace(events);
-  }
-  void export_metrics(stats::MetricsRegistry& reg,
-                      std::string_view prefix) const override {
-    tree_->export_metrics(reg, prefix);
-  }
-
- private:
-  std::unique_ptr<betree::BeTree> tree_;
-  std::string_view name_;
-  Capabilities caps_;
-};
-
-// ---------------------------------------------------------------------------
-// LSM-tree
-// ---------------------------------------------------------------------------
-
-class LsmEngine final : public Dictionary {
- public:
-  LsmEngine(sim::Device& dev, sim::IoContext& io, const lsm::LsmConfig& config)
-      : tree_(dev, io, config) {
-    caps_.native_upsert = false;
-    caps_.native_bulk_load = false;  // emulated: memtable ingest in key order
-  }
-
-  std::string_view name() const override { return "lsm"; }
-  const Capabilities& capabilities() const override { return caps_; }
-
-  void put(std::string_view key, std::string_view value) override {
-    tree_.put(key, value);
-  }
-  Status try_put(std::string_view key, std::string_view value) override {
-    return tree_.try_put(key, value);
-  }
-  std::optional<std::string> get(std::string_view key) override {
-    return tree_.get(key);
-  }
-  StatusOr<std::optional<std::string>> try_get(std::string_view key) override {
-    return tree_.try_get(key);
-  }
-  void erase(std::string_view key) override { tree_.erase(key); }
-  Status try_erase(std::string_view key) override {
-    return tree_.try_erase(key);
-  }
-  void upsert(std::string_view key, int64_t delta) override {
-    tree_.put(key, bump_counter(tree_.get(key), delta));
-  }
-  Status try_upsert(std::string_view key, int64_t delta) override {
-    StatusOr<std::optional<std::string>> current = tree_.try_get(key);
-    if (!current.ok()) return current.status();
-    return tree_.try_put(key, bump_counter(*current, delta));
-  }
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_.scan(lo, limit);
-  }
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
-      std::string_view lo, size_t limit) override {
-    return tree_.try_scan(lo, limit);
-  }
-  void bulk_load(
-      uint64_t count,
-      const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
-      override {
-    for (uint64_t i = 0; i < count; ++i) {
-      const std::pair<std::string, std::string> kv = item(i);
-      tree_.put(kv.first, kv.second);
-    }
-  }
-  void flush() override { tree_.flush(); }
-  Status checkpoint() override { return tree_.try_flush(); }
-  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    tree_.set_retry_policy(policy);
-  }
-  blockdev::RetryCounters retry_counters() const override {
-    return tree_.retry_counters();
-  }
-  size_t height() const override { return tree_.level_count(); }
-  double cache_hit_rate() const override { return 0.0; }
-  void check_invariants() override { tree_.check_invariants(); }
-  void set_event_trace(stats::TraceBuffer* events) override {
-    tree_.set_event_trace(events);
-  }
-  void export_metrics(stats::MetricsRegistry& reg,
-                      std::string_view prefix) const override {
-    tree_.export_metrics(reg, prefix);
-  }
-
- private:
-  lsm::LsmTree tree_;
-  Capabilities caps_;
-};
 
 // ---------------------------------------------------------------------------
 // PDAM B-tree
@@ -283,95 +30,40 @@ class LsmEngine final : public Dictionary {
 // model, not a byte store, exactly like the PdamBTree itself.
 class PdamEngine final : public Dictionary {
  public:
-  PdamEngine(sim::Device& dev, sim::IoContext& io,
-             const PdamEngineConfig& config)
-      : io_(&io), cfg_(config) {
-    (void)dev;
-    caps_.native_upsert = false;
-    caps_.native_bulk_load = true;
-  }
+  PdamEngine(sim::IoContext& io, const PdamEngineConfig& config)
+      : io_(&io), cfg_(config) {}
 
   std::string_view name() const override { return "pdam"; }
-  const Capabilities& capabilities() const override { return caps_; }
-
-  void put(std::string_view key, std::string_view value) override {
-    ++puts_;
-    buffer_insert(key, std::string(value));
-    if (buffer_bytes_ > cfg_.buffer_bytes) merge_buffer();
+  const Capabilities& capabilities() const override {
+    static constexpr Capabilities kCaps{};  // RMW upsert, native bulk load
+    return kCaps;
   }
+
   Status try_put(std::string_view key, std::string_view value) override {
     ++puts_;
-    buffer_insert(key, std::string(value));
-    if (buffer_bytes_ > cfg_.buffer_bytes) return try_merge_buffer();
-    return Status();
-  }
-
-  std::optional<std::string> get(std::string_view key) override {
-    ++gets_;
-    const auto hit = buffer_.find(std::string(key));
-    if (hit != buffer_.end()) return hit->second;  // value or tombstone
-    const size_t rank = base_rank(key);
-    if (rank >= base_.count() || compare(base_key(rank), key) != 0) {
-      if (!base_.empty()) charge_descent(rank);
-      return std::nullopt;
-    }
-    charge_descent(rank);
-    return std::string(base_value(rank));
+    return buffer_insert(key, std::string(value));
   }
   StatusOr<std::optional<std::string>> try_get(std::string_view key) override {
     ++gets_;
-    const auto hit = buffer_.find(std::string(key));
-    if (hit != buffer_.end()) return hit->second;
-    const size_t rank = base_rank(key);
-    const bool found =
-        rank < base_.count() && compare(base_key(rank), key) == 0;
-    if (!base_.empty()) {
-      DAMKIT_RETURN_IF_ERROR(try_charge_descent(rank));
-    }
-    if (!found) return std::optional<std::string>();
-    return std::optional<std::string>(std::string(base_value(rank)));
-  }
-
-  void erase(std::string_view key) override {
-    ++erases_;
-    buffer_insert(key, std::nullopt);
-    if (buffer_bytes_ > cfg_.buffer_bytes) merge_buffer();
+    return lookup(key);
   }
   Status try_erase(std::string_view key) override {
     ++erases_;
-    buffer_insert(key, std::nullopt);
-    if (buffer_bytes_ > cfg_.buffer_bytes) return try_merge_buffer();
-    return Status();
+    return buffer_insert(key, std::nullopt);
   }
-
-  void upsert(std::string_view key, int64_t delta) override {
-    ++upserts_;
-    --gets_;  // the embedded read is part of the upsert, not a user get
-    put(key, bump_counter(get(key), delta));
-    --puts_;
-  }
+  // Read-modify-write: the embedded read and write count as the upsert.
   Status try_upsert(std::string_view key, int64_t delta) override {
     ++upserts_;
-    --gets_;
-    StatusOr<std::optional<std::string>> current = try_get(key);
-    if (!current.ok()) return current.status();
-    const Status s = try_put(key, bump_counter(*current, delta));
-    --puts_;
-    return s;
+    StatusOr<std::optional<std::string>> current = lookup(key);
+    DAMKIT_RETURN_IF_ERROR(current.status());
+    return buffer_insert(key, add_to_counter(*current, delta));
   }
 
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override {
-    uint64_t base_consumed = 0;
-    auto out = merged_scan(lo, limit, &base_consumed);
-    charge_scan(lo, base_consumed);
-    return out;
-  }
   StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
       std::string_view lo, size_t limit) override {
     uint64_t base_consumed = 0;
     auto out = merged_scan(lo, limit, &base_consumed);
-    DAMKIT_RETURN_IF_ERROR(try_charge_scan(lo, base_consumed));
+    DAMKIT_RETURN_IF_ERROR(charge_scan(lo, base_consumed));
     return out;
   }
 
@@ -390,17 +82,12 @@ class PdamEngine final : public Dictionary {
       append_base_entry(kv.first, kv.second);
     }
     rebuild_index();
-    charge_base_write(base_.live_bytes());
+    DAMKIT_CHECK_OK(charge_base_write(base_.live_bytes()));
   }
 
-  void flush() override {
-    if (!buffer_.empty() || index_ == nullptr) merge_buffer();
-  }
   Status checkpoint() override {
-    if (!buffer_.empty() || (index_ == nullptr && !base_.empty())) {
-      return try_merge_buffer();
-    }
-    return Status();
+    if (buffer_.empty()) return Status();
+    return merge_buffer();
   }
 
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
@@ -443,9 +130,6 @@ class PdamEngine final : public Dictionary {
   // The base run is a flat slotted page of [u16 klen][u32 vlen][key][value]
   // records in key order; record size equals entry_bytes exactly, so
   // live_bytes() IS the base's accounted byte total.
-  static size_t base_record_len(const uint8_t* p) {
-    return size_t{6} + load_u16(p) + load_u32(p + 2);
-  }
   static std::string_view base_record_key(std::string_view rec) {
     return rec.substr(6,
                       load_u16(reinterpret_cast<const uint8_t*>(rec.data())));
@@ -471,13 +155,30 @@ class PdamEngine final : public Dictionary {
     append_entry(base_, key, value);
   }
 
-  void buffer_insert(std::string_view key, std::optional<std::string> value) {
+  // Absorb one mutation (nullopt = tombstone); merge once over budget.
+  Status buffer_insert(std::string_view key,
+                       std::optional<std::string> value) {
     const uint64_t bytes =
         entry_bytes(key, value.has_value() ? *value : std::string_view());
     auto [it, inserted] = buffer_.insert_or_assign(std::string(key),
                                                    std::move(value));
     (void)it;
     if (inserted) buffer_bytes_ += bytes;
+    if (buffer_bytes_ > cfg_.buffer_bytes) return merge_buffer();
+    return Status();
+  }
+
+  StatusOr<std::optional<std::string>> lookup(std::string_view key) {
+    const auto hit = buffer_.find(std::string(key));
+    if (hit != buffer_.end()) return hit->second;  // value or tombstone
+    const size_t rank = base_rank(key);
+    const bool found =
+        rank < base_.count() && compare(base_key(rank), key) == 0;
+    if (!base_.empty()) {
+      DAMKIT_RETURN_IF_ERROR(charge_descent(rank));
+    }
+    if (!found) return std::optional<std::string>();
+    return std::optional<std::string>(std::string(base_value(rank)));
   }
 
   size_t base_rank(std::string_view key) const {
@@ -508,14 +209,7 @@ class PdamEngine final : public Dictionary {
     return cfg_.base_offset + (mixed % slots) * nb;
   }
 
-  void charge_descent(uint64_t rank) {
-    const int levels = descent_levels();
-    for (int l = 0; l < levels; ++l) {
-      io_->touch_read(node_offset(l, rank), node_bytes());
-      ++node_reads_;
-    }
-  }
-  Status try_charge_descent(uint64_t rank) {
+  Status charge_descent(uint64_t rank) {
     const int levels = descent_levels();
     for (int l = 0; l < levels; ++l) {
       const uint64_t off = node_offset(l, rank);
@@ -567,17 +261,10 @@ class PdamEngine final : public Dictionary {
     return (base_entries * mean + b - 1) / b * b;
   }
 
-  void charge_scan(std::string_view lo, uint64_t base_entries) {
-    if (base_entries == 0 || base_.empty()) return;
-    const uint64_t rank = base_rank(lo);
-    charge_descent(rank);
-    io_->touch_read(node_offset(descent_levels() - 1, rank),
-                    scan_run_bytes(base_entries));
-  }
-  Status try_charge_scan(std::string_view lo, uint64_t base_entries) {
+  Status charge_scan(std::string_view lo, uint64_t base_entries) {
     if (base_entries == 0 || base_.empty()) return Status();
     const uint64_t rank = base_rank(lo);
-    DAMKIT_RETURN_IF_ERROR(try_charge_descent(rank));
+    DAMKIT_RETURN_IF_ERROR(charge_descent(rank));
     const uint64_t off = node_offset(descent_levels() - 1, rank);
     return blockdev::with_retries(
         *io_, retry_, &counters_, /*retry_corruption=*/false, [&] {
@@ -607,35 +294,19 @@ class PdamEngine final : public Dictionary {
     return merged;
   }
 
-  void commit_merge(node::SlottedPage merged) {
+  // A failed base write leaves the buffer and the old base in place.
+  Status merge_buffer() {
+    node::SlottedPage merged = merge_entries();
+    DAMKIT_RETURN_IF_ERROR(charge_base_write(merged.live_bytes()));
     base_ = std::move(merged);
     buffer_.clear();
     buffer_bytes_ = 0;
     ++buffer_merges_;
     rebuild_index();
-  }
-
-  void merge_buffer() {
-    node::SlottedPage merged = merge_entries();
-    charge_base_write(merged.live_bytes());
-    commit_merge(std::move(merged));
-  }
-  Status try_merge_buffer() {
-    node::SlottedPage merged = merge_entries();
-    DAMKIT_RETURN_IF_ERROR(try_charge_base_write(merged.live_bytes()));
-    commit_merge(std::move(merged));
     return Status();
   }
 
-  void charge_base_write(uint64_t bytes) {
-    merge_bytes_written_ += bytes;
-    const uint64_t chunk = std::max<uint64_t>(cfg_.tree.block_bytes, 1);
-    for (uint64_t off = 0; off < bytes; off += chunk) {
-      io_->touch_write(cfg_.base_offset + off % cfg_.region_bytes,
-                       std::min(chunk, bytes - off));
-    }
-  }
-  Status try_charge_base_write(uint64_t bytes) {
+  Status charge_base_write(uint64_t bytes) {
     merge_bytes_written_ += bytes;
     const uint64_t chunk = std::max<uint64_t>(cfg_.tree.block_bytes, 1);
     for (uint64_t off = 0; off < bytes; off += chunk) {
@@ -662,7 +333,6 @@ class PdamEngine final : public Dictionary {
 
   sim::IoContext* io_;
   PdamEngineConfig cfg_;
-  Capabilities caps_;
 
   node::SlottedPage base_;  // sorted flat run of wire-format records
   std::map<std::string, std::optional<std::string>> buffer_;  // nullopt = del
@@ -721,15 +391,15 @@ std::unique_ptr<Dictionary> EngineFactory::make_engine(
   cfg.lsm.codec = codec;
   switch (kind) {
     case EngineKind::kBTree:
-      return std::make_unique<BTreeEngine>(dev, io, cfg.btree);
+      return std::make_unique<btree::BTree>(dev, io, cfg.btree);
     case EngineKind::kBeTree:
-      return std::make_unique<BeTreeEngine>(dev, io, cfg.betree, false);
+      return std::make_unique<betree::BeTree>(dev, io, cfg.betree);
     case EngineKind::kOptBeTree:
-      return std::make_unique<BeTreeEngine>(dev, io, cfg.betree, true);
+      return std::make_unique<betree_opt::OptBeTree>(dev, io, cfg.betree);
     case EngineKind::kLsm:
-      return std::make_unique<LsmEngine>(dev, io, cfg.lsm);
+      return std::make_unique<lsm::LsmTree>(dev, io, cfg.lsm);
     case EngineKind::kPdam:
-      return std::make_unique<PdamEngine>(dev, io, cfg.pdam);
+      return std::make_unique<PdamEngine>(io, cfg.pdam);
   }
   DAMKIT_CHECK_MSG(false, "unknown engine kind");
   return nullptr;

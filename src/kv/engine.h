@@ -1,11 +1,12 @@
 // EngineFactory: construct any of the five dictionaries behind one
-// kv::Dictionary interface, preserving each tree's concrete API and its
-// simulated-time behavior bit-for-bit (adapters forward straight through).
+// kv::Dictionary interface. The B-tree, both Bε-trees, and the LSM-tree
+// implement kv::Dictionary themselves, so the factory returns the tree
+// itself — a factory-built engine is a hand-built one.
 //
 // The PDAM B-tree is a static structure with no device of its own; its
-// adapter keeps an in-memory write buffer (mutations + tombstones) over a
-// sorted base run and charges device IO from the rebuilt PdamBTree's
-// geometry — see PdamEngineConfig.
+// engine is the one adapter: an in-memory write buffer (mutations +
+// tombstones) over a sorted base run that charges device IO from the
+// rebuilt PdamBTree's geometry — see PdamEngineConfig.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,7 @@ inline constexpr EngineKind kAllEngineKinds[] = {
     EngineKind::kBTree, EngineKind::kBeTree, EngineKind::kOptBeTree,
     EngineKind::kLsm, EngineKind::kPdam};
 
-/// PDAM adapter knobs. `tree` shapes the rebuilt index (P, B, layout);
+/// PDAM engine knobs. `tree` shapes the rebuilt index (P, B, layout);
 /// the write buffer absorbs mutations in memory (the memtable analog)
 /// and is merged into the base run — one sequential device write — when
 /// it exceeds `buffer_bytes` or on flush/checkpoint. Point descents
@@ -70,7 +71,7 @@ struct EngineConfig {
 /// Place every engine kind's extent space at `offset` (shard regions).
 void set_base_offset(EngineConfig& config, uint64_t offset);
 
-/// Builds a Dictionary adapter over the requested tree on `dev`/`io`.
+/// Builds the requested engine on `dev`/`io`.
 class EngineFactory {
  public:
   static std::unique_ptr<Dictionary> make_engine(EngineKind kind,

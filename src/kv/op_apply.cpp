@@ -19,6 +19,20 @@ void fnv_mix(uint64_t* h, std::string_view bytes) {
   *h *= 0x100000001b3ULL;
 }
 
+namespace {
+
+// One surface for both modes: a non-OK status counts as a failed op when
+// the caller opted into fallible driving, and CHECK-aborts otherwise.
+bool landed(const Status& status, const ApplyOptions& options,
+            ApplyCounters* counters) {
+  if (status.ok()) return true;
+  DAMKIT_CHECK_MSG(options.fallible, status.to_string());
+  ++counters->failed_ops;
+  return false;
+}
+
+}  // namespace
+
 void apply_op(Dictionary& dict, const Op& op, uint64_t global_index,
               const WorkloadSpec& spec, const ApplyOptions& options,
               uint64_t* digest, ApplyCounters* counters,
@@ -32,58 +46,32 @@ void apply_op(Dictionary& dict, const Op& op, uint64_t global_index,
       ++counters->puts;
       std::string& value = scratch->value;
       make_value_to(op.key_id + global_index, spec.value_bytes, &value);
-      if (options.fallible) {
-        if (!dict.try_put(key, value).ok()) ++counters->failed_ops;
-      } else {
-        dict.put(key, value);
-      }
+      landed(dict.try_put(key, value), options, counters);
       break;
     }
     case OpType::kGet: {
       ++counters->gets;
-      std::optional<std::string> got;
-      if (options.fallible) {
-        StatusOr<std::optional<std::string>> r = dict.try_get(key);
-        if (!r.ok()) {
-          ++counters->failed_ops;
-          break;
-        }
-        got = *std::move(r);
-      } else {
-        got = dict.get(key);
-      }
+      const StatusOr<std::optional<std::string>> got = dict.try_get(key);
+      if (!landed(got.status(), options, counters)) break;
       fnv_mix(digest, key);
-      fnv_mix(digest, got.has_value() ? "1" : "0");
-      if (got.has_value()) {
+      fnv_mix(digest, got->has_value() ? "1" : "0");
+      if (got->has_value()) {
         ++counters->get_hits;
-        fnv_mix(digest, *got);
+        fnv_mix(digest, **got);
       }
       break;
     }
     case OpType::kDelete: {
       ++counters->erases;
-      if (options.fallible) {
-        if (!dict.try_erase(key).ok()) ++counters->failed_ops;
-      } else {
-        dict.erase(key);
-      }
+      landed(dict.try_erase(key), options, counters);
       break;
     }
     case OpType::kScan: {
       ++counters->scans;
-      std::vector<std::pair<std::string, std::string>> rows;
-      if (options.fallible) {
-        auto r = dict.try_range_scan(key, op.scan_length);
-        if (!r.ok()) {
-          ++counters->failed_ops;
-          break;
-        }
-        rows = *std::move(r);
-      } else {
-        rows = dict.range_scan(key, op.scan_length);
-      }
-      fnv_mix(digest, strfmt("scan:%zu", rows.size()));
-      for (const auto& [k, v] : rows) {
+      const auto rows = dict.try_range_scan(key, op.scan_length);
+      if (!landed(rows.status(), options, counters)) break;
+      fnv_mix(digest, strfmt("scan:%zu", rows->size()));
+      for (const auto& [k, v] : *rows) {
         fnv_mix(digest, k);
         fnv_mix(digest, v);
       }
@@ -92,11 +80,7 @@ void apply_op(Dictionary& dict, const Op& op, uint64_t global_index,
     case OpType::kUpsert: {
       ++counters->upserts;
       const auto delta = static_cast<int64_t>(op.key_id % 1000 + 1);
-      if (options.fallible) {
-        if (!dict.try_upsert(key, delta).ok()) ++counters->failed_ops;
-      } else {
-        dict.upsert(key, delta);
-      }
+      landed(dict.try_upsert(key, delta), options, counters);
       break;
     }
   }

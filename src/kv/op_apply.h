@@ -4,7 +4,9 @@
 // observe byte-identical behavior per op — same written values, same digest
 // mixing over read results — or the cross-engine differential test cannot
 // extend to concurrent runs. Factoring the op switch here makes divergence
-// impossible by construction: both callers drive the same code.
+// impossible by construction: both callers drive the same code. Every op
+// goes through the Dictionary's fallible try_* surface; ApplyOptions only
+// decides whether a non-OK status is counted or CHECK-aborts.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,8 @@ struct ApplyCounters {
 };
 
 struct ApplyOptions {
-  /// Drive the try_* twins; non-OK ops count as failed instead of aborting.
+  /// Non-OK ops count as failed (ApplyCounters::failed_ops) instead of
+  /// CHECK-aborting with their status.
   bool fallible = false;
 };
 
@@ -45,7 +48,7 @@ struct ApplyScratch {
 /// Apply `op` to `dict`. `global_index` is the op's position in the overall
 /// generated stream — put values are make_value(key_id + global_index, ...),
 /// so the index an op is *applied under* must match the index it was
-/// *generated at* regardless of which client session carried it.
+/// *generated at* regardless of which client it belongs to.
 /// Read results are mixed into *digest; counters are bumped in *counters.
 /// `scratch` may be null (a per-thread fallback is used); passing one per
 /// run keeps buffer reuse explicit.

@@ -53,27 +53,15 @@ size_t ShardedEngine::shard_of(std::string_view key) const {
   return shard_hash(key) % inner_.size();
 }
 
-void ShardedEngine::put(std::string_view key, std::string_view value) {
-  inner_[shard_of(key)]->put(key, value);
-}
 Status ShardedEngine::try_put(std::string_view key, std::string_view value) {
   return inner_[shard_of(key)]->try_put(key, value);
-}
-std::optional<std::string> ShardedEngine::get(std::string_view key) {
-  return inner_[shard_of(key)]->get(key);
 }
 StatusOr<std::optional<std::string>> ShardedEngine::try_get(
     std::string_view key) {
   return inner_[shard_of(key)]->try_get(key);
 }
-void ShardedEngine::erase(std::string_view key) {
-  inner_[shard_of(key)]->erase(key);
-}
 Status ShardedEngine::try_erase(std::string_view key) {
   return inner_[shard_of(key)]->try_erase(key);
-}
-void ShardedEngine::upsert(std::string_view key, int64_t delta) {
-  inner_[shard_of(key)]->upsert(key, delta);
 }
 Status ShardedEngine::try_upsert(std::string_view key, int64_t delta) {
   return inner_[shard_of(key)]->try_upsert(key, delta);
@@ -111,30 +99,13 @@ std::vector<std::pair<std::string, std::string>> merge_scans(
 
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> ShardedEngine::range_scan(
-    std::string_view lo, size_t limit) {
-  if (inner_.size() == 1) return inner_[0]->range_scan(lo, limit);
-  std::vector<std::vector<std::pair<std::string, std::string>>> runs;
-  runs.reserve(inner_.size());
-  if (cfg_.partition == ShardedConfig::Partition::kRange) {
-    // Later shards only matter if earlier ones run dry before `limit`.
-    size_t need = limit;
-    for (size_t s = shard_of(lo); s < inner_.size() && need > 0; ++s) {
-      runs.push_back(inner_[s]->range_scan(lo, need));
-      need -= std::min(need, runs.back().size());
-    }
-  } else {
-    for (const auto& shard : inner_) runs.push_back(shard->range_scan(lo, limit));
-  }
-  return merge_scans(std::move(runs), limit);
-}
-
 StatusOr<std::vector<std::pair<std::string, std::string>>>
 ShardedEngine::try_range_scan(std::string_view lo, size_t limit) {
   if (inner_.size() == 1) return inner_[0]->try_range_scan(lo, limit);
   std::vector<std::vector<std::pair<std::string, std::string>>> runs;
   runs.reserve(inner_.size());
   if (cfg_.partition == ShardedConfig::Partition::kRange) {
+    // Later shards only matter if earlier ones run dry before `limit`.
     size_t need = limit;
     for (size_t s = shard_of(lo); s < inner_.size() && need > 0; ++s) {
       auto run = inner_[s]->try_range_scan(lo, need);
@@ -173,10 +144,6 @@ void ShardedEngine::bulk_load(
       return slice[static_cast<size_t>(i)];
     });
   }
-}
-
-void ShardedEngine::flush() {
-  for (const auto& shard : inner_) shard->flush();
 }
 
 Status ShardedEngine::checkpoint() {

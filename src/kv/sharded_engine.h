@@ -47,23 +47,17 @@ class ShardedEngine final : public Dictionary {
   std::string_view name() const override { return name_; }
   const Capabilities& capabilities() const override { return caps_; }
 
-  void put(std::string_view key, std::string_view value) override;
   Status try_put(std::string_view key, std::string_view value) override;
-  std::optional<std::string> get(std::string_view key) override;
   StatusOr<std::optional<std::string>> try_get(std::string_view key) override;
-  void erase(std::string_view key) override;
   Status try_erase(std::string_view key) override;
-  void upsert(std::string_view key, int64_t delta) override;
   Status try_upsert(std::string_view key, int64_t delta) override;
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override;
   StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
       std::string_view lo, size_t limit) override;
   void bulk_load(
       uint64_t count,
       const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
       override;
-  void flush() override;
+  /// Attempts every shard; returns the first failure.
   Status checkpoint() override;
   void abandon() override;
   void set_retry_policy(const blockdev::RetryPolicy& policy) override;

@@ -25,11 +25,10 @@ LsmTree::LsmTree(sim::Device& dev, sim::IoContext& io, LsmConfig config)
 
 LsmTree::~LsmTree() = default;
 
-void LsmTree::put(std::string_view key, std::string_view value) {
-  DAMKIT_CHECK_OK(try_put(key, value));
+const kv::Capabilities& LsmTree::capabilities() const {
+  static constexpr kv::Capabilities kCaps{.native_bulk_load = false};
+  return kCaps;
 }
-
-void LsmTree::erase(std::string_view key) { DAMKIT_CHECK_OK(try_erase(key)); }
 
 Status LsmTree::try_put(std::string_view key, std::string_view value) {
   ++stats_.puts;
@@ -53,9 +52,22 @@ Status LsmTree::try_erase(std::string_view key) {
   return Status();
 }
 
-void LsmTree::flush() { DAMKIT_CHECK_OK(try_flush()); }
+Status LsmTree::try_upsert(std::string_view key, int64_t delta) {
+  StatusOr<std::optional<std::string>> current = try_get(key);
+  DAMKIT_RETURN_IF_ERROR(current.status());
+  return try_put(key, kv::add_to_counter(*current, delta));
+}
 
-Status LsmTree::try_flush() {
+void LsmTree::bulk_load(
+    uint64_t count,
+    const std::function<std::pair<std::string, std::string>(uint64_t)>& item) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const std::pair<std::string, std::string> entry = item(i);
+    put(entry.first, entry.second);
+  }
+}
+
+Status LsmTree::checkpoint() {
   if (mem_.empty()) return Status();
   DAMKIT_RETURN_IF_ERROR(flush_memtable());
   return maybe_compact();
@@ -414,12 +426,6 @@ Status LsmTree::compact_level(size_t level) {
   return Status();
 }
 
-std::optional<std::string> LsmTree::get(std::string_view key) {
-  StatusOr<std::optional<std::string>> value = try_get(key);
-  DAMKIT_CHECK_OK(value.status());
-  return *std::move(value);
-}
-
 StatusOr<std::optional<std::string>> LsmTree::try_get(std::string_view key) {
   ++stats_.gets;
   if (const auto hit = mem_.get(key)) {
@@ -492,16 +498,8 @@ StatusOr<std::optional<std::string>> LsmTree::try_get(std::string_view key) {
   return miss;
 }
 
-std::vector<std::pair<std::string, std::string>> LsmTree::scan(
-    std::string_view lo, size_t limit) {
-  StatusOr<std::vector<std::pair<std::string, std::string>>> out =
-      try_scan(lo, limit);
-  DAMKIT_CHECK_OK(out.status());
-  return *std::move(out);
-}
-
-StatusOr<std::vector<std::pair<std::string, std::string>>> LsmTree::try_scan(
-    std::string_view lo, size_t limit) {
+StatusOr<std::vector<std::pair<std::string, std::string>>>
+LsmTree::try_range_scan(std::string_view lo, size_t limit) {
   ++stats_.scans;
   std::vector<std::pair<std::string, std::string>> out;
   if (limit == 0) return out;
@@ -675,7 +673,7 @@ void LsmTree::export_metrics(stats::MetricsRegistry& reg,
   }
 }
 
-void LsmTree::check_invariants() const {
+void LsmTree::check_invariants() {
   const bool tiered = config_.style == CompactionStyle::kTiered;
   for (size_t i = 0; i < levels_.size(); ++i) {
     for (const auto& t : levels_[i]) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "blockdev/byte_arena.h"
+#include "kv/dictionary.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "sim/device.h"
@@ -76,57 +77,63 @@ struct LsmStats {
   uint64_t logical_bytes_written = 0;   // key+value bytes the user modified
 };
 
-class LsmTree {
+class LsmTree final : public kv::Dictionary {
  public:
   LsmTree(sim::Device& dev, sim::IoContext& io, LsmConfig config);
-  ~LsmTree();
+  ~LsmTree() override;
 
-  LsmTree(const LsmTree&) = delete;
-  LsmTree& operator=(const LsmTree&) = delete;
+  std::string_view name() const override { return "lsm"; }
+  const kv::Capabilities& capabilities() const override;
 
-  void put(std::string_view key, std::string_view value);
-  void erase(std::string_view key);
-  std::optional<std::string> get(std::string_view key);
-  /// Fallible variants: a non-OK status means some device IO gave up after
-  /// retries. Mutations are applied to the memtable before any IO, so a
-  /// failed put/erase is still durable in memory; a failed memtable flush
-  /// or compaction leaves the previous tables (and the memtable) intact
-  /// and is retried by the next operation that crosses the threshold.
-  Status try_put(std::string_view key, std::string_view value);
-  Status try_erase(std::string_view key);
-  StatusOr<std::optional<std::string>> try_get(std::string_view key);
+  /// A non-OK status means some device IO gave up after retries.
+  /// Mutations are applied to the memtable before any IO, so a failed
+  /// put/erase is still durable in memory; a failed memtable flush or
+  /// compaction leaves the previous tables (and the memtable) intact and
+  /// is retried by the next operation that crosses the threshold.
+  Status try_put(std::string_view key, std::string_view value) override;
+  Status try_erase(std::string_view key) override;
+  StatusOr<std::optional<std::string>> try_get(std::string_view key) override;
+  /// No native upsert: read-modify-write of the counter (try_get, then
+  /// try_put).
+  Status try_upsert(std::string_view key, int64_t delta) override;
 
   /// Up to `limit` live pairs with key >= lo, in key order, merged across
   /// the memtable and every level (newest version wins).
-  std::vector<std::pair<std::string, std::string>> scan(std::string_view lo,
-                                                        size_t limit);
-  StatusOr<std::vector<std::pair<std::string, std::string>>> try_scan(
-      std::string_view lo, size_t limit);
+  StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
+      std::string_view lo, size_t limit) override;
+
+  /// Emulated (Capabilities::native_bulk_load = false): the ascending
+  /// stream is ingested through the memtable, CHECK-aborting on failure.
+  void bulk_load(uint64_t count,
+                 const std::function<std::pair<std::string, std::string>(
+                     uint64_t)>& item) override;
 
   /// Force the memtable to disk (and any due compactions).
-  void flush();
-  Status try_flush();
+  Status checkpoint() override;
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
-  void set_retry_policy(const blockdev::RetryPolicy& policy) {
+  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
     retry_ = policy;
   }
   const blockdev::RetryPolicy& retry_policy() const { return retry_; }
-  const blockdev::RetryCounters& retry_counters() const {
+  blockdev::RetryCounters retry_counters() const override {
     return retry_counters_;
   }
+
+  /// The level count; no node cache, so the hit rate is 0.
+  size_t height() const override { return levels_.size(); }
+  double cache_hit_rate() const override { return 0.0; }
 
   /// Levels' table counts, for introspection ([0] = L0).
   std::vector<size_t> level_table_counts() const;
   uint64_t level_bytes(size_t level) const;
-  size_t level_count() const { return levels_.size(); }
   const LsmStats& stats() const { return stats_; }
   const LsmConfig& config() const { return config_; }
   sim::IoContext& io() { return *io_; }
 
   /// Invariants: levels 1+ sorted and non-overlapping; L0 ordered by
   /// recency; all tables alive; per-table keys within [min,max].
-  void check_invariants() const;
+  void check_invariants() override;
 
   /// Compaction counts by source level ([0] = L0→L1). Tiered merges are
   /// attributed to the tier that overflowed.
@@ -136,13 +143,15 @@ class LsmTree {
 
   /// Structured-event sink for memtable flushes / compactions (nullptr
   /// disables).
-  void set_event_trace(stats::TraceBuffer* events) { events_ = events; }
+  void set_event_trace(stats::TraceBuffer* events) override {
+    events_ = events;
+  }
 
   /// Export op/compaction counters, per-level compaction counts
   /// (`<prefix>compactions.level<i>`), batch occupancy, per-level table
   /// counts/bytes, and write amplification under `prefix` (e.g. "lsm.").
   void export_metrics(stats::MetricsRegistry& reg,
-                      std::string_view prefix) const;
+                      std::string_view prefix) const override;
 
  private:
   using Level = std::vector<SSTableRef>;  // L0: newest first; L1+: by key

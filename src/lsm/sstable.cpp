@@ -20,8 +20,11 @@ void encode_entry(kv::Writer& w, const Entry& e) {
   w.put_bytes(e.value);
 }
 
+// Entry record header: [u8 tombstone][u16 klen][u32 vlen].
+constexpr size_t kEntryRecordHeader = 7;
+
 size_t entry_record_len(const uint8_t* p) {
-  return size_t{7} + load_u16(p + 1) + load_u32(p + 3);
+  return kEntryRecordHeader + load_u16(p + 1) + load_u32(p + 3);
 }
 
 std::string_view entry_record_key(std::string_view rec) {
@@ -224,7 +227,7 @@ StatusOr<std::optional<Entry>> SSTable::try_get(
   // entries; only a hit is copied out.
   node::SlottedPage page;
   page.build_from_image(raw.data(), raw.size(), index_[block_idx].entries,
-                        entry_record_len);
+                        kEntryRecordHeader, entry_record_len);
   const size_t pos = page.lower_bound(key, entry_record_key);
   if (pos >= page.count()) return std::optional<Entry>();
   const std::string_view rec = page.record(pos);

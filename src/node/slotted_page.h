@@ -56,12 +56,14 @@ class SlottedPage {
   }
 
   /// Rebuild from a wire image: one bulk copy, then one walk over the
-  /// record headers (`len_of(p)` returns the full record length at p).
+  /// record headers (`len_of(p)` returns the full record length at p,
+  /// reading only the `header_bytes` fixed-size record header there).
   /// No per-entry allocations.
   template <typename LenOf>
   void build_from_image(const uint8_t* data, size_t size, size_t entries,
-                        LenOf&& len_of) {
-    const size_t used = build_from_prefix(data, size, entries, len_of);
+                        size_t header_bytes, LenOf&& len_of) {
+    const size_t used =
+        build_from_prefix(data, size, entries, header_bytes, len_of);
     DAMKIT_CHECK_MSG(used == size, "slotted image has trailing bytes");
   }
 
@@ -71,14 +73,17 @@ class SlottedPage {
   /// live prefix. Returns the number of bytes consumed.
   template <typename LenOf>
   size_t build_from_prefix(const uint8_t* data, size_t max_size,
-                           size_t entries, LenOf&& len_of) {
+                           size_t entries, size_t header_bytes,
+                           LenOf&& len_of) {
     slots_.clear();
     slots_.reserve(entries);
     uniform_len_ = 0;
     size_t off = 0;
     for (size_t i = 0; i < entries; ++i) {
-      DAMKIT_CHECK_MSG(off < max_size,
-                       "short read: slotted image underruns its entry count");
+      // An entry count that overstates the records walks into padding; the
+      // header must fit before len_of reads it (off <= max_size holds).
+      DAMKIT_CHECK_MSG(max_size - off >= header_bytes,
+                       "short read: slotted record header overruns the image");
       const size_t len = len_of(data + off);
       DAMKIT_CHECK_MSG(off + len <= max_size,
                        "short read: slotted record overruns the image");

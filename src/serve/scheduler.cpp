@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "serve/session.h"
 #include "sim/trace.h"
 #include "util/table.h"
 
@@ -13,8 +12,8 @@ namespace damkit::serve {
 
 namespace {
 
-/// One served op, ready for replay: which client carried it and the IO
-/// chain it produced on the serving device.
+/// One served op, ready for replay: the IO chain it produced on the
+/// serving device (its client is its index mod k).
 struct OpRecord {
   OpIoChain chain;
 };
@@ -154,9 +153,9 @@ void replay(const std::vector<OpRecord>& records, const ServeConfig& config,
     for (const size_t id : runnable) {
       const IoStage& stage = records[id].chain.stages[state[id].next_stage];
       for (sim::IoRequest req : stage.ios) {
-        // Per-client session → device queue pair: the owning client's id
-        // rides on the request, so a multi-queue device lands each
-        // session on its own SQ/CQ pair instead of one shared SQ.
+        // Client → device queue pair: the owning client's id rides on
+        // the request, so a multi-queue device lands each client on its
+        // own SQ/CQ pair instead of one shared SQ.
         req.queue = static_cast<uint32_t>(id % k);
         const size_t lane =
             config.lane_of ? config.lane_of(req.offset) % config.lanes : 0;
@@ -215,35 +214,20 @@ ServeResult Scheduler::serve(const kv::WorkloadSpec& spec, uint64_t ops) {
   sim::IoTrace trace;
   dev.set_trace(&trace);
 
-  std::vector<std::unique_ptr<ClientSession>> sessions;
-  sessions.reserve(config_.clients);
-  for (uint64_t c = 0; c < config_.clients; ++c) {
-    sessions.push_back(std::make_unique<ClientSession>(
-        spec, c, config_.clients, ops, config_.queue_capacity));
-  }
-
+  kv::OpGenerator gen(spec);
   std::vector<OpRecord> records;
   records.reserve(ops);
   const sim::SimTime before = io_->now();
   const kv::ApplyOptions apply_options{config_.fallible};
-  kv::ApplyScratch scratch;  // all sessions apply on this thread
+  kv::ApplyScratch scratch;
   for (uint64_t i = 0; i < ops; ++i) {
-    ClientOp client_op;
-    const bool got = sessions[i % config_.clients]->next(&client_op);
-    DAMKIT_CHECK_MSG(got, "session " << i % config_.clients
-                                     << " ended before op " << i);
-    DAMKIT_CHECK_MSG(client_op.global_index == i,
-                     "session " << i % config_.clients << " delivered op "
-                                << client_op.global_index << " at slot "
-                                << i);
     const size_t trace_begin = trace.size();
-    kv::apply_op(*dict_, client_op.op, i, spec, apply_options,
-                 &result.digest, &result.counters, &scratch);
+    kv::apply_op(*dict_, gen.next(), i, spec, apply_options, &result.digest,
+                 &result.counters, &scratch);
     records.push_back(
         {build_io_chain(trace.records(), trace_begin, trace.size())});
   }
   dev.set_trace(nullptr);
-  sessions.clear();  // joins the producers
   result.serial_elapsed = io_->now() - before;
 
   // --- Replay phase: re-time the chains under k-client concurrency. ---

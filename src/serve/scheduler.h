@@ -1,19 +1,18 @@
-// Concurrent request scheduler: k client sessions against one Dictionary.
+// Concurrent request scheduler: k clients against one Dictionary.
 //
 // The simulator separates timing from data (see sim/device.h), and every
 // engine's data path is time-independent — what an op reads and writes
 // never depends on the simulated clock. The scheduler exploits that with a
-// two-phase design:
+// two-phase design, all on the calling thread:
 //
-//   Data phase. The controller pops the k session queues round-robin —
-//   op with global index i from session i mod k — and applies each op to
-//   the real engine through kv::apply_op, exactly as a single-client run
-//   would. This produces the digest, the counters, the serial makespan,
-//   and (via an IoTrace on the serving device) each op's IO chain:
-//   which blocks it touched, batched how, in what dependency order.
-//   Producer threads race; the commit order does not. A k-client run is
-//   therefore bit-identical to the single-client reference by
-//   construction, and fault injection/retry accounting is untouched.
+//   Data phase. One OpGenerator yields the stream in order; op i belongs
+//   to client i mod k, and each op is applied to the real engine through
+//   kv::apply_op, exactly as a single-client run would. This produces the
+//   digest, the counters, the serial makespan, and (via an IoTrace on the
+//   serving device) each op's IO chain: which blocks it touched, batched
+//   how, in what dependency order. A k-client run is therefore
+//   bit-identical to the single-client reference by construction, and
+//   fault injection/retry accounting is untouched.
 //
 //   Replay phase. A discrete-event loop re-times the recorded chains on a
 //   fresh device with the same timing model: each client keeps up to
@@ -43,13 +42,11 @@
 namespace damkit::serve {
 
 struct ServeConfig {
-  /// Concurrent client sessions (k). 1 reproduces the sequential runner.
+  /// Concurrent clients (k). 1 reproduces the sequential runner.
   uint64_t clients = 1;
   /// Admission control: ops a client may have open at once (d >= 1).
   uint64_t inflight = 4;
-  /// Per-client submission queue bound (producer backpressure).
-  size_t queue_capacity = 64;
-  /// Apply ops through the try_* twins (fault-injection runs).
+  /// Count failed ops instead of CHECK-aborting (fault-injection runs).
   bool fallible = false;
 
   /// Builds the replay device: same timing model as the serving device,
@@ -104,7 +101,7 @@ class Scheduler {
   /// context the dictionary performs IO through).
   Scheduler(kv::Dictionary& dict, sim::IoContext& io, ServeConfig config);
 
-  /// Drive the first `ops` ops of `spec`'s stream through k sessions.
+  /// Drive the first `ops` ops of `spec`'s stream as k clients.
   /// Deterministic for a given (spec, ops, config).
   ServeResult serve(const kv::WorkloadSpec& spec, uint64_t ops);
 

@@ -411,10 +411,6 @@ class IoContext {
   void touch_read(uint64_t offset, uint64_t length) {
     now_ = dev_->submit({IoKind::kRead, offset, length}, now_).finish;
   }
-  /// Timing-only write, the dual of touch_read (charged rebuild passes).
-  void touch_write(uint64_t offset, uint64_t length) {
-    now_ = dev_->submit({IoKind::kWrite, offset, length}, now_).finish;
-  }
 
   /// Issue a batch of timing-only IOs and advance the clock to the *max*
   /// completion. This is where batching pays: a serial loop advances by

@@ -21,13 +21,6 @@ void append_entry(std::vector<uint8_t>* payload, std::string_view key,
   std::copy(value.begin(), value.end(), p + 8 + key.size());
 }
 
-std::string encode_delta(int64_t delta) {
-  std::string out(8, '\0');
-  store_u64(reinterpret_cast<uint8_t*>(out.data()),
-            static_cast<uint64_t>(delta));
-  return out;
-}
-
 }  // namespace
 
 DurabilityConfig default_durability_config(uint64_t device_capacity_bytes) {
@@ -77,19 +70,11 @@ Status DurableEngine::maybe_auto_checkpoint() {
   return checkpoint();
 }
 
-void DurableEngine::put(std::string_view key, std::string_view value) {
-  DAMKIT_CHECK_OK(try_put(key, value));
-}
-
 Status DurableEngine::try_put(std::string_view key, std::string_view value) {
   DAMKIT_RETURN_IF_ERROR(
       append_mutation(WriteAheadLog::RecordType::kPut, key, value));
   DAMKIT_RETURN_IF_ERROR(inner_->try_put(key, value));
   return maybe_auto_checkpoint();
-}
-
-void DurableEngine::erase(std::string_view key) {
-  DAMKIT_CHECK_OK(try_erase(key));
 }
 
 Status DurableEngine::try_erase(std::string_view key) {
@@ -99,13 +84,10 @@ Status DurableEngine::try_erase(std::string_view key) {
   return maybe_auto_checkpoint();
 }
 
-void DurableEngine::upsert(std::string_view key, int64_t delta) {
-  DAMKIT_CHECK_OK(try_upsert(key, delta));
-}
-
 Status DurableEngine::try_upsert(std::string_view key, int64_t delta) {
+  const std::string payload = kv::encode_counter(static_cast<uint64_t>(delta));
   DAMKIT_RETURN_IF_ERROR(append_mutation(WriteAheadLog::RecordType::kUpsert,
-                                         key, encode_delta(delta)));
+                                         key, payload));
   DAMKIT_RETURN_IF_ERROR(inner_->try_upsert(key, delta));
   return maybe_auto_checkpoint();
 }

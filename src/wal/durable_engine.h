@@ -73,22 +73,12 @@ class DurableEngine final : public kv::Dictionary {
     return inner_->capabilities();
   }
 
-  void put(std::string_view key, std::string_view value) override;
   Status try_put(std::string_view key, std::string_view value) override;
-  std::optional<std::string> get(std::string_view key) override {
-    return inner_->get(key);
-  }
   StatusOr<std::optional<std::string>> try_get(std::string_view key) override {
     return inner_->try_get(key);
   }
-  void erase(std::string_view key) override;
   Status try_erase(std::string_view key) override;
-  void upsert(std::string_view key, int64_t delta) override;
   Status try_upsert(std::string_view key, int64_t delta) override;
-  std::vector<std::pair<std::string, std::string>> range_scan(
-      std::string_view lo, size_t limit) override {
-    return inner_->range_scan(lo, limit);
-  }
   StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
       std::string_view lo, size_t limit) override {
     return inner_->try_range_scan(lo, limit);
@@ -101,6 +91,9 @@ class DurableEngine final : public kv::Dictionary {
       const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
       override;
 
+  /// Commit the WAL and flush the inner engine, without a snapshot: every
+  /// mutation is durable through the log (the one infallible form that is
+  /// not CHECK_OK(checkpoint())).
   void flush() override;
   /// Commit the WAL, checkpoint the inner engine, write a snapshot to the
   /// alternate slot, truncate the WAL. Any failure leaves every layer

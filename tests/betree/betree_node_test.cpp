@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kv/dictionary.h"
 #include "kv/slice.h"
 
 namespace damkit::betree {
@@ -38,7 +39,7 @@ TEST(BeTreeNodeTest, LeafApplyUpsertCreatesAndAdds) {
   leaf->leaf_apply(Message{MessageKind::kUpsert, "c", encode_delta(4)});
   leaf->leaf_apply(Message{MessageKind::kUpsert, "c", encode_delta(6)});
   ASSERT_EQ(leaf->entry_count(), 1u);
-  EXPECT_EQ(decode_counter(leaf->value(0)), 10u);
+  EXPECT_EQ(kv::decode_counter(leaf->value(0)), 10u);
 }
 
 TEST(BeTreeNodeTest, BufferAddTakeAccounting) {

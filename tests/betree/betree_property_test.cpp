@@ -57,8 +57,8 @@ TEST_P(BeTreePropertyTest, AgreesWithStdMap) {
       tree.upsert(key, delta);
       const auto it = ref.find(key);
       const uint64_t base =
-          (it == ref.end()) ? 0 : decode_counter(it->second);
-      ref[key] = encode_counter(base + static_cast<uint64_t>(delta));
+          (it == ref.end()) ? 0 : kv::decode_counter(it->second);
+      ref[key] = kv::encode_counter(base + static_cast<uint64_t>(delta));
     } else if (dice < 0.75) {
       const auto got = tree.get(key);
       const auto it = ref.find(key);
@@ -72,7 +72,7 @@ TEST_P(BeTreePropertyTest, AgreesWithStdMap) {
       ref.erase(key);
     } else {
       const size_t limit = 1 + static_cast<size_t>(rng.uniform(15));
-      const auto got = tree.scan(key, limit);
+      const auto got = tree.range_scan(key, limit);
       auto it = ref.lower_bound(key);
       size_t n = 0;
       for (; it != ref.end() && n < limit; ++it, ++n) {
@@ -86,10 +86,10 @@ TEST_P(BeTreePropertyTest, AgreesWithStdMap) {
   tree.check_invariants();
 
   // Post-flush full sweep.
-  tree.flush_cache();
+  tree.flush();
   for (const auto& [k, v] : ref) EXPECT_EQ(tree.get(k), v);
   // Full scan agrees with the reference map exactly.
-  const auto all = tree.scan("", ref.size() + 100);
+  const auto all = tree.range_scan("", ref.size() + 100);
   ASSERT_EQ(all.size(), ref.size());
   auto it = ref.begin();
   for (size_t i = 0; i < all.size(); ++i, ++it) {

@@ -40,7 +40,7 @@ class BeTreeTest : public testing::Test {
 
 TEST_F(BeTreeTest, EmptyTree) {
   EXPECT_EQ(tree_->get("k"), std::nullopt);
-  EXPECT_TRUE(tree_->scan("", 5).empty());
+  EXPECT_TRUE(tree_->range_scan("", 5).empty());
 }
 
 TEST_F(BeTreeTest, PutGetSingle) {
@@ -102,7 +102,7 @@ TEST_F(BeTreeTest, UpsertsAccumulateWithoutReads) {
   for (int i = 0; i < 500; ++i) tree_->upsert("counter", 2);
   const auto v = tree_->get("counter");
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(decode_counter(*v), 1000u);
+  EXPECT_EQ(kv::decode_counter(*v), 1000u);
 }
 
 TEST_F(BeTreeTest, UpsertsInterleavedWithFiller) {
@@ -112,7 +112,7 @@ TEST_F(BeTreeTest, UpsertsInterleavedWithFiller) {
   }
   const auto v = tree_->get(kv::encode_key(7));
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(decode_counter(*v), 300u);
+  EXPECT_EQ(kv::decode_counter(*v), 300u);
   tree_->check_invariants();
 }
 
@@ -124,7 +124,7 @@ TEST_F(BeTreeTest, ScanSeesBufferedAndLeafState) {
   tree_->put(kv::encode_key(11), "buffered-insert");   // new key
   tree_->erase(kv::encode_key(12));                    // delete leaf key
   tree_->put(kv::encode_key(14), "buffered-update");   // overwrite leaf key
-  const auto out = tree_->scan(kv::encode_key(10), 4);
+  const auto out = tree_->range_scan(kv::encode_key(10), 4);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].first, kv::encode_key(10));
   EXPECT_EQ(out[0].second, "base");
@@ -139,7 +139,7 @@ TEST_F(BeTreeTest, ScanHonorsLimitAcrossLeaves) {
   for (uint64_t i = 0; i < 3000; ++i) {
     tree_->put(kv::encode_key(i), "v");
   }
-  const auto out = tree_->scan(kv::encode_key(100), 500);
+  const auto out = tree_->range_scan(kv::encode_key(100), 500);
   ASSERT_EQ(out.size(), 500u);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].first, kv::encode_key(100 + i));
@@ -164,7 +164,7 @@ TEST_F(BeTreeTest, PersistsAcrossEvictions) {
   for (uint64_t i = 0; i < 3000; ++i) {
     tree_->put(kv::encode_key(i), kv::make_value(i, 30));
   }
-  tree_->flush_cache();
+  tree_->flush();
   EXPECT_GT(tree_->cache_stats().evictions, 0u);
   for (uint64_t i = 0; i < 3000; i += 41) {
     EXPECT_EQ(tree_->get(kv::encode_key(i)), kv::make_value(i, 30));
@@ -212,7 +212,7 @@ TEST_F(BeTreeTest, InsertsCheaperThanBTreeStyleUpdateIo) {
     const uint64_t id = rng.uniform(2 * kN);
     tree_->put(kv::encode_key(id), kv::make_value(id, 30));
   }
-  tree_->flush_cache();
+  tree_->flush();
   const double node_writes_per_op =
       static_cast<double>(dev_->stats().bytes_written) / (16.0 * kKiB) / kOps;
   // A B-tree would write ~1 node per op at this cache pressure; the
@@ -240,7 +240,7 @@ TEST_F(BeTreeTest, DeepTreeQueriesSeeAllBufferLevels) {
       EXPECT_EQ(tree_->get(kv::encode_key(i)), kv::make_value(i, 20)) << i;
     }
   }
-  const auto out = tree_->scan(kv::encode_key(100), 10);
+  const auto out = tree_->range_scan(kv::encode_key(100), 10);
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out[0].second, "overlay");           // key 100 (mult of 5)
   EXPECT_EQ(out[1].second, kv::make_value(101, 20));
@@ -251,7 +251,7 @@ TEST_F(BeTreeTest, StatsCount) {
   tree_->get("a");
   tree_->erase("a");
   tree_->upsert("c", 1);
-  tree_->scan("", 3);
+  tree_->range_scan("", 3);
   const BeTreeOpStats& s = tree_->op_stats();
   EXPECT_EQ(s.puts, 1u);
   EXPECT_EQ(s.gets, 1u);

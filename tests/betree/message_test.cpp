@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "kv/dictionary.h"
+
 namespace damkit::betree {
 namespace {
 
@@ -13,14 +15,14 @@ TEST(MessageTest, BytesAccounting) {
 
 TEST(MessageTest, CounterRoundTrip) {
   for (uint64_t v : {0ULL, 1ULL, 123456789ULL, ~0ULL}) {
-    EXPECT_EQ(decode_counter(encode_counter(v)), v);
+    EXPECT_EQ(kv::decode_counter(kv::encode_counter(v)), v);
   }
-  EXPECT_EQ(encode_counter(5).size(), 8u);
+  EXPECT_EQ(kv::encode_counter(5).size(), 8u);
 }
 
 TEST(MessageTest, NonCounterValueDecodesAsZero) {
-  EXPECT_EQ(decode_counter("short"), 0u);
-  EXPECT_EQ(decode_counter("definitely longer than 8"), 0u);
+  EXPECT_EQ(kv::decode_counter("short"), 0u);
+  EXPECT_EQ(kv::decode_counter("definitely longer than 8"), 0u);
 }
 
 TEST(MessageTest, ApplyPutReplaces) {
@@ -39,7 +41,7 @@ TEST(MessageTest, ApplyUpsertAddsFromZero) {
   const Message m{MessageKind::kUpsert, "k", encode_delta(5)};
   const auto out = apply_message(std::nullopt, m);
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(decode_counter(*out), 5u);
+  EXPECT_EQ(kv::decode_counter(*out), 5u);
 }
 
 TEST(MessageTest, ApplyUpsertAccumulates) {
@@ -47,7 +49,7 @@ TEST(MessageTest, ApplyUpsertAccumulates) {
   const Message m2{MessageKind::kUpsert, "k", encode_delta(7)};
   auto state = apply_message(std::nullopt, m1);
   state = apply_message(std::move(state), m2);
-  EXPECT_EQ(decode_counter(*state), 12u);
+  EXPECT_EQ(kv::decode_counter(*state), 12u);
 }
 
 TEST(MessageTest, ApplyUpsertNegativeDelta) {
@@ -55,7 +57,7 @@ TEST(MessageTest, ApplyUpsertNegativeDelta) {
   const Message down{MessageKind::kUpsert, "k", encode_delta(-4)};
   auto state = apply_message(std::nullopt, up);
   state = apply_message(std::move(state), down);
-  EXPECT_EQ(decode_counter(*state), 6u);
+  EXPECT_EQ(kv::decode_counter(*state), 6u);
 }
 
 TEST(MessageTest, UpsertAfterTombstoneStartsFresh) {
@@ -64,7 +66,7 @@ TEST(MessageTest, UpsertAfterTombstoneStartsFresh) {
   auto state = apply_message(std::string("junk"), del);
   state = apply_message(std::move(state), up);
   ASSERT_TRUE(state.has_value());
-  EXPECT_EQ(decode_counter(*state), 3u);
+  EXPECT_EQ(kv::decode_counter(*state), 3u);
 }
 
 TEST(MessageTest, PutAfterUpsertWins) {

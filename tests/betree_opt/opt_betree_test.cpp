@@ -71,12 +71,12 @@ TEST_F(OptBeTreeTest, CorrectUnderMixedWorkload) {
       tree_->upsert(key, 3);
       const auto it = ref.find(key);
       const uint64_t base =
-          (it == ref.end()) ? 0 : betree::decode_counter(it->second);
-      ref[key] = betree::encode_counter(base + 3);
+          (it == ref.end()) ? 0 : kv::decode_counter(it->second);
+      ref[key] = kv::encode_counter(base + 3);
     }
   }
   tree_->check_invariants();
-  tree_->flush_cache();
+  tree_->flush();
   for (const auto& [k, v] : ref) EXPECT_EQ(tree_->get(k), v);
 }
 
@@ -167,7 +167,7 @@ TEST_F(OptBeTreeTest, MutationAfterPartialReadUpgradesResidency) {
   }
   EXPECT_GT(tree_->opt_stats().residency_upgrades, 0u);
   tree_->check_invariants();
-  tree_->flush_cache();
+  tree_->flush();
 }
 
 TEST_F(OptBeTreeTest, InsertCostNotWorseThanStandard) {
@@ -194,7 +194,7 @@ TEST_F(OptBeTreeTest, InsertCostNotWorseThanStandard) {
       t->put(kv::encode_key(i * 2654435761 % 100000),
              kv::make_value(i, 30));
     }
-    t->flush_cache();
+    t->flush();
     return sim::to_seconds(io.now() - before);
   };
   const double standard = measure(false);

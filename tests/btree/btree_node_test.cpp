@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kv/slice.h"
+#include "util/bytes.h"
 
 namespace damkit::btree {
 namespace {
@@ -80,6 +83,20 @@ TEST(BTreeNodeTest, SerializeDeserializeLeaf) {
   EXPECT_EQ(back->value(1), std::string(300, 'x'));
   EXPECT_EQ(back->next_leaf(), 77u);
   EXPECT_EQ(back->byte_size(), leaf->byte_size());
+}
+
+TEST(BTreeNodeDeathTest, OverstatedCountStopsAtTheImageEnd) {
+  // A one-entry leaf whose count field claims two, padded with three zero
+  // bytes: the phantom record's 6-byte header straddles the end of an
+  // exactly-sized image, so the parse must abort before reading it.
+  auto leaf = BTreeNode::make_leaf();
+  leaf->leaf_put("k", "v");
+  std::vector<uint8_t> image;
+  leaf->serialize(image);
+  store_u32(image.data() + 5, 2);  // count follows magic u32 + flags u8
+  image.resize(image.size() + 3);
+  const std::vector<uint8_t> exact(image.begin(), image.end());
+  EXPECT_DEATH((void)BTreeNode::deserialize(exact), "record header overruns");
 }
 
 TEST(BTreeNodeTest, SerializeDeserializeInternal) {

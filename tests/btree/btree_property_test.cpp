@@ -57,10 +57,12 @@ TEST_P(BTreePropertyTest, AgreesWithStdMap) {
         EXPECT_EQ(got, it->second);
       }
     } else if (dice < 0.9) {
-      EXPECT_EQ(tree.erase(key), ref.erase(key) > 0);
+      const uint64_t before = tree.size();
+      tree.erase(key);
+      EXPECT_EQ(before - tree.size(), ref.erase(key));
     } else {
       const size_t limit = 1 + static_cast<size_t>(rng.uniform(20));
-      const auto got = tree.scan(key, limit);
+      const auto got = tree.range_scan(key, limit);
       auto it = ref.lower_bound(key);
       size_t n = 0;
       for (; it != ref.end() && n < limit; ++it, ++n) {

@@ -35,8 +35,8 @@ class BTreeTest : public testing::Test {
 
 TEST_F(BTreeTest, EmptyTreeBehaviour) {
   EXPECT_EQ(tree_->get("missing"), std::nullopt);
-  EXPECT_FALSE(tree_->erase("missing"));
-  EXPECT_TRUE(tree_->scan("", 10).empty());
+  tree_->erase("missing");
+  EXPECT_TRUE(tree_->range_scan("", 10).empty());
   EXPECT_EQ(tree_->size(), 0u);
 }
 
@@ -88,7 +88,8 @@ TEST_F(BTreeTest, EraseToEmpty) {
     tree_->put(kv::encode_key(i), "payload-value");
   }
   for (uint64_t i = 0; i < 500; ++i) {
-    EXPECT_TRUE(tree_->erase(kv::encode_key(i))) << i;
+    tree_->erase(kv::encode_key(i));
+    EXPECT_EQ(tree_->size(), 499 - i) << i;
   }
   EXPECT_EQ(tree_->size(), 0u);
   for (uint64_t i = 0; i < 500; ++i) {
@@ -106,7 +107,8 @@ TEST_F(BTreeTest, EraseTriggersMergesAndHeightCollapse) {
   ASSERT_GT(tall, 1u);
   // Delete all but a handful.
   for (uint64_t i = 0; i < kN - 10; ++i) {
-    ASSERT_TRUE(tree_->erase(kv::encode_key(i)));
+    tree_->erase(kv::encode_key(i));
+    ASSERT_EQ(tree_->size(), kN - 1 - i);
   }
   tree_->check_invariants();
   EXPECT_GT(tree_->op_stats().merges, 0u);
@@ -120,7 +122,7 @@ TEST_F(BTreeTest, ScanReturnsSortedRange) {
   for (uint64_t i = 0; i < 1000; ++i) {
     tree_->put(kv::encode_key(i * 2), kv::make_value(i, 10));
   }
-  const auto out = tree_->scan(kv::encode_key(100), 50);
+  const auto out = tree_->range_scan(kv::encode_key(100), 50);
   ASSERT_EQ(out.size(), 50u);
   EXPECT_EQ(out[0].first, kv::encode_key(100));
   for (size_t i = 1; i < out.size(); ++i) {
@@ -131,13 +133,13 @@ TEST_F(BTreeTest, ScanReturnsSortedRange) {
 
 TEST_F(BTreeTest, ScanFromBetweenKeysAndPastEnd) {
   for (uint64_t i = 0; i < 100; ++i) tree_->put(kv::encode_key(i * 10), "v");
-  const auto mid = tree_->scan(kv::encode_key(15), 3);
+  const auto mid = tree_->range_scan(kv::encode_key(15), 3);
   ASSERT_EQ(mid.size(), 3u);
   EXPECT_EQ(mid[0].first, kv::encode_key(20));
-  const auto tail = tree_->scan(kv::encode_key(985), 100);
+  const auto tail = tree_->range_scan(kv::encode_key(985), 100);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].first, kv::encode_key(990));
-  EXPECT_TRUE(tree_->scan(kv::encode_key(2000), 10).empty());
+  EXPECT_TRUE(tree_->range_scan(kv::encode_key(2000), 10).empty());
 }
 
 TEST_F(BTreeTest, BulkLoadMatchesContents) {
@@ -154,7 +156,7 @@ TEST_F(BTreeTest, BulkLoadMatchesContents) {
     EXPECT_EQ(tree_->get(kv::encode_key(id)), kv::make_value(id, 16));
   }
   // Full scan sees every key in order.
-  const auto all = tree_->scan("", kN + 10);
+  const auto all = tree_->range_scan("", kN + 10);
   ASSERT_EQ(all.size(), kN);
   EXPECT_EQ(all.front().first, kv::encode_key(0));
   EXPECT_EQ(all.back().first, kv::encode_key(kN - 1));
@@ -165,7 +167,7 @@ TEST_F(BTreeTest, BulkLoadThenMutate) {
     return std::make_pair(kv::encode_key(i * 2), kv::make_value(i, 12));
   });
   tree_->put(kv::encode_key(1), "inserted");
-  EXPECT_TRUE(tree_->erase(kv::encode_key(10)));
+  tree_->erase(kv::encode_key(10));
   tree_->check_invariants();
   EXPECT_EQ(tree_->get(kv::encode_key(1)), "inserted");
   EXPECT_EQ(tree_->get(kv::encode_key(10)), std::nullopt);
@@ -221,7 +223,7 @@ TEST_F(BTreeTest, OpStatsCount) {
   tree_->get("a");
   tree_->get("b");
   tree_->erase("a");
-  tree_->scan("", 10);
+  tree_->range_scan("", 10);
   const BTreeOpStats& s = tree_->op_stats();
   EXPECT_EQ(s.puts, 1u);
   EXPECT_EQ(s.gets, 2u);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -14,6 +15,7 @@
 #include "sim/profiles.h"
 #include "sim/ssd.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 #include "util/table.h"
 
 namespace damkit {
@@ -67,55 +69,56 @@ TEST(WorkloadRunnerTest, RunIsDeterministicForAGivenSpec) {
 }
 
 TEST(WorkloadRunnerTest, FallibleRunMatchesInfallibleOnCleanDevice) {
-  const auto run_once = [](bool fallible) {
-    sim::SsdDevice dev(sim::testbed_ssd_profile());
-    sim::IoContext io(dev);
-    const auto dict =
-        kv::make_engine(kv::EngineKind::kBeTree, dev, io, small_config());
-    harness::WorkloadRunner runner(*dict, io);
-    runner.bulk_load(500, mixed_spec());
-    harness::WorkloadRunOptions options;
-    options.fallible = fallible;
-    return runner.run(mixed_spec(), 2000, options);
-  };
-  // With no faults the try_* twins return the same data as the infallible
-  // calls, so the observable digest agrees.
-  const harness::WorkloadRunResult direct = run_once(false);
-  const harness::WorkloadRunResult checked = run_once(true);
-  EXPECT_EQ(direct.digest, checked.digest);
-  EXPECT_EQ(checked.failed_ops, 0u);
+  // Both modes drive the same try_* calls; `fallible` only decides whether
+  // a non-OK status is counted or aborts. On a clean device nothing fails,
+  // so one fallible run is the infallible run.
+  sim::SsdDevice dev(sim::testbed_ssd_profile());
+  sim::IoContext io(dev);
+  const auto dict =
+      kv::make_engine(kv::EngineKind::kBeTree, dev, io, small_config());
+  harness::WorkloadRunner runner(*dict, io);
+  runner.bulk_load(500, mixed_spec());
+  harness::WorkloadRunOptions options;
+  options.fallible = true;
+  const harness::WorkloadRunResult r = runner.run(mixed_spec(), 2000, options);
+  EXPECT_EQ(r.failed_ops, 0u);
+  EXPECT_EQ(r.puts + r.gets + r.erases + r.scans + r.upserts, 2000u);
+  EXPECT_GT(r.get_hits, 0u);
 }
 
 TEST(WorkloadRunnerTest, RunPutGetCountsHitsAndDrawsDeterministically) {
-  const auto run_once = [](bool fallible) {
-    sim::SsdDevice dev(sim::testbed_ssd_profile());
-    sim::IoContext io(dev);
-    const auto dict =
-        kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
-    harness::PutGetSpec spec;
-    spec.puts = 800;
-    spec.gets = 400;
-    spec.key_modulus = 500;  // < puts: most gets hit
-    spec.value_bytes = 64;
-    spec.seed = 42;
-    spec.key_of = [](uint64_t id) { return strfmt("key%012llu", id); };
-    spec.scans = 1;
-    spec.scan_limit = 50;
-    spec.fallible = fallible;
-    const harness::PutGetResult result = harness::run_put_get(*dict, spec);
-    return std::make_pair(result, io.now());
+  sim::SsdDevice dev(sim::testbed_ssd_profile());
+  sim::IoContext io(dev);
+  const auto dict =
+      kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
+  harness::PutGetSpec spec;
+  spec.puts = 800;
+  spec.gets = 400;
+  spec.key_modulus = 500;  // < puts: most gets hit
+  spec.value_bytes = 64;
+  spec.seed = 42;
+  spec.key_of = [](uint64_t id) {
+    return strfmt("key%012llu", static_cast<unsigned long long>(id));
   };
-  // The loop draws the same RNG stream either way, so the fallible and
-  // infallible paths agree on hits and on simulated time (that equality
-  // is what lets damkit_cli flip --fault-seed without perturbing the
-  // fault-free workload).
-  const auto [direct, direct_time] = run_once(false);
-  const auto [checked, checked_time] = run_once(true);
-  EXPECT_GT(direct.get_hits, 0u);
-  EXPECT_EQ(direct.get_hits, checked.get_hits);
-  EXPECT_EQ(direct.failed_ops, 0u);
-  EXPECT_EQ(checked.failed_ops, 0u);
-  EXPECT_EQ(direct_time, checked_time);
+  spec.scans = 1;
+  spec.scan_limit = 50;
+  const harness::PutGetResult result = harness::run_put_get(*dict, spec);
+
+  // The loop draws every put, then every get, from one Rng(seed) stream
+  // (the historical loops' order), so a get hits exactly when some put
+  // drew the same id first.
+  Rng rng(spec.seed);
+  std::set<uint64_t> put_ids;
+  for (uint64_t i = 0; i < spec.puts; ++i) {
+    put_ids.insert(rng.next() % spec.key_modulus);
+  }
+  uint64_t expected_hits = 0;
+  for (uint64_t i = 0; i < spec.gets; ++i) {
+    expected_hits += put_ids.count(rng.next() % spec.key_modulus);
+  }
+  EXPECT_GT(result.get_hits, 0u);
+  EXPECT_EQ(result.get_hits, expected_hits);
+  EXPECT_EQ(result.failed_ops, 0u);
 }
 
 TEST(WorkloadRunnerTest, RunConcurrentMatchesRunAndAddsTheTimeline) {

@@ -1,20 +1,25 @@
 // kv::Dictionary contract tests, run against every engine the factory can
-// build: the adapters must agree on observable results (only simulated
-// cost may differ between engines).
+// build: the engines must agree on observable results (only simulated cost
+// may differ between engines).
 #include "kv/dictionary.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "betree/message.h"
 #include "kv/engine.h"
+#include "kv/sharded_engine.h"
 #include "kv/slice.h"
+#include "sim/fault_injection.h"
 #include "sim/profiles.h"
 #include "sim/ssd.h"
 #include "stats/metrics.h"
 #include "util/bytes.h"
+#include "wal/durable_engine.h"
 
 namespace damkit {
 namespace {
@@ -84,7 +89,7 @@ TEST_P(DictionaryContractTest, UpsertCounterSemantics) {
   dict->flush();
   const auto value = dict->get("ctr");
   ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(betree::decode_counter(*value), 10u);
+  EXPECT_EQ(kv::decode_counter(*value), 10u);
 }
 
 TEST_P(DictionaryContractTest, RangeScanOrderedAndLimited) {
@@ -174,6 +179,69 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, DictionaryContractTest,
                                       : std::string(
                                             kv::engine_kind_name(info.param));
                          });
+
+// The infallible forms are written once, in kv::Dictionary, over each
+// engine's try_* surface. Once the device has crashed, every engine and
+// both wrappers must abort through them, printing the try_* status.
+std::unique_ptr<kv::Dictionary> make_stack(const std::string& stack,
+                                           sim::Device& dev,
+                                           sim::IoContext& io) {
+  const kv::EngineConfig cfg = small_config();
+  if (stack == "sharded") {
+    kv::ShardedConfig two;
+    two.shards = 2;
+    return kv::make_sharded_engine(kv::EngineKind::kBTree, dev, io, cfg, two);
+  }
+  if (stack == "durable") {
+    const wal::DurabilityConfig durability =
+        wal::default_durability_config(dev.capacity_bytes());
+    auto inner = kv::make_engine(kv::EngineKind::kLsm, dev, io, cfg);
+    return wal::make_durable(std::move(inner), dev, io, durability);
+  }
+  return kv::make_engine(*kv::parse_engine_kind(stack), dev, io, cfg);
+}
+
+// Every engine kind plus the two wrappers.
+std::vector<std::string> all_stacks() {
+  std::vector<std::string> stacks;
+  for (const kv::EngineKind kind : kv::kAllEngineKinds) {
+    stacks.emplace_back(kv::engine_kind_name(kind));
+  }
+  stacks.push_back("sharded");
+  stacks.push_back("durable");
+  return stacks;
+}
+
+std::string stack_test_name(const testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+class CrashedDictionaryDeathTest
+    : public testing::TestWithParam<std::string> {};
+
+TEST_P(CrashedDictionaryDeathTest, InfallibleFormsAbortWithTheTryStatus) {
+  sim::SsdDevice inner(sim::testbed_ssd_profile());
+  sim::FaultInjectingDevice dev(inner, sim::FaultConfig{});
+  sim::IoContext io(dev);
+  const auto dict = make_stack(GetParam(), dev, io);
+  dict->bulk_load(3000, [](uint64_t i) {
+    return std::make_pair(kv::encode_key(i), kv::make_value(i, 40));
+  });
+  dict->put(kv::encode_key(1), "dirty");  // write-back work for flush()
+  dev.set_crash_at(dev.checked_ios() + 1);
+
+  const char* crashed = "(unavailable|corruption): device (is )?crashed";
+  EXPECT_DEATH(dict->flush(), crashed);
+  // Key 1500 is far from the cached path to key 1 and from the memtable.
+  EXPECT_DEATH((void)dict->get(kv::encode_key(1500)), crashed);
+  EXPECT_DEATH((void)dict->range_scan(kv::encode_key(1500), 10), crashed);
+  dict->abandon();  // the device is dead: drop dirty state unwritten
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, CrashedDictionaryDeathTest,
+                         testing::ValuesIn(all_stacks()), stack_test_name);
 
 }  // namespace
 }  // namespace damkit

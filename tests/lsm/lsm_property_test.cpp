@@ -69,7 +69,7 @@ TEST_P(LsmPropertyTest, AgreesWithStdMap) {
       ref.erase(key);
     } else {
       const size_t limit = 1 + static_cast<size_t>(rng.uniform(12));
-      const auto got = tree.scan(key, limit);
+      const auto got = tree.range_scan(key, limit);
       auto it = ref.lower_bound(key);
       size_t n = 0;
       for (; it != ref.end() && n < limit; ++it, ++n) {
@@ -84,7 +84,7 @@ TEST_P(LsmPropertyTest, AgreesWithStdMap) {
   tree.flush();
   tree.check_invariants();
   for (const auto& [k, v] : ref) EXPECT_EQ(tree.get(k), v);
-  const auto all = tree.scan("", ref.size() + 50);
+  const auto all = tree.range_scan("", ref.size() + 50);
   ASSERT_EQ(all.size(), ref.size());
   auto it = ref.begin();
   for (size_t i = 0; i < all.size(); ++i, ++it) {

@@ -40,7 +40,7 @@ class LsmTreeTest : public testing::Test {
 
 TEST_F(LsmTreeTest, EmptyTree) {
   EXPECT_EQ(tree_->get("k"), std::nullopt);
-  EXPECT_TRUE(tree_->scan("", 5).empty());
+  EXPECT_TRUE(tree_->range_scan("", 5).empty());
 }
 
 TEST_F(LsmTreeTest, MemtableOnlyPutGet) {
@@ -61,7 +61,7 @@ TEST_F(LsmTreeTest, FlushAndCompactAcrossLevels) {
   tree_->flush();
   EXPECT_GT(tree_->stats().memtable_flushes, 5u);
   EXPECT_GT(tree_->stats().compactions, 0u);
-  EXPECT_GE(tree_->level_count(), 2u);
+  EXPECT_GE(tree_->height(), 2u);
   tree_->check_invariants();
 }
 
@@ -107,7 +107,7 @@ TEST_F(LsmTreeTest, ScanMergesAllSources) {
   tree_->put(kv::encode_key(11), "fresh-insert");
   tree_->put(kv::encode_key(14), "fresh-update");
   tree_->erase(kv::encode_key(12));
-  const auto out = tree_->scan(kv::encode_key(10), 4);
+  const auto out = tree_->range_scan(kv::encode_key(10), 4);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].first, kv::encode_key(10));
   EXPECT_EQ(out[0].second, "old");
@@ -124,7 +124,7 @@ TEST_F(LsmTreeTest, ScanSpansTablesWithinLevel) {
   }
   tree_->flush();
   tree_->check_invariants();
-  const auto out = tree_->scan(kv::encode_key(100), 3000);
+  const auto out = tree_->range_scan(kv::encode_key(100), 3000);
   ASSERT_EQ(out.size(), 3000u);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].first, kv::encode_key(100 + i));
@@ -170,7 +170,7 @@ TEST_F(LsmTreeTest, LevelSizesFollowGeometry) {
   tree_->flush();
   tree_->check_invariants();
   // Every level within its capacity after compaction settles.
-  for (size_t lvl = 1; lvl + 1 < tree_->level_count(); ++lvl) {
+  for (size_t lvl = 1; lvl + 1 < tree_->height(); ++lvl) {
     if (tree_->level_table_counts()[lvl] == 0) continue;
     // Allow the last-filled level to exceed (it is the bottom).
     EXPECT_LE(tree_->level_bytes(lvl),
@@ -244,7 +244,7 @@ TEST_F(LsmTreeTest, TieredScanMergesOverlappingRuns) {
   }
   tree.flush();
   tree.check_invariants();
-  const auto out = tree.scan(kv::encode_key(10), 20);
+  const auto out = tree.range_scan(kv::encode_key(10), 20);
   ASSERT_EQ(out.size(), 20u);
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].first, kv::encode_key(10 + i));
@@ -256,7 +256,7 @@ TEST_F(LsmTreeTest, StatsAccumulate) {
   tree_->put("a", "1");
   tree_->get("a");
   tree_->erase("a");
-  tree_->scan("", 1);
+  tree_->range_scan("", 1);
   const LsmStats& s = tree_->stats();
   EXPECT_EQ(s.puts, 1u);
   EXPECT_EQ(s.gets, 1u);

@@ -10,12 +10,15 @@
 #include <vector>
 
 #include "kv/slice.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace damkit::node {
 namespace {
 
-// Test records are [u8 len][bytes] so len_of is trivial.
+// Test records are [u8 len][bytes] (a 1-byte header) so len_of is trivial.
+constexpr size_t kHeader = 1;
+
 std::string rec_of(std::string_view key) {
   std::string r;
   r.push_back(static_cast<char>(key.size()));
@@ -49,11 +52,26 @@ TEST(SlottedPageTest, EmptyPage) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(SlottedPageDeathTest, HeaderStraddlingTheImageEndIsRejected) {
+  // [u16 len][bytes] records: one real record plus one padding byte, under
+  // an entry count of two. The phantom record's 2-byte header would
+  // straddle the end of the exactly-sized image; it must not be read.
+  const std::vector<uint8_t> image = {1, 0, 'a', 0};
+  const auto len16_of = [](const uint8_t* p) {
+    return size_t{2} + load_u16(p);
+  };
+  SlottedPage page;
+  EXPECT_DEATH(page.build_from_prefix(image.data(), image.size(), 2,
+                                      /*header_bytes=*/2, len16_of),
+               "record header overruns");
+}
+
 TEST(SlottedPageTest, BuildFromImageRoundTrips) {
   const std::vector<std::string> keys = {"alpha", "beta", "delta", "zeta"};
   const std::vector<uint8_t> image = image_of(keys);
   SlottedPage page;
-  page.build_from_image(image.data(), image.size(), keys.size(), len_of);
+  page.build_from_image(image.data(), image.size(), keys.size(), kHeader,
+                        len_of);
   ASSERT_EQ(page.count(), keys.size());
   EXPECT_TRUE(page.compact());
   EXPECT_EQ(page.live_bytes(), image.size());
@@ -94,7 +112,8 @@ TEST(SlottedPageTest, TruncateAndDropFront) {
   const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
   const std::vector<uint8_t> image = image_of(keys);
   SlottedPage left;
-  left.build_from_image(image.data(), image.size(), keys.size(), len_of);
+  left.build_from_image(image.data(), image.size(), keys.size(), kHeader,
+                        len_of);
   left.truncate(2);
   EXPECT_TRUE(left.compact());  // compact truncation is a pure resize
   std::vector<uint8_t> out;
@@ -102,7 +121,8 @@ TEST(SlottedPageTest, TruncateAndDropFront) {
   EXPECT_EQ(out, image_of({"a", "b"}));
 
   SlottedPage right;
-  right.build_from_image(image.data(), image.size(), keys.size(), len_of);
+  right.build_from_image(image.data(), image.size(), keys.size(), kHeader,
+                        len_of);
   right.drop_front(2);
   out.clear();
   right.write_to(&out);
@@ -223,7 +243,8 @@ TEST(SlottedPageFuzzTest, MutationsMatchReferenceModel) {
         ASSERT_LE(page.heap_bytes(), 2 * page.live_bytes() + 4096 + 512);
         // Rebuilding from the written image must reproduce the page.
         SlottedPage rebuilt;
-        rebuilt.build_from_image(out.data(), out.size(), model.size(), len_of);
+        rebuilt.build_from_image(out.data(), out.size(), model.size(),
+                                 kHeader, len_of);
         for (size_t i = 0; i < model.size(); ++i) {
           ASSERT_EQ(key_of(rebuilt.record(i)), model[i]);
         }

@@ -16,7 +16,6 @@
 
 #include "harness/workload_runner.h"
 #include "kv/engine.h"
-#include "serve/session.h"
 #include "sim/mq_ssd.h"
 #include "sim/profiles.h"
 #include "sim/ssd.h"
@@ -72,40 +71,6 @@ serve::ServeResult serve_once(const serve::ServeConfig& cfg, uint64_t ops) {
   harness::WorkloadRunner(*dict, io).bulk_load(1500, mixed_spec());
   serve::Scheduler scheduler(*dict, io, cfg);
   return scheduler.serve(mixed_spec(), ops);
-}
-
-TEST(ClientSessionTest, ProducesItsResidueClassInOrder) {
-  serve::ClientSession session(mixed_spec(), /*client_id=*/1, /*clients=*/3,
-                               /*total_ops=*/10, /*queue_capacity=*/4);
-  EXPECT_EQ(session.op_count(), 3u);  // global indices 1, 4, 7
-  serve::ClientOp op;
-  // Pop exactly op_count() ops — the controller's contract; the stream has
-  // no end-of-stream marker (the destructor closes the queue).
-  for (const uint64_t expected : {1u, 4u, 7u}) {
-    ASSERT_TRUE(session.next(&op));
-    EXPECT_EQ(op.global_index, expected);
-  }
-}
-
-TEST(ClientSessionTest, RoundRobinMergeReconstructsTheGeneratorStream) {
-  const kv::WorkloadSpec spec = mixed_spec();
-  constexpr uint64_t kClients = 4;
-  constexpr uint64_t kOps = 23;  // not a multiple of k: ragged tail
-  std::vector<std::unique_ptr<serve::ClientSession>> sessions;
-  for (uint64_t c = 0; c < kClients; ++c) {
-    sessions.push_back(std::make_unique<serve::ClientSession>(
-        spec, c, kClients, kOps, /*queue_capacity=*/4));
-  }
-  kv::OpGenerator generator(spec);
-  for (uint64_t i = 0; i < kOps; ++i) {
-    const kv::Op expected = generator.next();
-    serve::ClientOp got;
-    ASSERT_TRUE(sessions[i % kClients]->next(&got));
-    EXPECT_EQ(got.global_index, i);
-    EXPECT_EQ(got.op.type, expected.type);
-    EXPECT_EQ(got.op.key_id, expected.key_id);
-    EXPECT_EQ(got.op.scan_length, expected.scan_length);
-  }
 }
 
 TEST(SchedulerTest, KClientDigestEqualsSingleClientReference) {
@@ -196,8 +161,8 @@ class QueueSpyDevice final : public sim::Device {
   std::shared_ptr<std::map<uint32_t, uint64_t>> counts_;
 };
 
-// PR-7's sessions must map onto the MQ device's queue pairs: with k
-// clients replaying onto an MqSsdDevice, every request carries its
+// Clients must map onto the MQ device's queue pairs: with k clients
+// replaying onto an MqSsdDevice, every request carries its
 // owning client's id in IoRequest::queue, so all k pairs see traffic —
 // not one shared SQ.
 TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {

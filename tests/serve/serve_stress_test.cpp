@@ -1,9 +1,8 @@
 // Serving-layer stress: every engine the factory builds — plus a 4-shard
 // ShardedEngine — served at k ∈ {1, P, 4P} clients must reproduce the
 // single-client reference digest and counters exactly. This is the
-// concurrent extension of the cross-engine differential, and the binary
-// CI runs under TSan/ASan: the producer threads, bounded queues, and
-// controller handoff all get exercised at every width.
+// concurrent extension of the cross-engine differential; CI runs it in
+// every sanitizer leg with the rest of the suite.
 #include <gtest/gtest.h>
 
 #include <memory>

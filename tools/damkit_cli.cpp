@@ -398,7 +398,7 @@ int cmd_metrics(int argc, char** argv) {
   std::optional<harness::WorkloadRunResult> seq_run;
   if (clients > 1) {
     // Concurrent serving demo: bulk-load, then serve a mixed workload
-    // through k client sessions with the requested admission depth,
+    // to k clients with the requested admission depth,
     // replaying the concurrent timeline on a fresh same-spec device.
     harness::WorkloadRunner runner(*tree, io);
     kv::WorkloadSpec wspec;
@@ -458,7 +458,6 @@ int cmd_metrics(int argc, char** argv) {
     };
     spec.scans = 1;
     spec.scan_limit = 100;
-    spec.fallible = true;
     spec.tolerate_failures = faulty != nullptr;
     const harness::PutGetResult run = harness::run_put_get(*tree, spec);
     get_hits = run.get_hits;
