@@ -2,7 +2,7 @@
 // clients, gated against the PDAM Lemma 13 prediction.
 //
 // One section per client count k drives the same get-only workload through
-// serve::Scheduler (via WorkloadRunner::run_concurrent) against a B-tree
+// WorkloadRunner::run_concurrent (replayed by serve::replay) against a B-tree
 // whose 16 KiB nodes each occupy exactly one die stripe of a P = 8 SSD.
 // Every client keeps one op outstanding (inflight = 1), so the sweep is
 // the closed-loop experiment Lemma 13 models: throughput should grow as
@@ -17,7 +17,7 @@
 //      bound, not an equality), via check_bench_regression.py --no-affine;
 //   3. the in-binary checks below: the same tolerance, a saturation check
 //      past k = P, and digest equality across all client counts (the
-//      scheduler's record/replay split must not perturb results).
+//      record/replay split must not perturb results).
 #include <algorithm>
 #include <cstdio>
 #include <memory>

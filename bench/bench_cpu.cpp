@@ -12,8 +12,13 @@
 //                   per-entry parse/alloc vs memcpy + one header walk.
 //   cpu.e2e.*       WorkloadRunner ops/sec per engine on a small-cache
 //                   config (heavy node (de)serialization traffic).
+//   cpu.micro.*     host cost of the core primitives (rng, Zipfian draw,
+//                   HDD/SSD timing-model submit, bloom probe, vEB layout
+//                   build) in ns per op, min of N repetitions. Reported,
+//                   not gated: the `.ns_per_op` suffix is outside the
+//                   wall-clock gate's suffixes.
 //
-// All gauges are medians of N repetitions on steady_clock. The legacy
+// The e2e gauges are medians of N repetitions on steady_clock. The legacy
 // reference implementations live in this file on purpose: the speedup
 // gates are same-binary, same-machine ratios, so they hold anywhere,
 // unlike absolute nanoseconds. The e2e section is additionally compared
@@ -32,12 +37,16 @@
 #include "kv/engine.h"
 #include "kv/slice.h"
 #include "node/slotted_page.h"
+#include "pdam_tree/veb_layout.h"
+#include "sim/hdd.h"
 #include "sim/profiles.h"
 #include "sim/ssd.h"
 #include "stats/metrics.h"
+#include "util/bloom.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/table.h"
 
 namespace damkit {
 namespace {
@@ -473,6 +482,78 @@ void section_e2e(const bench::BenchArgs& args, stats::MetricsRegistry* reg,
   }
 }
 
+// ---------------------------------------------------------------------------
+// cpu.micro — host ns per op of the core primitives (reported, ungated).
+// ---------------------------------------------------------------------------
+
+void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
+  const int reps = args.quick ? 5 : 9;
+  const uint64_t draws = args.quick ? 200'000 : 1'000'000;
+  const uint64_t ios = draws / 10;
+  // Min over reps of one timed loop of `ops` ops, divided out.
+  const auto report = [&](const std::string& name, uint64_t ops,
+                          auto&& loop) {
+    const double ns = min_wall_ns(reps, loop) / static_cast<double>(ops);
+    reg->set("cpu.micro." + name + ".ns_per_op", ns);
+    std::printf("cpu.micro.%s: %.1f ns/op\n", name.c_str(), ns);
+  };
+
+  Rng rng(args.seed + 3);
+  report("rng_next", draws, [&] {
+    uint64_t acc = 0;
+    for (uint64_t i = 0; i < draws; ++i) acc += rng.next();
+    g_sink += acc;
+  });
+  Zipfian zipf(1'000'000, 0.99);
+  report("zipf_sample", draws, [&] {
+    uint64_t acc = 0;
+    for (uint64_t i = 0; i < draws; ++i) acc += zipf.sample(rng);
+    g_sink += acc;
+  });
+
+  // Random reads issued back to back; the device clock carries across
+  // reps (submissions must not go back in time).
+  sim::HddDevice hdd(sim::testbed_hdd_profile());
+  sim::SimTime hdd_now = 0;
+  report("hdd_submit", ios, [&] {
+    for (uint64_t i = 0; i < ios; ++i) {
+      const uint64_t off = rng.uniform(hdd.capacity_bytes() / 4096) * 4096;
+      hdd_now = hdd.submit({sim::IoKind::kRead, off, 4096}, hdd_now).finish;
+    }
+  });
+  sim::SsdDevice ssd(sim::testbed_ssd_profile());
+  sim::SimTime ssd_now = 0;
+  const uint64_t ssd_io = 64 * kKiB;
+  report("ssd_submit", ios, [&] {
+    for (uint64_t i = 0; i < ios; ++i) {
+      const uint64_t off = rng.uniform(ssd.capacity_bytes() / ssd_io) * ssd_io;
+      ssd_now = ssd.submit({sim::IoKind::kRead, off, ssd_io}, ssd_now).finish;
+    }
+  });
+
+  BloomFilter bloom(100'000, 10.0);
+  for (uint64_t i = 0; i < 100'000; ++i) bloom.add(kv::encode_key(i));
+  std::string probe;
+  report("bloom_may_contain", draws, [&] {
+    uint64_t hits = 0;
+    for (uint64_t i = 0; i < draws; ++i) {
+      kv::encode_key_to(rng.next(), 16, &probe);
+      hits += bloom.may_contain(probe) ? 1 : 0;
+    }
+    g_sink += hits;
+  });
+
+  // One op = one full layout build of a tree of the given height.
+  for (const int height : {10, 16, 20}) {
+    const uint64_t builds = uint64_t{1} << (20 - height);
+    report(strfmt("veb_layout_h%d", height), builds, [&] {
+      for (uint64_t i = 0; i < builds; ++i) {
+        g_sink += pdam_tree::veb_positions(height).size();
+      }
+    });
+  }
+}
+
 }  // namespace
 }  // namespace damkit
 
@@ -488,6 +569,7 @@ int main(int argc, char** argv) {
   section_roundtrip(args, &reg);
   bool any_e2e_gate_pass = false;
   section_e2e(args, &reg, &any_e2e_gate_pass);
+  section_micro(args, &reg);
 
   if (!args.metrics_json.empty()) {
     if (!bench::write_metrics_json(reg, args.metrics_json)) return 1;

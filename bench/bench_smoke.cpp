@@ -24,11 +24,6 @@ namespace {
 
 using namespace damkit;
 
-// Fixed-width decimal keys sort lexicographically in numeric order.
-std::string key_of(uint64_t k) {
-  return strfmt("%016llu", static_cast<unsigned long long>(k));
-}
-
 // §4.2 surrogate: uniform random fixed-size reads on the Table-2 drive.
 // The device decomposes each IO into setup (command + seek + rotation)
 // and transfer (zoned media) time; over a uniform workload the means must
@@ -76,6 +71,34 @@ void run_ssd_batch(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   reg.set("ssd.sim_seconds", sim::to_seconds(io.now()));
 }
 
+// The engine sections: bulk-load `bulk` keys (0 = none), drive `ops` ops
+// of `spec` through WorkloadRunner (which flushes at the end), export the
+// engine's metrics and the section's simulated time.
+void run_engine_section(const char* section, kv::Dictionary& dict,
+                        sim::IoContext& io, const kv::WorkloadSpec& spec,
+                        uint64_t bulk, uint64_t ops,
+                        stats::MetricsRegistry& reg) {
+  harness::WorkloadRunner runner(dict, io);
+  runner.bulk_load(bulk, spec);
+  runner.run(spec, ops);
+  const std::string prefix = std::string(section) + ".";
+  dict.export_metrics(reg, prefix);
+  reg.set(prefix + "sim_seconds", sim::to_seconds(io.now()));
+}
+
+/// Uniform puts/gets over `key_space` ids (a bulk load fills the lower
+/// half when the section has one).
+kv::WorkloadSpec put_get_spec(uint64_t key_space, size_t value_bytes,
+                              double put_weight, uint64_t seed) {
+  kv::WorkloadSpec spec;
+  spec.key_space = key_space;
+  spec.value_bytes = value_bytes;
+  spec.put_weight = put_weight;
+  spec.get_weight = 1.0 - put_weight;
+  spec.seed = seed;
+  return spec;
+}
+
 void run_btree(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   sim::SsdDevice dev(sim::testbed_ssd_profile());
   sim::IoContext io(dev);
@@ -84,20 +107,8 @@ void run_btree(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   config.btree.cache_bytes = 2 * 1024 * 1024;
   const auto dict = kv::make_engine(kv::EngineKind::kBTree, dev, io, config);
   const uint64_t n = args.quick ? 4000 : 20000;
-  dict->bulk_load(n, [](uint64_t i) {
-    return std::make_pair(key_of(i * 2), std::string(64, 'v'));
-  });
-  harness::PutGetSpec spec;
-  spec.puts = n / 2;
-  spec.gets = n / 2;
-  spec.key_modulus = n * 2;
-  spec.value_bytes = 64;
-  spec.seed = args.seed + 2;
-  spec.key_of = key_of;
-  harness::run_put_get(*dict, spec);
-  dict->flush();
-  dict->export_metrics(reg, "btree.");
-  reg.set("btree.sim_seconds", sim::to_seconds(io.now()));
+  run_engine_section("btree", *dict, io,
+                     put_get_spec(n * 2, 64, 0.5, args.seed + 2), n, n, reg);
 }
 
 void run_betree(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
@@ -108,17 +119,9 @@ void run_betree(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   config.betree.cache_bytes = 1024 * 1024;
   const auto dict = kv::make_engine(kv::EngineKind::kBeTree, dev, io, config);
   const uint64_t n = args.quick ? 6000 : 30000;
-  harness::PutGetSpec spec;
-  spec.puts = n;
-  spec.gets = n / 4;
-  spec.key_modulus = n * 4;
-  spec.value_bytes = 100;
-  spec.seed = args.seed + 3;
-  spec.key_of = key_of;
-  harness::run_put_get(*dict, spec);
-  dict->flush();
-  dict->export_metrics(reg, "betree.");
-  reg.set("betree.sim_seconds", sim::to_seconds(io.now()));
+  run_engine_section("betree", *dict, io,
+                     put_get_spec(n * 4, 100, 0.8, args.seed + 3), 0,
+                     n + n / 4, reg);
 }
 
 void run_lsm(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
@@ -130,17 +133,9 @@ void run_lsm(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   config.lsm.level1_bytes = 512 * 1024;
   const auto dict = kv::make_engine(kv::EngineKind::kLsm, dev, io, config);
   const uint64_t n = args.quick ? 6000 : 30000;
-  harness::PutGetSpec spec;
-  spec.puts = n;
-  spec.gets = n / 4;
-  spec.key_modulus = n * 4;
-  spec.value_bytes = 100;
-  spec.seed = args.seed + 4;
-  spec.key_of = key_of;
-  harness::run_put_get(*dict, spec);
-  dict->flush();
-  dict->export_metrics(reg, "lsm.");
-  reg.set("lsm.sim_seconds", sim::to_seconds(io.now()));
+  run_engine_section("lsm", *dict, io,
+                     put_get_spec(n * 4, 100, 0.8, args.seed + 4), 0,
+                     n + n / 4, reg);
 }
 
 // §8 surrogate: the PDAM B-tree has no wall clock, only time steps; the
@@ -179,22 +174,10 @@ void run_sharded(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   sharded.shards = 4;
   kv::ShardedEngine engine(kv::EngineKind::kBTree, dev, io, config, sharded);
   const uint64_t n = args.quick ? 4000 : 20000;
-  engine.bulk_load(n, [](uint64_t i) {
-    return std::make_pair(key_of(i * 2), std::string(64, 'v'));
-  });
-  harness::PutGetSpec spec;
-  spec.puts = n / 2;
-  spec.gets = n / 2;
-  spec.key_modulus = n * 2;
-  spec.value_bytes = 64;
-  spec.seed = args.seed + 6;
-  spec.key_of = key_of;
-  spec.scans = 8;
-  spec.scan_limit = 100;
-  harness::run_put_get(engine, spec);
-  engine.flush();
-  engine.export_metrics(reg, "sharded.");
-  reg.set("sharded.sim_seconds", sim::to_seconds(io.now()));
+  kv::WorkloadSpec spec = put_get_spec(n * 2, 64, 0.5, args.seed + 6);
+  spec.scan_weight = 0.002;  // ~8 scans per 4000 ops
+  spec.scan_length = 100;
+  run_engine_section("sharded", engine, io, spec, n, n, reg);
 }
 
 }  // namespace

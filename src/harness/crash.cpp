@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/workload_runner.h"
 #include "kv/op_apply.h"
 #include "sim/fault_injection.h"
 #include "sim/profiles.h"
@@ -25,15 +26,6 @@ uint64_t count_mutations(const kv::WorkloadSpec& spec, uint64_t ops) {
     if (is_mutation(gen.next())) ++n;
   }
   return n;
-}
-
-void bulk_load_items(kv::Dictionary& dict, uint64_t items,
-                     const kv::WorkloadSpec& spec) {
-  if (items == 0) return;
-  dict.bulk_load(items, [&spec](uint64_t i) {
-    kv::BulkItem item = kv::bulk_item(i, spec);
-    return std::make_pair(std::move(item.key), std::move(item.value));
-  });
 }
 
 }  // namespace
@@ -71,15 +63,9 @@ uint64_t reference_state_digest(const CrashCycleSpec& spec) {
   sim::Device& dev = *dev_holder;
   sim::IoContext io(dev);
   const std::unique_ptr<kv::Dictionary> dict = spec.make_engine(dev, io);
-  bulk_load_items(*dict, spec.bulk_items, spec.workload);
-  kv::OpGenerator gen(spec.workload);
-  uint64_t read_digest = kv::kFnvOffsetBasis;
-  kv::ApplyCounters counters;
-  for (uint64_t i = 0; i < spec.ops; ++i) {
-    kv::apply_op(*dict, gen.next(), i, spec.workload, {}, &read_digest,
-                 &counters);
-  }
-  dict->flush();
+  WorkloadRunner runner(*dict, io);
+  runner.bulk_load(spec.bulk_items, spec.workload);
+  runner.run(spec.workload, spec.ops);  // flushes at the end
   return state_digest(*dict);
 }
 
@@ -101,7 +87,7 @@ CrashCycleReport run_crash_cycle(const CrashCycleSpec& spec,
   // device dies (or the stream ends).
   auto eng = std::make_unique<wal::DurableEngine>(spec.make_engine(dev, io),
                                                   dev, io, dcfg);
-  bulk_load_items(*eng, spec.bulk_items, spec.workload);
+  WorkloadRunner(*eng, io).bulk_load(spec.bulk_items, spec.workload);
   const uint64_t armed_base = dev.checked_ios();
   if (spec.crash_after_ios > 0) {
     dev.set_crash_at(armed_base + spec.crash_after_ios);

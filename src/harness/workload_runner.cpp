@@ -4,9 +4,8 @@
 #include <set>
 #include <utility>
 
-#include "kv/op_apply.h"
 #include "kv/slice.h"
-#include "serve/scheduler.h"
+#include "sim/trace.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -19,112 +18,97 @@ void WorkloadRunner::bulk_load(uint64_t items, const kv::WorkloadSpec& spec) {
   });
 }
 
+WorkloadRunResult WorkloadRunner::apply_ops(
+    const kv::WorkloadSpec& spec, uint64_t ops, bool fallible,
+    std::vector<serve::OpIoChain>* chains) {
+  WorkloadRunResult result;
+  const sim::SimTime before = io_->now();
+  sim::IoTrace trace;
+  if (chains != nullptr) {
+    chains->reserve(ops);
+    io_->device().set_trace(&trace);
+  }
+  kv::OpGenerator gen(spec);
+  const kv::ApplyOptions apply_options{fallible};
+  kv::ApplyScratch scratch;  // key/value buffers reused across all ops
+  for (uint64_t i = 0; i < ops; ++i) {
+    const size_t trace_begin = trace.size();
+    kv::apply_op(*dict_, gen.next(), i, spec, apply_options, &result.digest,
+                 &result, &scratch);
+    if (chains != nullptr) {
+      chains->push_back(
+          serve::build_io_chain(trace.records(), trace_begin, trace.size()));
+    }
+  }
+  if (chains != nullptr) io_->device().set_trace(nullptr);
+  result.sim_elapsed = io_->now() - before;
+  return result;
+}
+
+void WorkloadRunner::write_back(const WorkloadRunOptions& options,
+                                WorkloadRunResult* result) {
+  if (!options.flush_at_end) return;
+  const sim::SimTime before = io_->now();
+  if (options.fallible) {
+    if (!checkpoint_with_retries(*dict_, 200).ok()) ++result->failed_ops;
+  } else {
+    dict_->flush();
+  }
+  result->sim_elapsed += io_->now() - before;
+}
+
 WorkloadRunResult WorkloadRunner::run(const kv::WorkloadSpec& spec,
                                       uint64_t ops,
                                       const WorkloadRunOptions& options) {
-  WorkloadRunResult result;
-  kv::OpGenerator gen(spec);
-  const sim::SimTime before = io_->now();
-
-  kv::ApplyCounters counters;
-  const kv::ApplyOptions apply_options{options.fallible};
-  kv::ApplyScratch scratch;  // key/value buffers reused across all ops
-  for (uint64_t i = 0; i < ops; ++i) {
-    const kv::Op op = gen.next();
-    kv::apply_op(*dict_, op, i, spec, apply_options, &result.digest,
-                 &counters, &scratch);
-  }
-  result.puts = counters.puts;
-  result.gets = counters.gets;
-  result.erases = counters.erases;
-  result.scans = counters.scans;
-  result.upserts = counters.upserts;
-  result.get_hits = counters.get_hits;
-  result.failed_ops = counters.failed_ops;
-
-  if (options.flush_at_end) {
-    if (options.fallible) {
-      if (!checkpoint_with_retries(*dict_, 200).ok()) ++result.failed_ops;
-    } else {
-      dict_->flush();
-    }
-  }
-  result.sim_elapsed = io_->now() - before;
+  WorkloadRunResult result = apply_ops(spec, ops, options.fallible, nullptr);
+  write_back(options, &result);
   return result;
 }
 
 ConcurrentRunResult WorkloadRunner::run_concurrent(
     const kv::WorkloadSpec& spec, uint64_t ops,
     const ConcurrentRunOptions& options) {
-  serve::ServeConfig config;
-  config.clients = options.clients;
-  config.inflight = options.inflight;
-  config.fallible = options.fallible;
-  config.replay_device_factory = options.replay_device_factory;
-  config.lane_of = options.lane_of;
-  config.lanes = options.lanes;
-
-  const sim::SimTime before = io_->now();
-  serve::Scheduler scheduler(*dict_, *io_, config);
-  serve::ServeResult served = scheduler.serve(spec, ops);
-
   ConcurrentRunResult result;
-  result.base.puts = served.counters.puts;
-  result.base.gets = served.counters.gets;
-  result.base.erases = served.counters.erases;
-  result.base.scans = served.counters.scans;
-  result.base.upserts = served.counters.upserts;
-  result.base.get_hits = served.counters.get_hits;
-  result.base.failed_ops = served.counters.failed_ops;
-  result.base.digest = served.digest;
+  const bool replayed = options.replay_device_factory != nullptr;
+  std::vector<serve::OpIoChain> chains;
+  result.base =
+      apply_ops(spec, ops, options.fallible, replayed ? &chains : nullptr);
+  const sim::SimTime serial = result.base.sim_elapsed;
+  write_back(options, &result.base);
 
-  if (options.flush_at_end) {
-    if (options.fallible) {
-      if (!checkpoint_with_retries(*dict_, 200).ok()) {
-        ++result.base.failed_ops;
-      }
-    } else {
-      dict_->flush();
-    }
+  if (replayed) {
+    static_cast<serve::ReplayTimeline&>(result) =
+        serve::replay(chains, options);
+  } else {
+    result.concurrent_elapsed = serial;
   }
-  result.base.sim_elapsed = io_->now() - before;
-
-  result.concurrent_elapsed = served.concurrent_elapsed;
-  result.speedup = served.speedup();
-  result.throughput_ops_per_sec = served.throughput_ops_per_sec();
-  result.latency = std::move(served.latency);
-  result.batches = served.batches;
-  result.batch_ios = served.batch_ios;
-  result.lane_ios = std::move(served.lane_ios);
-  result.max_lane_depth = served.max_lane_depth;
+  if (result.concurrent_elapsed != 0) {
+    result.speedup = static_cast<double>(serial) /
+                     static_cast<double>(result.concurrent_elapsed);
+  }
+  const double secs = sim::to_seconds(result.concurrent_elapsed);
+  if (secs > 0.0) {
+    result.throughput_ops_per_sec = static_cast<double>(ops) / secs;
+  }
   return result;
 }
 
-PutGetResult run_put_get(kv::Dictionary& dict, const PutGetSpec& spec) {
-  DAMKIT_CHECK(spec.key_of != nullptr);
-  DAMKIT_CHECK(spec.key_modulus > 0);
-  PutGetResult result;
-  const auto landed = [&](const Status& status) {
-    if (status.ok()) return true;
-    DAMKIT_CHECK_MSG(spec.tolerate_failures, status.to_string());
-    ++result.failed_ops;
-    return false;
-  };
-  Rng rng(spec.seed);
-  const std::string value(spec.value_bytes, 'v');
-  for (uint64_t i = 0; i < spec.puts; ++i) {
-    const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    landed(dict.try_put(key, value));
+void ConcurrentRunResult::export_metrics(stats::MetricsRegistry& reg,
+                                         std::string_view prefix) const {
+  const std::string p(prefix);
+  reg.add(p + "ops", base.ops());
+  reg.add(p + "failed_ops", base.failed_ops);
+  reg.add(p + "batches", batches);
+  reg.add(p + "batch_ios", batch_ios);
+  reg.set(p + "serial_seconds", sim::to_seconds(base.sim_elapsed));
+  reg.set(p + "concurrent_seconds", sim::to_seconds(concurrent_elapsed));
+  reg.set(p + "speedup", speedup);
+  reg.set(p + "throughput_ops_per_sec", throughput_ops_per_sec);
+  reg.set(p + "max_lane_depth", static_cast<double>(max_lane_depth));
+  for (size_t i = 0; i < lane_ios.size(); ++i) {
+    reg.add(p + strfmt("lane.%zu.ios", i), lane_ios[i]);
   }
-  for (uint64_t i = 0; i < spec.gets; ++i) {
-    const std::string key = spec.key_of(rng.next() % spec.key_modulus);
-    const StatusOr<std::optional<std::string>> hit = dict.try_get(key);
-    if (landed(hit.status()) && hit->has_value()) ++result.get_hits;
-  }
-  for (uint64_t i = 0; i < spec.scans; ++i) {
-    landed(dict.try_range_scan(spec.key_of(0), spec.scan_limit).status());
-  }
-  return result;
+  stats::export_histogram_summary(reg, p + "latency_ns", latency);
 }
 
 Status checkpoint_with_retries(kv::Dictionary& dict, int max_attempts) {

@@ -3,12 +3,11 @@
 // tree from EngineFactory or a ShardedEngine composition — through these
 // loops instead of carrying per-tree copies of setup/drive/teardown code.
 //
-// Three entry points, by what the caller needs reproduced:
+// Two entry points, by what the caller needs reproduced:
 //   - run(): OpGenerator-driven mixed workload with a result digest, for
-//     cross-engine differential comparison and generic driving.
-//   - run_put_get(): the fixed put/get/scan loop the benches and the CLI
-//     have always used, byte-for-byte (same RNG draws, same key strings),
-//     so pre-refactor simulated times are preserved exactly.
+//     cross-engine differential comparison and generic driving. Its
+//     k-client form, run_concurrent(), is the same op loop with each op's
+//     IOs recorded as a chain and re-timed by serve::replay.
 //   - run_fault_soak(): the fault-injection soak from the integration
 //     tests — fallible ops against a reference model with old-or-new
 //     uncertainty for failed mutations, checkpoint-until-clean, then a
@@ -17,15 +16,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kv/dictionary.h"
+#include "kv/op_apply.h"
 #include "kv/workload.h"
-#include "serve/scheduler.h"
+#include "serve/replay.h"
 #include "sim/device.h"
-#include "util/histogram.h"
+#include "stats/metrics.h"
 
 namespace damkit::harness {
 
@@ -41,46 +41,39 @@ struct WorkloadRunOptions {
   bool flush_at_end = true;
 };
 
-struct WorkloadRunResult {
-  uint64_t puts = 0, gets = 0, erases = 0, scans = 0, upserts = 0;
-  uint64_t get_hits = 0;
-  uint64_t failed_ops = 0;
+/// run()'s per-type op counters (kv::ApplyCounters), digest and time.
+struct WorkloadRunResult : kv::ApplyCounters {
   /// FNV-1a over every observed read result (get presence + value bytes,
   /// scan pairs). Two engines given the same spec and op count agree on
   /// this digest iff they returned identical data.
-  uint64_t digest = 14695981039346656037ULL;
+  uint64_t digest = kv::kFnvOffsetBasis;
   sim::SimTime sim_elapsed = 0;
+
+  uint64_t ops() const { return puts + gets + erases + scans + upserts; }
 };
 
-/// run_concurrent(): the serving-layer entry point. The base fields mirror
-/// run() exactly — same counters, same digest, same serial simulated time
-/// — plus the concurrent timeline computed by serve::Scheduler.
-struct ConcurrentRunOptions {
-  /// Concurrent clients (the CLI/bench --clients flag).
-  uint64_t clients = 1;
-  /// Per-client admission depth (--inflight).
-  uint64_t inflight = 4;
-  bool fallible = false;
-  bool flush_at_end = true;
-  /// Fresh same-timing device for the concurrent replay; when absent the
-  /// concurrent timeline equals the serial one (see serve::ServeConfig).
-  std::function<std::unique_ptr<sim::Device>()> replay_device_factory;
-  /// Dispatch-lane map (die/shard) for replay; default single lane.
-  std::function<size_t(uint64_t)> lane_of;
-  size_t lanes = 1;
-};
+/// run_concurrent(): the run() options plus the replay's (clients,
+/// inflight, replay device, dispatch lanes). Without a replay device the
+/// concurrent timeline equals the serial one.
+struct ConcurrentRunOptions : WorkloadRunOptions, serve::ReplayConfig {};
 
-struct ConcurrentRunResult {
-  /// Identical to what run() would report for the same (spec, ops).
+/// run_concurrent(): the replayed timeline plus what run() would report
+/// for the same (spec, ops) — same counters, same digest, same serial
+/// simulated time.
+struct ConcurrentRunResult : serve::ReplayTimeline {
   WorkloadRunResult base;
-  sim::SimTime concurrent_elapsed = 0;
+  /// Serial op-phase time over the concurrent makespan (the end-of-run
+  /// write-back is serial in both, so it is left out of the ratio).
   double speedup = 1.0;
+  /// Ops per simulated second under concurrency.
   double throughput_ops_per_sec = 0.0;
-  Histogram latency;  // per-op ns under concurrency
-  uint64_t batches = 0;
-  uint64_t batch_ios = 0;
-  std::vector<uint64_t> lane_ios;
-  uint64_t max_lane_depth = 0;
+
+  /// Export "<prefix>ops", failed ops, batch counters, serial/concurrent
+  /// seconds, speedup, throughput, lane depth and per-lane IO counts, and
+  /// "<prefix>latency_ns" (+ .p50/.p99/.p999 via
+  /// stats::export_histogram_summary).
+  void export_metrics(stats::MetricsRegistry& reg,
+                      std::string_view prefix) const;
 };
 
 class WorkloadRunner {
@@ -97,9 +90,11 @@ class WorkloadRunner {
   WorkloadRunResult run(const kv::WorkloadSpec& spec, uint64_t ops,
                         const WorkloadRunOptions& options = {});
 
-  /// Serve the same op stream to k concurrent clients (see
-  /// serve::Scheduler). Digest and counters equal run()'s by construction;
-  /// the concurrent makespan, speedup, and latency tails are added on top.
+  /// Serve the same op stream to k concurrent clients: run()'s loop
+  /// records each op's IO chain on the serving device, then
+  /// serve::replay re-times the chains on a fresh one. Digest and counters
+  /// equal run()'s by construction; the concurrent makespan, speedup, and
+  /// latency tails are added on top.
   ConcurrentRunResult run_concurrent(const kv::WorkloadSpec& spec,
                                      uint64_t ops,
                                      const ConcurrentRunOptions& options = {});
@@ -107,40 +102,18 @@ class WorkloadRunner {
   kv::Dictionary& dictionary() { return *dict_; }
 
  private:
+  /// The op loop: ops [0, ops) of `spec`'s stream, in order. With
+  /// `chains`, each op's slice of the device's IO trace becomes its chain.
+  WorkloadRunResult apply_ops(const kv::WorkloadSpec& spec, uint64_t ops,
+                              bool fallible,
+                              std::vector<serve::OpIoChain>* chains);
+  /// The end-of-run write-back, added to result->sim_elapsed.
+  void write_back(const WorkloadRunOptions& options,
+                  WorkloadRunResult* result);
+
   kv::Dictionary* dict_;
   sim::IoContext* io_;
 };
-
-// ---------------------------------------------------------------------------
-// The legacy fixed loop (bench_smoke, damkit_cli) — byte-exact.
-// ---------------------------------------------------------------------------
-
-struct PutGetSpec {
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  /// Key ids are rng.next() % key_modulus, matching the historical loops.
-  uint64_t key_modulus = 1;
-  size_t value_bytes = 100;
-  uint64_t seed = 0;
-  /// id → key string (each caller keeps its exact historical format).
-  std::function<std::string(uint64_t)> key_of;
-  /// Scans issued after the gets, each from key_of(0), this many pairs.
-  uint64_t scans = 0;
-  size_t scan_limit = 0;
-  /// Count non-OK ops instead of CHECK-failing (the CLI's fault-injection
-  /// path, where surfaced give-ups are expected).
-  bool tolerate_failures = false;
-};
-
-struct PutGetResult {
-  uint64_t failed_ops = 0;
-  uint64_t get_hits = 0;
-};
-
-/// puts × put(key_of(rng.next() % modulus), 'v'*value_bytes), then gets ×
-/// get(same draw), then the scans. RNG draw order is identical to the
-/// loops this replaces, so simulated time is too.
-PutGetResult run_put_get(kv::Dictionary& dict, const PutGetSpec& spec);
 
 /// checkpoint() until OK, at most `max_attempts` extra draws; returns the
 /// last status (OK iff the checkpoint landed).

@@ -3,7 +3,7 @@
 // The serving layer separates *what* an op does (its engine data path,
 // executed once, sequentially) from *when* its IOs land on the device under
 // k concurrent clients (computed by replaying recovered chains through a
-// discrete-event loop — see scheduler.h). This file is the bridge: given
+// discrete-event loop — see replay.h). This file is the bridge: given
 // the slice of IoTrace records an op produced, reconstruct its dependency
 // structure as a chain of stages.
 //

@@ -1,13 +1,11 @@
-// WorkloadRunner: deterministic generic driving, the byte-exact legacy
-// put/get loop, checkpoint retries, and the fault-soak driver on a clean
-// device (its faulting behavior is covered by the integration soak).
+// WorkloadRunner: deterministic generic driving, its concurrent form,
+// checkpoint retries, and the fault-soak driver on a clean device (its
+// faulting behavior is covered by the integration soak).
 #include "harness/workload_runner.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
-#include <string>
 #include <tuple>
 
 #include "kv/engine.h"
@@ -15,8 +13,6 @@
 #include "sim/profiles.h"
 #include "sim/ssd.h"
 #include "util/bytes.h"
-#include "util/rng.h"
-#include "util/table.h"
 
 namespace damkit {
 namespace {
@@ -84,41 +80,6 @@ TEST(WorkloadRunnerTest, FallibleRunMatchesInfallibleOnCleanDevice) {
   EXPECT_EQ(r.failed_ops, 0u);
   EXPECT_EQ(r.puts + r.gets + r.erases + r.scans + r.upserts, 2000u);
   EXPECT_GT(r.get_hits, 0u);
-}
-
-TEST(WorkloadRunnerTest, RunPutGetCountsHitsAndDrawsDeterministically) {
-  sim::SsdDevice dev(sim::testbed_ssd_profile());
-  sim::IoContext io(dev);
-  const auto dict =
-      kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
-  harness::PutGetSpec spec;
-  spec.puts = 800;
-  spec.gets = 400;
-  spec.key_modulus = 500;  // < puts: most gets hit
-  spec.value_bytes = 64;
-  spec.seed = 42;
-  spec.key_of = [](uint64_t id) {
-    return strfmt("key%012llu", static_cast<unsigned long long>(id));
-  };
-  spec.scans = 1;
-  spec.scan_limit = 50;
-  const harness::PutGetResult result = harness::run_put_get(*dict, spec);
-
-  // The loop draws every put, then every get, from one Rng(seed) stream
-  // (the historical loops' order), so a get hits exactly when some put
-  // drew the same id first.
-  Rng rng(spec.seed);
-  std::set<uint64_t> put_ids;
-  for (uint64_t i = 0; i < spec.puts; ++i) {
-    put_ids.insert(rng.next() % spec.key_modulus);
-  }
-  uint64_t expected_hits = 0;
-  for (uint64_t i = 0; i < spec.gets; ++i) {
-    expected_hits += put_ids.count(rng.next() % spec.key_modulus);
-  }
-  EXPECT_GT(result.get_hits, 0u);
-  EXPECT_EQ(result.get_hits, expected_hits);
-  EXPECT_EQ(result.failed_ops, 0u);
 }
 
 TEST(WorkloadRunnerTest, RunConcurrentMatchesRunAndAddsTheTimeline) {

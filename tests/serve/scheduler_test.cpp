@@ -1,9 +1,11 @@
-// serve::Scheduler: the record/replay split must keep a k-client run
-// bit-identical to the single-client reference (digest, counters, serial
-// time), while the replayed concurrent timeline is deterministic, faster
-// when the device has parallelism to exploit, and falls back to the serial
-// makespan when no replay device is supplied.
-#include "serve/scheduler.h"
+// k-client serving end to end: WorkloadRunner::run_concurrent records
+// each op's IO chain through its one op loop, and serve::replay re-times
+// the chains. A k-client run must stay bit-identical to the single-client
+// reference (digest, counters, serial time), while the replayed concurrent
+// timeline is deterministic, faster when the device has parallelism to
+// exploit, and falls back to the serial makespan when no replay device is
+// supplied.
+#include "harness/workload_runner.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "harness/workload_runner.h"
 #include "kv/engine.h"
 #include "sim/mq_ssd.h"
 #include "sim/profiles.h"
@@ -25,7 +26,7 @@
 namespace damkit {
 namespace {
 
-// The cache must be small against the working set: a scheduler test where
+// The cache must be small against the working set: a serving test where
 // every op hits cache has nothing to overlap in replay.
 kv::EngineConfig small_config() {
   kv::EngineConfig cfg;
@@ -48,47 +49,59 @@ kv::WorkloadSpec mixed_spec() {
   return spec;
 }
 
-serve::ServeConfig replayed_config(uint64_t clients, uint64_t inflight = 4) {
-  serve::ServeConfig cfg;
-  cfg.clients = clients;
-  cfg.inflight = inflight;
-  const sim::SsdConfig profile = sim::testbed_ssd_profile();
-  cfg.replay_device_factory = [profile]() -> std::unique_ptr<sim::Device> {
-    return std::make_unique<sim::SsdDevice>(profile);
-  };
-  cfg.lanes = static_cast<size_t>(profile.total_dies());
-  cfg.lane_of = [profile](uint64_t offset) {
-    return static_cast<size_t>(profile.die_of(offset));
-  };
-  return cfg;
+// The serving surface as a bench drives it: no end-of-run write-back, so
+// the serial time is the op phase the replay re-times.
+harness::ConcurrentRunOptions serving_options(uint64_t clients) {
+  harness::ConcurrentRunOptions opts;
+  opts.clients = clients;
+  opts.flush_at_end = false;
+  return opts;
 }
 
-serve::ServeResult serve_once(const serve::ServeConfig& cfg, uint64_t ops) {
+harness::ConcurrentRunOptions replayed_options(uint64_t clients,
+                                               uint64_t inflight = 4) {
+  harness::ConcurrentRunOptions opts = serving_options(clients);
+  opts.inflight = inflight;
+  const sim::SsdConfig profile = sim::testbed_ssd_profile();
+  opts.replay_device_factory = [profile]() -> std::unique_ptr<sim::Device> {
+    return std::make_unique<sim::SsdDevice>(profile);
+  };
+  opts.lanes = static_cast<size_t>(profile.total_dies());
+  opts.lane_of = [profile](uint64_t offset) {
+    return static_cast<size_t>(profile.die_of(offset));
+  };
+  return opts;
+}
+
+harness::ConcurrentRunResult serve_once(
+    const harness::ConcurrentRunOptions& opts, uint64_t ops) {
   sim::SsdDevice dev(sim::testbed_ssd_profile());
   sim::IoContext io(dev);
   const auto dict =
       kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
-  harness::WorkloadRunner(*dict, io).bulk_load(1500, mixed_spec());
-  serve::Scheduler scheduler(*dict, io, cfg);
-  return scheduler.serve(mixed_spec(), ops);
+  harness::WorkloadRunner runner(*dict, io);
+  runner.bulk_load(1500, mixed_spec());
+  return runner.run_concurrent(mixed_spec(), ops, opts);
 }
 
 TEST(SchedulerTest, KClientDigestEqualsSingleClientReference) {
-  const serve::ServeResult one = serve_once(replayed_config(1), 2000);
-  const serve::ServeResult eight = serve_once(replayed_config(8), 2000);
-  EXPECT_EQ(eight.digest, one.digest);
-  EXPECT_EQ(eight.serial_elapsed, one.serial_elapsed);
-  EXPECT_EQ(eight.counters.gets, one.counters.gets);
-  EXPECT_EQ(eight.counters.puts, one.counters.puts);
-  EXPECT_EQ(eight.counters.get_hits, one.counters.get_hits);
-  EXPECT_EQ(eight.ops, 2000u);
+  const harness::ConcurrentRunResult one =
+      serve_once(replayed_options(1), 2000);
+  const harness::ConcurrentRunResult eight =
+      serve_once(replayed_options(8), 2000);
+  EXPECT_EQ(eight.base.digest, one.base.digest);
+  EXPECT_EQ(eight.base.sim_elapsed, one.base.sim_elapsed);
+  EXPECT_EQ(eight.base.gets, one.base.gets);
+  EXPECT_EQ(eight.base.puts, one.base.puts);
+  EXPECT_EQ(eight.base.get_hits, one.base.get_hits);
+  EXPECT_EQ(eight.base.ops(), 2000u);
 }
 
 TEST(SchedulerTest, ServeIsDeterministic) {
-  const serve::ServeResult a = serve_once(replayed_config(8), 2000);
-  const serve::ServeResult b = serve_once(replayed_config(8), 2000);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.serial_elapsed, b.serial_elapsed);
+  const harness::ConcurrentRunResult a = serve_once(replayed_options(8), 2000);
+  const harness::ConcurrentRunResult b = serve_once(replayed_options(8), 2000);
+  EXPECT_EQ(a.base.digest, b.base.digest);
+  EXPECT_EQ(a.base.sim_elapsed, b.base.sim_elapsed);
   EXPECT_EQ(a.concurrent_elapsed, b.concurrent_elapsed);
   EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.batch_ios, b.batch_ios);
@@ -97,31 +110,35 @@ TEST(SchedulerTest, ServeIsDeterministic) {
 }
 
 TEST(SchedulerTest, ParallelDeviceShortensTheConcurrentMakespan) {
-  const serve::ServeResult one = serve_once(replayed_config(1), 2000);
-  const serve::ServeResult eight = serve_once(replayed_config(8), 2000);
+  const harness::ConcurrentRunResult one =
+      serve_once(replayed_options(1), 2000);
+  const harness::ConcurrentRunResult eight =
+      serve_once(replayed_options(8), 2000);
   EXPECT_LT(eight.concurrent_elapsed, one.concurrent_elapsed);
-  EXPECT_GT(eight.speedup(), 1.0);
+  EXPECT_GT(eight.speedup, 1.0);
   // Every op's latency is observed exactly once.
   EXPECT_EQ(eight.latency.count(), 2000u);
 }
 
 TEST(SchedulerTest, DeeperAdmissionNeverSlowsTheReplay) {
-  const serve::ServeResult shallow = serve_once(replayed_config(4, 1), 2000);
-  const serve::ServeResult deep = serve_once(replayed_config(4, 8), 2000);
+  const harness::ConcurrentRunResult shallow =
+      serve_once(replayed_options(4, 1), 2000);
+  const harness::ConcurrentRunResult deep =
+      serve_once(replayed_options(4, 8), 2000);
   EXPECT_LE(deep.concurrent_elapsed, shallow.concurrent_elapsed);
 }
 
 TEST(SchedulerTest, WithoutReplayDeviceConcurrentEqualsSerial) {
-  serve::ServeConfig cfg;
-  cfg.clients = 4;
-  const serve::ServeResult result = serve_once(cfg, 1000);
-  EXPECT_EQ(result.concurrent_elapsed, result.serial_elapsed);
-  EXPECT_DOUBLE_EQ(result.speedup(), 1.0);
+  const harness::ConcurrentRunResult result =
+      serve_once(serving_options(4), 1000);
+  EXPECT_EQ(result.concurrent_elapsed, result.base.sim_elapsed);
+  EXPECT_DOUBLE_EQ(result.speedup, 1.0);
   EXPECT_EQ(result.batches, 0u);
 }
 
 TEST(SchedulerTest, LaneAccountingIsConserved) {
-  const serve::ServeResult result = serve_once(replayed_config(8), 2000);
+  const harness::ConcurrentRunResult result =
+      serve_once(replayed_options(8), 2000);
   uint64_t lane_total = 0;
   for (const uint64_t n : result.lane_ios) lane_total += n;
   EXPECT_EQ(lane_total, result.batch_ios);
@@ -133,8 +150,7 @@ TEST(SchedulerTest, LaneAccountingIsConserved) {
 
 // Replay-device spy: forwards timing to an owned MqSsdDevice while
 // tallying which SQ/CQ pair each request named, into shared state that
-// outlives the device (the scheduler destroys its replay device before
-// serve() returns).
+// outlives the device (replay destroys its device before it returns).
 class QueueSpyDevice final : public sim::Device {
  public:
   QueueSpyDevice(const sim::SsdConfig& cfg,
@@ -168,17 +184,16 @@ class QueueSpyDevice final : public sim::Device {
 TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {
   const sim::SsdConfig profile = sim::testbed_mq_profile();
   const auto counts = std::make_shared<std::map<uint32_t, uint64_t>>();
-  serve::ServeConfig cfg;
-  cfg.clients = 4;
-  cfg.replay_device_factory = [profile,
-                               counts]() -> std::unique_ptr<sim::Device> {
+  harness::ConcurrentRunOptions opts = serving_options(4);
+  opts.replay_device_factory = [profile,
+                                counts]() -> std::unique_ptr<sim::Device> {
     return std::make_unique<QueueSpyDevice>(profile, counts);
   };
-  cfg.lanes = static_cast<size_t>(profile.total_dies());
-  cfg.lane_of = [profile](uint64_t offset) {
+  opts.lanes = static_cast<size_t>(profile.total_dies());
+  opts.lane_of = [profile](uint64_t offset) {
     return static_cast<size_t>(profile.die_of(offset));
   };
-  const serve::ServeResult result = serve_once(cfg, 2000);
+  const harness::ConcurrentRunResult result = serve_once(opts, 2000);
   EXPECT_GT(result.batch_ios, 0u);
   EXPECT_EQ(counts->size(), 4u) << "expected one queue id per client";
   uint64_t total = 0;
@@ -191,7 +206,8 @@ TEST(SchedulerTest, SessionsLandOnDistinctMqQueuePairs) {
 }
 
 TEST(SchedulerTest, ExportMetricsCoversTheServingSurface) {
-  const serve::ServeResult result = serve_once(replayed_config(8), 1000);
+  const harness::ConcurrentRunResult result =
+      serve_once(replayed_options(8), 1000);
   stats::MetricsRegistry reg;
   result.export_metrics(reg, "serve.");
   EXPECT_EQ(reg.counter("serve.ops"), 1000u);

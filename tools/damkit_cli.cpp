@@ -41,14 +41,15 @@ int usage() {
       "                 [--wal] [--crash-at IO]\n"
       "                 [--workload ycsb-a..ycsb-f|shift|olap]\n"
       "\n"
-      "  --workload swaps the demo loop for a named scenario (YCSB core\n"
+      "  The demo bulk-loads ops/2 keys, then serves a mixed workload to\n"
+      "  --clients clients through WorkloadRunner and prints its digest.\n"
+      "  --workload swaps the default mix for a named scenario (YCSB core\n"
       "  workloads A-F, a time-shifting Zipfian hot set, or an OLTP mix\n"
-      "  with periodic OLAP scan bursts), driven through WorkloadRunner\n"
-      "  with a result digest.\n"
+      "  with periodic OLAP scan bursts).\n"
       "  --wal wraps the engine in the write-ahead log + snapshot layer\n"
       "  (crash-consistent durability; off by default). --crash-at N kills\n"
-      "  the device at its N-th checked IO, then reboots and recovers —\n"
-      "  requires --wal, incompatible with --clients > 1.\n"
+      "  the device at the N-th checked IO after setup (bulk load done),\n"
+      "  then reboots and recovers — requires --wal.\n"
       "  --device mq-ssd is the multi-queue NVMe model (per-client SQ/CQ\n"
       "  pairs); --queue-depth and --completion-mode tune its admission\n"
       "  bound and completion cost (they also apply to plain ssd profiles,\n"
@@ -260,8 +261,9 @@ std::unique_ptr<sim::Device> make_device(const std::string& spec,
 }
 
 // Canned demo workload: load any of the five engines (or a sharded
-// composition of them) through the EngineFactory, run a mixed read/write
-// phase, and checkpoint, collecting metrics from every layer it touched.
+// composition of them) through the EngineFactory, serve a mixed workload
+// to k clients, and checkpoint, collecting metrics from every layer it
+// touched.
 // With --fault-seed the device is wrapped in a FaultInjectingDevice and
 // the workload runs through the fallible try_* APIs: every injected fault
 // is either retried away by the engine or surfaced (and counted) as a
@@ -277,13 +279,20 @@ int cmd_metrics(int argc, char** argv) {
   uint64_t ops = 20000;
   uint64_t fault_seed = 0;  // 0 = fault injection off
   double fault_rate = 0.01;
-  uint64_t clients = 1;  // > 1 serves through the concurrent scheduler
+  uint64_t clients = 1;
   uint64_t inflight = 4;
   DeviceOverrides overrides;  // --queue-depth / --completion-mode
   bool use_wal = false;   // wrap the engine in the durability layer
-  uint64_t crash_at = 0;  // kill the device at this checked IO (0 = never)
-  std::string workload;   // named preset; empty keeps the legacy demo loop
-  std::optional<kv::WorkloadSpec> preset;
+  uint64_t crash_at = 0;  // kill the device at this run-phase IO (0 = never)
+  std::string workload = "default";  // or a named preset
+  kv::WorkloadSpec wspec;            // the default mix
+  wspec.value_bytes = 100;
+  wspec.get_weight = 0.4;
+  wspec.put_weight = 0.4;
+  wspec.delete_weight = 0.05;
+  wspec.scan_weight = 0.05;
+  wspec.upsert_weight = 0.1;
+  wspec.scan_length = 50;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
@@ -330,12 +339,14 @@ int cmd_metrics(int argc, char** argv) {
       }
     } else if (arg == "--workload" && has_next) {
       workload = argv[++i];
-      preset = kv::make_workload_preset(workload);
+      const std::optional<kv::WorkloadSpec> preset =
+          kv::make_workload_preset(workload);
       if (!preset.has_value()) {
         std::fprintf(stderr, "unknown --workload (want %s)\n",
                      kv::workload_preset_names());
         return usage();
       }
+      wspec = *preset;
     } else if (arg == "--wal") {
       use_wal = true;
     } else if (arg == "--crash-at" && has_next) {
@@ -345,11 +356,8 @@ int cmd_metrics(int argc, char** argv) {
       return usage();
     }
   }
-  // A crash demo without the durability layer has nothing to recover, and
-  // the concurrent scheduler drives ops from worker threads the (single
-  // LSN stream) WAL wrapper does not serialize.
+  // A crash demo without the durability layer has nothing to recover.
   if (crash_at != 0 && !use_wal) return usage();
-  if (use_wal && clients > 1) return usage();
   std::unique_ptr<sim::Device> inner = make_device(device_spec, overrides);
   if (inner == nullptr || ops == 0) return usage();
   if (fault_rate < 0.0 || fault_rate > 1.0) return usage();
@@ -364,7 +372,6 @@ int cmd_metrics(int argc, char** argv) {
       fcfg.torn_write_rate = fault_rate / 4.0;
       fcfg.latency_spike_rate = fault_rate;
     }
-    fcfg.crash_at_io = crash_at;
     faulty = std::make_unique<sim::FaultInjectingDevice>(*inner, fcfg);
   }
   sim::Device& dev = (faulty != nullptr)
@@ -392,77 +399,33 @@ int cmd_metrics(int argc, char** argv) {
   }
   tree->set_event_trace(&events);
 
-  uint64_t get_hits = 0;
-  uint64_t failed_ops = 0;
-  std::optional<harness::ConcurrentRunResult> served;
-  std::optional<harness::WorkloadRunResult> seq_run;
-  if (clients > 1) {
-    // Concurrent serving demo: bulk-load, then serve a mixed workload
-    // to k clients with the requested admission depth,
-    // replaying the concurrent timeline on a fresh same-spec device.
-    harness::WorkloadRunner runner(*tree, io);
-    kv::WorkloadSpec wspec;
-    if (preset.has_value()) {
-      wspec = *preset;
-    } else {
-      wspec.value_bytes = 100;
-      wspec.get_weight = 0.4;
-      wspec.put_weight = 0.4;
-      wspec.delete_weight = 0.05;
-      wspec.scan_weight = 0.05;
-      wspec.upsert_weight = 0.1;
-      wspec.scan_length = 50;
-    }
-    wspec.key_space = ops * 4;
-    wspec.seed = 42;
-    runner.bulk_load(ops / 2, wspec);
-    harness::ConcurrentRunOptions copts;
-    copts.clients = clients;
-    copts.inflight = inflight;
-    copts.fallible = true;
-    copts.replay_device_factory = [&device_spec, &overrides] {
-      return make_device(device_spec, overrides);
+  // One workload path for every --clients value: bulk-load, then serve
+  // the mix to k clients with the requested admission depth, replaying
+  // the concurrent timeline on a fresh same-spec device.
+  wspec.key_space = ops * 4;
+  wspec.seed = 42;
+  harness::WorkloadRunner runner(*tree, io);
+  runner.bulk_load(ops / 2, wspec);
+  // Arm the crash only now, so it lands in the run phase: setup (the
+  // durable engine's first log reset, the bulk-load snapshot) CHECKs.
+  if (crash_at != 0) faulty->set_crash_at(faulty->checked_ios() + crash_at);
+  harness::ConcurrentRunOptions copts;
+  copts.clients = clients;
+  copts.inflight = inflight;
+  copts.fallible = true;
+  copts.flush_at_end = false;  // the crash-aware checkpoint below
+  copts.replay_device_factory = [&device_spec, &overrides] {
+    return make_device(device_spec, overrides);
+  };
+  if (const auto* ssd = dynamic_cast<const sim::SsdDevice*>(inner.get())) {
+    const sim::SsdConfig scfg = ssd->config();
+    copts.lanes = static_cast<size_t>(scfg.total_dies());
+    copts.lane_of = [scfg](uint64_t offset) {
+      return static_cast<size_t>(scfg.die_of(offset));
     };
-    if (const auto* ssd = dynamic_cast<const sim::SsdDevice*>(inner.get())) {
-      const sim::SsdConfig scfg = ssd->config();
-      copts.lanes = static_cast<size_t>(scfg.total_dies());
-      copts.lane_of = [scfg](uint64_t offset) {
-        return static_cast<size_t>(scfg.die_of(offset));
-      };
-    }
-    served = runner.run_concurrent(wspec, ops, copts);
-    get_hits = served->base.get_hits;
-    failed_ops = served->base.failed_ops;
-  } else if (preset.has_value()) {
-    // Named-scenario demo: bulk-load, then drive the preset through the
-    // generic runner (same path the cross-engine differential pins).
-    kv::WorkloadSpec wspec = *preset;
-    wspec.key_space = ops * 4;
-    wspec.seed = 42;
-    harness::WorkloadRunner runner(*tree, io);
-    runner.bulk_load(ops / 2, wspec);
-    harness::WorkloadRunOptions wopts;
-    wopts.fallible = true;
-    seq_run = runner.run(wspec, ops, wopts);
-    get_hits = seq_run->get_hits;
-    failed_ops = seq_run->failed_ops;
-  } else {
-    harness::PutGetSpec spec;
-    spec.puts = ops;
-    spec.gets = ops / 4;
-    spec.key_modulus = ops * 4;
-    spec.value_bytes = 100;
-    spec.seed = 42;
-    spec.key_of = [](uint64_t k) {
-      return strfmt("key%012llu", static_cast<unsigned long long>(k));
-    };
-    spec.scans = 1;
-    spec.scan_limit = 100;
-    spec.tolerate_failures = faulty != nullptr;
-    const harness::PutGetResult run = harness::run_put_get(*tree, spec);
-    get_hits = run.get_hits;
-    failed_ops = run.failed_ops;
   }
+  const harness::ConcurrentRunResult served =
+      runner.run_concurrent(wspec, ops, copts);
   // The armed crash can fire during the workload or inside the final
   // checkpoint below; either way the recovery path is the same.
   bool crashed = faulty != nullptr && faulty->crashed();
@@ -475,8 +438,8 @@ int cmd_metrics(int argc, char** argv) {
     // The armed crash fired: drop the dead in-memory state, reboot the
     // device, and rebuild from the durable bytes alone — the same path
     // the crash-soak harness exercises.
-    std::printf("crash: device died at checked IO %llu; rebooting and "
-                "recovering from WAL + snapshot ...\n",
+    std::printf("crash: device died at checked IO %llu after setup; "
+                "rebooting and recovering from WAL + snapshot ...\n",
                 static_cast<unsigned long long>(crash_at));
     tree->abandon();
     tree.reset();
@@ -504,63 +467,37 @@ int cmd_metrics(int argc, char** argv) {
   stats::MetricsRegistry reg;
   dev.export_metrics(reg, "device.");
   tree->export_metrics(reg, std::string(kv::engine_kind_name(kind)) + ".");
-  if (served.has_value()) {
-    reg.set("serve.clients", static_cast<double>(clients));
-    reg.set("serve.inflight", static_cast<double>(inflight));
-    reg.set("serve.speedup", served->speedup);
-    reg.set("serve.throughput_ops_per_sec", served->throughput_ops_per_sec);
-    reg.set("serve.concurrent_seconds",
-            sim::to_seconds(served->concurrent_elapsed));
-    reg.add("serve.batches", served->batches);
-    reg.add("serve.batch_ios", served->batch_ios);
-    stats::export_histogram_summary(reg, "serve.latency_ns", served->latency);
-  }
+  served.export_metrics(reg, "serve.");
 
-  if (served.has_value()) {
-    std::printf(
-        "serving: %llu ops, %llu clients (depth %llu) on %s (%s, %zu "
-        "shard%s)\n",
-        static_cast<unsigned long long>(ops),
-        static_cast<unsigned long long>(clients),
-        static_cast<unsigned long long>(inflight), dev.name().c_str(),
-        std::string(kv::engine_kind_name(kind)).c_str(), shards,
-        shards == 1 ? "" : "s");
-    std::printf(
-        "concurrent: %.3f s simulated (speedup %.2fx, %.0f ops/s), "
-        "latency p50 %llu us, p99 %llu us, p999 %llu us\n",
-        sim::to_seconds(served->concurrent_elapsed), served->speedup,
-        served->throughput_ops_per_sec,
-        static_cast<unsigned long long>(served->latency.percentile(50.0) /
-                                        sim::kNsPerUs),
-        static_cast<unsigned long long>(served->latency.percentile(99.0) /
-                                        sim::kNsPerUs),
-        static_cast<unsigned long long>(served->latency.percentile(99.9) /
-                                        sim::kNsPerUs));
-  } else if (seq_run.has_value()) {
-    std::printf(
-        "workload '%s': %llu ops (%llu puts, %llu gets [%llu hits], "
-        "%llu deletes, %llu scans, %llu upserts), digest %llu on %s "
-        "(%s, %zu shard%s)\n",
-        workload.c_str(), static_cast<unsigned long long>(ops),
-        static_cast<unsigned long long>(seq_run->puts),
-        static_cast<unsigned long long>(seq_run->gets),
-        static_cast<unsigned long long>(seq_run->get_hits),
-        static_cast<unsigned long long>(seq_run->erases),
-        static_cast<unsigned long long>(seq_run->scans),
-        static_cast<unsigned long long>(seq_run->upserts),
-        static_cast<unsigned long long>(seq_run->digest), dev.name().c_str(),
-        std::string(kv::engine_kind_name(kind)).c_str(), shards,
-        shards == 1 ? "" : "s");
-  } else {
-    std::printf("workload: %llu puts, %llu gets (%llu hits), 1 scan on %s "
-                "(%s, %zu shard%s)\n",
-                static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(ops / 4),
-                static_cast<unsigned long long>(get_hits),
-                dev.name().c_str(),
-                std::string(kv::engine_kind_name(kind)).c_str(), shards,
-                shards == 1 ? "" : "s");
-  }
+  const harness::WorkloadRunResult& run = served.base;
+  std::printf(
+      "workload '%s': %llu ops (%llu puts, %llu gets [%llu hits], "
+      "%llu deletes, %llu scans, %llu upserts), digest %llu on %s "
+      "(%s, %zu shard%s)\n",
+      workload.c_str(), static_cast<unsigned long long>(ops),
+      static_cast<unsigned long long>(run.puts),
+      static_cast<unsigned long long>(run.gets),
+      static_cast<unsigned long long>(run.get_hits),
+      static_cast<unsigned long long>(run.erases),
+      static_cast<unsigned long long>(run.scans),
+      static_cast<unsigned long long>(run.upserts),
+      static_cast<unsigned long long>(run.digest), dev.name().c_str(),
+      std::string(kv::engine_kind_name(kind)).c_str(), shards,
+      shards == 1 ? "" : "s");
+  std::printf(
+      "serving: %llu client%s (depth %llu), %.3f s simulated concurrent "
+      "(speedup %.2fx, %.0f ops/s), latency p50 %llu us, p99 %llu us, "
+      "p999 %llu us\n",
+      static_cast<unsigned long long>(clients), clients == 1 ? "" : "s",
+      static_cast<unsigned long long>(inflight),
+      sim::to_seconds(served.concurrent_elapsed), served.speedup,
+      served.throughput_ops_per_sec,
+      static_cast<unsigned long long>(served.latency.percentile(50.0) /
+                                      sim::kNsPerUs),
+      static_cast<unsigned long long>(served.latency.percentile(99.0) /
+                                      sim::kNsPerUs),
+      static_cast<unsigned long long>(served.latency.percentile(99.9) /
+                                      sim::kNsPerUs));
   if (faulty != nullptr) {
     std::printf("faults: seed %llu, %llu injected "
                 "(%llu read, %llu write, %llu torn, %llu spikes), "
@@ -580,7 +517,7 @@ int cmd_metrics(int argc, char** argv) {
                     tree->retry_counters().retries),
                 static_cast<unsigned long long>(
                     tree->retry_counters().give_ups),
-                static_cast<unsigned long long>(failed_ops));
+                static_cast<unsigned long long>(run.failed_ops));
   }
   std::printf("simulated time: %.3f s\n\n", sim::to_seconds(io.now()));
 
