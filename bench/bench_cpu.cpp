@@ -14,7 +14,8 @@
 //                   config (heavy node (de)serialization traffic).
 //   cpu.micro.*     host cost of the core primitives (rng, Zipfian draw,
 //                   HDD/SSD timing-model submit, bloom probe, vEB layout
-//                   build) in ns per op, min of N repetitions. Reported,
+//                   build, 50-row scan of a cached Bε-tree with buffered
+//                   messages) in ns per op, min of N repetitions. Reported,
 //                   not gated: the `.ns_per_op` suffix is outside the
 //                   wall-clock gate's suffixes.
 //
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "betree/betree.h"
 #include "harness/workload_runner.h"
 #include "kv/engine.h"
 #include "kv/slice.h"
@@ -552,6 +554,37 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       }
     });
   }
+
+  // One op = one 50-row scan of a fully cached Bε-tree (64 KiB nodes)
+  // whose buffers hold pending puts: the host cost of merging buffered
+  // messages into leaf entries, with no device IO.
+  sim::SsdDevice scan_dev(sim::testbed_ssd_profile());
+  sim::IoContext scan_io(scan_dev);
+  betree::BeTreeConfig tc;
+  tc.node_bytes = 64 * kKiB;
+  tc.cache_bytes = 64 * kMiB;
+  betree::BeTree tree(scan_dev, scan_io, tc);
+  const uint64_t scan_keys = 100'000;
+  tree.bulk_load(scan_keys, [](uint64_t i) {
+    return std::make_pair(kv::encode_key(i, 16), kv::make_value(i, 100));
+  });
+  for (uint64_t i = 0; i < scan_keys / 10; ++i) {
+    const uint64_t id = rng.uniform(scan_keys);
+    tree.put(kv::encode_key(id, 16), kv::make_value(id + 1, 100));
+  }
+  (void)tree.range_scan("", scan_keys);  // load every node into the cache
+  const uint64_t scans = args.quick ? 2'000 : 10'000;
+  std::vector<std::string> scan_from(scans);
+  for (std::string& lo : scan_from) {
+    lo = kv::encode_key(rng.uniform(scan_keys), 16);
+  }
+  report("betree_scan50", scans, [&] {
+    uint64_t rows = 0;
+    for (const std::string& lo : scan_from) {
+      rows += tree.range_scan(lo, 50).size();
+    }
+    g_sink = rows;
+  });
 }
 
 }  // namespace

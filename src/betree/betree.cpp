@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <span>
 #include <utility>
 
@@ -376,61 +375,48 @@ StatusOr<std::optional<std::string>> BeTree::try_get(std::string_view key) {
   // Deeper buffers are older: apply leaf-adjacent levels first, each level
   // in arrival order.
   for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
-    for (const Message& m : *level) state = apply_message(std::move(state), m);
+    for (const Message& m : *level) {
+      state = apply_message(std::move(state), m.view());
+    }
   }
   return state;
 }
 
-namespace {
-
-/// Keep only messages whose key is within [lo, hi) (either bound optional),
-/// preserving level structure and order.
-std::vector<std::vector<Message>> filter_pending(
-    const std::vector<std::vector<Message>>& pending, const std::string* lo,
-    const std::string* hi) {
-  std::vector<std::vector<Message>> out;
-  out.reserve(pending.size());
-  for (const auto& level : pending) {
-    std::vector<Message> kept;
-    for (const Message& m : level) {
-      if (lo != nullptr && kv::compare(m.key, *lo) < 0) continue;
-      if (hi != nullptr && kv::compare(m.key, *hi) >= 0) continue;
-      kept.push_back(m);
-    }
-    out.push_back(std::move(kept));
-  }
-  return out;
-}
-
-}  // namespace
-
 StatusOr<bool> BeTree::scan_rec(
     uint64_t id, std::string_view lo, size_t limit,
-    const std::vector<std::vector<Message>>& pending,
+    std::vector<MessageView>& pending,
     std::vector<std::pair<std::string, std::string>>* out) {
   StatusOr<NodeRef> node_or = try_fetch(id);
   DAMKIT_RETURN_IF_ERROR(node_or.status());
   NodeRef node = *std::move(node_or);
   if (node->is_leaf()) {
-    // Merge leaf entries with pending messages; std::map gives key order.
-    std::map<std::string, std::optional<std::string>> state;
-    for (size_t i = node->lower_bound(lo); i < node->entry_count(); ++i) {
-      state.emplace(node->key(i), node->value(i));
-    }
-    for (auto level = pending.rbegin(); level != pending.rend(); ++level) {
-      for (const Message& m : *level) {
-        auto it = state.find(m.key);
-        std::optional<std::string> base;
-        if (it != state.end()) base = it->second;
-        state[m.key] = apply_message(std::move(base), m);
+    // A stable sort by key keeps each key's messages oldest first: deeper
+    // levels before shallower ones, arrival order within a level.
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const MessageView& a, const MessageView& b) {
+                       return kv::compare(a.key, b.key) < 0;
+                     });
+    size_t e = node->lower_bound(lo);
+    size_t m = 0;
+    while (out->size() < limit) {
+      const bool have_entry = e < node->entry_count();
+      if (!have_entry && m == pending.size()) return false;
+      if (m == pending.size() ||
+          (have_entry && kv::compare(node->key(e), pending[m].key) < 0)) {
+        out->emplace_back(node->key(e), node->value(e));  // no messages
+        ++e;
+        continue;
       }
+      // A key with messages starts from its leaf value, if it has one.
+      const kv::Slice key = pending[m].key;
+      std::optional<std::string> state;
+      if (node->key_equals(e, key)) state = std::string(node->value(e++));
+      for (; m < pending.size() && pending[m].key == key; ++m) {
+        state = apply_message(std::move(state), pending[m]);
+      }
+      if (state.has_value()) out->emplace_back(key, std::move(*state));
     }
-    for (auto& [k, v] : state) {
-      if (!v.has_value()) continue;
-      if (out->size() >= limit) return true;
-      out->emplace_back(k, std::move(*v));
-    }
-    return out->size() >= limit;
+    return true;
   }
 
   const size_t start = node->child_index(lo);
@@ -440,6 +426,7 @@ StatusOr<bool> BeTree::scan_rec(
   // waste when the scan stops early.
   size_t window = 2;
   size_t prefetched_until = start;
+  std::vector<MessageView> child_pending;
   for (size_t i = start; i < node->child_count(); ++i) {
     if (config_.scan_prefetch_window > 1 && i >= prefetched_until) {
       const size_t end = std::min(i + window, node->child_count());
@@ -447,26 +434,21 @@ StatusOr<bool> BeTree::scan_rec(
       prefetched_until = end;
       window = std::min(window * 2, config_.scan_prefetch_window);
     }
-    std::string lo_buf, hi_buf;
-    const std::string* child_lo = nullptr;
-    if (i > 0) {
-      lo_buf = std::string(node->pivot(i - 1));
-      child_lo = &lo_buf;
-    }
-    const std::string* child_hi = nullptr;
-    if (i != node->pivot_count()) {
-      hi_buf = std::string(node->pivot(i));
-      child_hi = &hi_buf;
-    }
-    std::vector<std::vector<Message>> child_pending =
-        filter_pending(pending, child_lo, child_hi);
-    std::vector<Message> mine;
+    // Deepest level first: this node's buffer is older than every
+    // ancestor's, whose views are kept only if routed to child i.
+    child_pending.clear();
     for (const MessageView m : node->buffer(i)) {
-      if (kv::compare(m.key, lo) >= 0) mine.push_back(m.to_message());
+      if (kv::compare(m.key, lo) >= 0) child_pending.push_back(m);
     }
-    child_pending.push_back(std::move(mine));
-    StatusOr<bool> done = scan_rec(node->child(i), lo, limit, child_pending,
-                                   out);
+    for (const MessageView& m : pending) {
+      if (i > 0 && kv::compare(m.key, node->pivot(i - 1)) < 0) continue;
+      if (i < node->pivot_count() && kv::compare(m.key, node->pivot(i)) >= 0) {
+        continue;
+      }
+      child_pending.push_back(m);
+    }
+    StatusOr<bool> done =
+        scan_rec(node->child(i), lo, limit, child_pending, out);
     DAMKIT_RETURN_IF_ERROR(done.status());
     if (*done) return true;
   }
@@ -478,7 +460,8 @@ BeTree::try_range_scan(std::string_view lo, size_t limit) {
   ++op_stats_.scans;
   std::vector<std::pair<std::string, std::string>> out;
   if (root_ == kInvalidNode || limit == 0) return out;
-  StatusOr<bool> done = scan_rec(root_, lo, limit, {}, &out);
+  std::vector<MessageView> pending;
+  StatusOr<bool> done = scan_rec(root_, lo, limit, pending, &out);
   DAMKIT_RETURN_IF_ERROR(done.status());
   return out;
 }

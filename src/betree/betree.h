@@ -185,12 +185,16 @@ class BeTree : public kv::Dictionary {
                              size_t depth);
   Status fix_root();
   Status collapse_root();
-  /// Depth-first range collection merging leaf entries with the pending
-  /// ancestor messages routed to each subtree. Returns true once `limit`
-  /// pairs have been emitted.
+  /// Depth-first range collection. `pending` holds the ancestors' buffered
+  /// messages for this subtree with key >= lo, as views borrowed from the
+  /// buffer segments of the nodes pinned by the enclosing frames, deepest
+  /// level first and arrival order within a level. Each internal node
+  /// prepends its own buffer's views and filters by child range; a leaf
+  /// sorts them by key in place and merges them with its entries, stopping
+  /// at `limit` rows. Returns true once `limit` pairs have been emitted.
   StatusOr<bool> scan_rec(
       uint64_t id, std::string_view lo, size_t limit,
-      const std::vector<std::vector<Message>>& pending,
+      std::vector<MessageView>& pending,
       std::vector<std::pair<std::string, std::string>>* out);
 
   bool overflowing(const BeTreeNode& n) const {

@@ -74,7 +74,7 @@ void BeTreeNode::leaf_apply(const Message& msg) {
   const bool present = key_equals(i, msg.key);
   std::optional<std::string> base;
   if (present) base = std::string(value(i));
-  std::optional<std::string> next = apply_message(std::move(base), msg);
+  std::optional<std::string> next = apply_message(std::move(base), msg.view());
 
   if (next.has_value()) {
     if (present) {

@@ -10,10 +10,10 @@ std::string encode_delta(int64_t d) {
 }
 
 std::optional<std::string> apply_message(std::optional<std::string> base,
-                                         const Message& msg) {
+                                         const MessageView& msg) {
   switch (msg.kind) {
     case MessageKind::kPut:
-      return msg.payload;
+      return std::string(msg.payload);
     case MessageKind::kTombstone:
       return std::nullopt;
     case MessageKind::kUpsert: {

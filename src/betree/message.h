@@ -23,6 +23,8 @@ namespace damkit::betree {
 
 enum class MessageKind : uint8_t { kPut = 0, kTombstone = 1, kUpsert = 2 };
 
+struct MessageView;
+
 struct Message {
   MessageKind kind = MessageKind::kPut;
   std::string key;
@@ -33,6 +35,9 @@ struct Message {
     return 1 + 2 + 4 + key_len + payload_len;
   }
   uint64_t bytes() const { return bytes_for(key.size(), payload.size()); }
+  /// Borrowed view of this message; valid while the message is alive and
+  /// unmodified.
+  MessageView view() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -71,6 +76,10 @@ struct MessageView {
     return Message::bytes_for(key.size(), payload.size());
   }
 };
+
+inline MessageView Message::view() const {
+  return MessageView{kind, key, payload};
+}
 
 inline MessageView decode_message_view(const uint8_t* p) {
   const uint16_t klen = load_u16(p + 1);
@@ -127,6 +136,6 @@ std::string encode_delta(int64_t d);
 /// Apply one message to the current state of a key (nullopt = absent).
 /// Returns the new state (nullopt = absent/deleted).
 std::optional<std::string> apply_message(std::optional<std::string> base,
-                                         const Message& msg);
+                                         const MessageView& msg);
 
 }  // namespace damkit::betree

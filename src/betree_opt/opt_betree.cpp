@@ -176,7 +176,7 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
 
   for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
     for (const Message& m : *level) {
-      result_state = apply_message(std::move(result_state), m);
+      result_state = apply_message(std::move(result_state), m.view());
     }
   }
   return result_state;

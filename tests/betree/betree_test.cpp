@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "kv/slice.h"
 #include "sim/hdd.h"
@@ -276,6 +279,225 @@ TEST_F(BeTreeTest, HeavyDeleteShrinksViaLeafMerges) {
   for (uint64_t i = 4900; i < 5000; ++i) {
     EXPECT_EQ(tree_->get(kv::encode_key(i)), kv::make_value(i, 40));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Scan merge edge cases. 4 KiB nodes with fanout 4 give a tree of height
+// >= 3, so a scan merges leaf entries with messages buffered on two or more
+// levels; every scan is checked against a std::map model.
+// ---------------------------------------------------------------------------
+
+// Exposes a key's root-to-leaf path, so a test can check that its setup
+// put each version of the key on the level it claims.
+class ProbedBeTree : public BeTree {
+ public:
+  using BeTree::BeTree;
+
+  struct Step {
+    size_t child = 0;     // child index taken (0 at the leaf)
+    size_t versions = 0;  // messages buffered for the key; leaf: 0 or 1
+  };
+  /// One step per node on the key's path, root first.
+  std::vector<Step> path(std::string_view key) {
+    std::vector<Step> steps;
+    NodeRef node = fetch(root_);
+    while (!node->is_leaf()) {
+      const size_t idx = node->child_index(key);
+      std::vector<Message> msgs;
+      node->collect_for_key(idx, key, &msgs);
+      steps.push_back({idx, msgs.size()});
+      node = fetch(node->child(idx));
+    }
+    const bool in_leaf = node->key_equals(node->lower_bound(key), key);
+    steps.push_back({0, in_leaf ? 1u : 0u});
+    return steps;
+  }
+
+  /// True iff both keys are routed to the same leaf.
+  bool same_leaf(std::string_view a, std::string_view b) {
+    const std::vector<Step> pa = path(a);
+    const std::vector<Step> pb = path(b);
+    return std::equal(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                      [](const Step& x, const Step& y) {
+                        return x.child == y.child;
+                      });
+  }
+};
+
+class BeTreeScanTest : public testing::Test {
+ protected:
+  // Bulk keys are the multiples of kStride, leaving room between them for
+  // keys that exist only as buffered messages. Their values are counters,
+  // so an upsert that skips the leaf value shows.
+  static constexpr uint64_t kStride = 4;
+  static constexpr uint64_t kLoad = 1500;
+  static constexpr uint64_t kLastBulk = (kLoad - 1) * kStride;
+
+  BeTreeScanTest() {
+    sim::HddConfig cfg;
+    cfg.capacity_bytes = 4ULL * kGiB;
+    dev_ = std::make_unique<sim::HddDevice>(cfg, 1);
+    io_ = std::make_unique<sim::IoContext>(*dev_);
+    BeTreeConfig tc;
+    tc.node_bytes = 4 * kKiB;
+    tc.target_fanout = 4;
+    tc.cache_bytes = 1 * kMiB;
+    tree_ = std::make_unique<ProbedBeTree>(*dev_, *io_, tc);
+    tree_->bulk_load(kLoad, [](uint64_t i) {
+      return std::make_pair(key(i * kStride), kv::encode_counter(i));
+    });
+    for (uint64_t i = 0; i < kLoad; ++i) {
+      model_[key(i * kStride)] = kv::encode_counter(i);
+    }
+  }
+
+  static std::string key(uint64_t id) { return kv::encode_key(id); }
+
+  void put(uint64_t id, const std::string& value) {
+    tree_->put(key(id), value);
+    model_[key(id)] = value;
+  }
+  void erase(uint64_t id) {
+    tree_->erase(key(id));
+    model_.erase(key(id));
+  }
+  void upsert(uint64_t id, int64_t delta) {
+    tree_->upsert(key(id), delta);
+    const auto it = model_.find(key(id));
+    const uint64_t base =
+        it == model_.end() ? 0 : kv::decode_counter(it->second);
+    model_[key(id)] = kv::encode_counter(base + static_cast<uint64_t>(delta));
+  }
+
+  /// The ids range_scan(lo, limit) returns, checked against the model.
+  std::vector<uint64_t> scan(std::string_view lo, size_t limit) {
+    std::vector<std::pair<std::string, std::string>> want;
+    for (auto it = model_.lower_bound(std::string(lo));
+         it != model_.end() && want.size() < limit; ++it) {
+      want.push_back(*it);
+    }
+    const auto got = tree_->range_scan(lo, limit);
+    EXPECT_EQ(got, want) << "limit " << limit;
+    std::vector<uint64_t> ids;
+    for (const auto& row : got) ids.push_back(kv::decode_key(row.first));
+    return ids;
+  }
+  /// scan(lo, limit) for every limit from 0 (empty) to 40.
+  void scan_all_limits(std::string_view lo) {
+    for (size_t limit = 0; limit <= 40; ++limit) scan(lo, limit);
+  }
+
+  /// The first bulk key at or after `from` that is the last entry of its
+  /// leaf, where the next leaf hangs off the same root child iff
+  /// `same_root_child`. The next bulk key starts that leaf, so it is a
+  /// pivot: below the root, or in it.
+  uint64_t last_in_leaf(uint64_t from, bool same_root_child) {
+    for (uint64_t id = from; id < kLastBulk; id += kStride) {
+      const uint64_t next = id + kStride;
+      if (tree_->same_leaf(key(id), key(next))) continue;
+      const bool shared = tree_->path(key(id))[0].child ==
+                          tree_->path(key(next))[0].child;
+      if (shared == same_root_child) return id;
+    }
+    ADD_FAILURE() << "no leaf boundary after " << from;
+    return from;
+  }
+
+  std::unique_ptr<sim::HddDevice> dev_;
+  std::unique_ptr<sim::IoContext> io_;
+  std::unique_ptr<ProbedBeTree> tree_;
+  std::map<std::string, std::string> model_;
+};
+
+TEST_F(BeTreeScanTest, VersionsOnThreeLevelsApplyOldestFirst) {
+  ASSERT_GE(tree_->height(), 3u);
+  const uint64_t k = kLoad / 2 * kStride;
+  upsert(k, 5);
+  // Sink the upsert one level: flood k's root child, but not k's leaf,
+  // until the root flushes that child. The node below then flushes the
+  // flooded leaves and keeps k's upsert buffered.
+  const std::vector<ProbedBeTree::Step> k_path = tree_->path(key(k));
+  std::vector<uint64_t> flood;
+  for (uint64_t id = 1; id < kLastBulk && flood.size() < 64; ++id) {
+    if (id % kStride == 0) continue;
+    if (tree_->path(key(id))[0].child == k_path[0].child &&
+        !tree_->same_leaf(key(id), key(k))) {
+      flood.push_back(id);
+    }
+  }
+  ASSERT_FALSE(flood.empty());
+  for (uint64_t i = 0; tree_->path(key(k))[0].versions > 0; ++i) {
+    ASSERT_LT(i, 10'000u) << "the root never flushed k's child";
+    put(flood[i % flood.size()], kv::make_value(kLoad + i, 20));
+  }
+  scan_all_limits(key(k - 5 * kStride));
+  erase(k);
+  upsert(k, 7);
+
+  const std::vector<ProbedBeTree::Step> steps = tree_->path(key(k));
+  ASSERT_GE(steps.size(), 3u);
+  EXPECT_EQ(steps.front().versions, 2u);            // tombstone, upsert
+  EXPECT_EQ(steps[steps.size() - 2].versions, 1u);  // upsert, one level up
+  EXPECT_EQ(steps.back().versions, 1u);             // leaf value
+  EXPECT_EQ(tree_->get(key(k)), kv::encode_counter(7));
+  EXPECT_EQ(scan(key(k), 1), std::vector<uint64_t>{k});
+  scan_all_limits(key(k - 5 * kStride));
+  tree_->check_invariants();
+}
+
+TEST_F(BeTreeScanTest, MessageOnlyKeysAfterALeafsLastEntry) {
+  const uint64_t last = last_in_leaf(kLoad / 3 * kStride, true);
+  const uint64_t pivot = last + kStride;
+  upsert(last, 2);
+  put(last + 1, "message-only");
+  upsert(last + 3, 2);
+  erase(pivot);
+  put(pivot + 1, "message-only, next leaf");
+  // Both new keys sort after the leaf's last entry and before the pivot:
+  // they are routed to the leaf but exist only in buffers.
+  EXPECT_TRUE(tree_->same_leaf(key(last + 3), key(last)));
+  EXPECT_EQ(tree_->path(key(last + 3)).back().versions, 0u);
+  // The limit ends exactly on a message-only key ...
+  EXPECT_EQ(scan(key(last), 3),
+            (std::vector<uint64_t>{last, last + 1, last + 3}));
+  // ... and on the tombstoned pivot, which the scan steps over.
+  EXPECT_EQ(scan(key(last), 4),
+            (std::vector<uint64_t>{last, last + 1, last + 3, pivot + 1}));
+  scan_all_limits(key(last - 3 * kStride));
+  scan_all_limits(key(last + 2));
+}
+
+TEST_F(BeTreeScanTest, StartKeysAtPivotsBetweenThemAndPastTheEnds) {
+  const uint64_t last = last_in_leaf(kStride, false);
+  const uint64_t pivot = last + kStride;
+  erase(last);
+  put(pivot + 1, "message-only");
+  upsert(pivot + 2 * kStride, 4);
+  put(kLastBulk + 2, "past the last leaf entry");
+
+  {
+    SCOPED_TRACE("lo equal to a pivot in the root");
+    scan_all_limits(key(pivot));
+  }
+  {
+    SCOPED_TRACE("lo equal to a pivot below the root");
+    scan_all_limits(key(last_in_leaf(kStride, true) + kStride));
+  }
+  {
+    SCOPED_TRACE("lo between two pivots");
+    scan_all_limits(key(pivot + 2));
+  }
+  {
+    SCOPED_TRACE("lo below the first key");
+    scan_all_limits("");
+    erase(0);
+    scan_all_limits(key(0));
+  }
+  // Past the last leaf entry, a buffered key is still found; past every
+  // key the scan is empty.
+  EXPECT_EQ(scan(key(kLastBulk + 1), 10),
+            std::vector<uint64_t>{kLastBulk + 2});
+  EXPECT_TRUE(scan(key(kLastBulk + 3), 10).empty());
 }
 
 }  // namespace

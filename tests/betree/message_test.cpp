@@ -27,19 +27,19 @@ TEST(MessageTest, NonCounterValueDecodesAsZero) {
 
 TEST(MessageTest, ApplyPutReplaces) {
   const Message m{MessageKind::kPut, "k", "new"};
-  EXPECT_EQ(apply_message(std::nullopt, m), "new");
-  EXPECT_EQ(apply_message(std::string("old"), m), "new");
+  EXPECT_EQ(apply_message(std::nullopt, m.view()), "new");
+  EXPECT_EQ(apply_message(std::string("old"), m.view()), "new");
 }
 
 TEST(MessageTest, ApplyTombstoneDeletes) {
   const Message m{MessageKind::kTombstone, "k", ""};
-  EXPECT_EQ(apply_message(std::string("old"), m), std::nullopt);
-  EXPECT_EQ(apply_message(std::nullopt, m), std::nullopt);
+  EXPECT_EQ(apply_message(std::string("old"), m.view()), std::nullopt);
+  EXPECT_EQ(apply_message(std::nullopt, m.view()), std::nullopt);
 }
 
 TEST(MessageTest, ApplyUpsertAddsFromZero) {
   const Message m{MessageKind::kUpsert, "k", encode_delta(5)};
-  const auto out = apply_message(std::nullopt, m);
+  const auto out = apply_message(std::nullopt, m.view());
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(kv::decode_counter(*out), 5u);
 }
@@ -47,24 +47,24 @@ TEST(MessageTest, ApplyUpsertAddsFromZero) {
 TEST(MessageTest, ApplyUpsertAccumulates) {
   const Message m1{MessageKind::kUpsert, "k", encode_delta(5)};
   const Message m2{MessageKind::kUpsert, "k", encode_delta(7)};
-  auto state = apply_message(std::nullopt, m1);
-  state = apply_message(std::move(state), m2);
+  auto state = apply_message(std::nullopt, m1.view());
+  state = apply_message(std::move(state), m2.view());
   EXPECT_EQ(kv::decode_counter(*state), 12u);
 }
 
 TEST(MessageTest, ApplyUpsertNegativeDelta) {
   const Message up{MessageKind::kUpsert, "k", encode_delta(10)};
   const Message down{MessageKind::kUpsert, "k", encode_delta(-4)};
-  auto state = apply_message(std::nullopt, up);
-  state = apply_message(std::move(state), down);
+  auto state = apply_message(std::nullopt, up.view());
+  state = apply_message(std::move(state), down.view());
   EXPECT_EQ(kv::decode_counter(*state), 6u);
 }
 
 TEST(MessageTest, UpsertAfterTombstoneStartsFresh) {
   const Message del{MessageKind::kTombstone, "k", ""};
   const Message up{MessageKind::kUpsert, "k", encode_delta(3)};
-  auto state = apply_message(std::string("junk"), del);
-  state = apply_message(std::move(state), up);
+  auto state = apply_message(std::string("junk"), del.view());
+  state = apply_message(std::move(state), up.view());
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(kv::decode_counter(*state), 3u);
 }
@@ -72,8 +72,8 @@ TEST(MessageTest, UpsertAfterTombstoneStartsFresh) {
 TEST(MessageTest, PutAfterUpsertWins) {
   const Message up{MessageKind::kUpsert, "k", encode_delta(3)};
   const Message put{MessageKind::kPut, "k", "explicit"};
-  auto state = apply_message(std::nullopt, up);
-  state = apply_message(std::move(state), put);
+  auto state = apply_message(std::nullopt, up.view());
+  state = apply_message(std::move(state), put.view());
   EXPECT_EQ(*state, "explicit");
 }
 

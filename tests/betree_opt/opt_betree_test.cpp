@@ -4,6 +4,9 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kv/slice.h"
 #include "sim/hdd.h"
@@ -200,6 +203,81 @@ TEST_F(OptBeTreeTest, InsertCostNotWorseThanStandard) {
   const double standard = measure(false);
   const double optimized = measure(true);
   EXPECT_LT(optimized, standard * 4.0);
+}
+
+TEST_F(OptBeTreeTest, ScansAgreeWithStdMapAndTheStandardTree) {
+  // Five 8 KiB nodes of cache: cold gets leave nodes partially resident,
+  // scans upgrade them to full residency, and a scan's prefetch batch
+  // evicts siblings the scan has not reached yet.
+  constexpr uint64_t kNode = 8 * kKiB;
+  reset(kNode, 8, 5 * kNode);
+  sim::HddConfig cfg;
+  cfg.capacity_bytes = 4ULL * kGiB;
+  sim::HddDevice std_dev(cfg, 1);
+  sim::IoContext std_io(std_dev);
+  betree::BeTreeConfig tc;
+  tc.node_bytes = kNode;
+  tc.target_fanout = 8;
+  tc.cache_bytes = 5 * kNode;
+  betree::BeTree standard(std_dev, std_io, tc);
+
+  constexpr uint64_t kN = 6000;
+  const auto item = [](uint64_t i) {
+    return std::make_pair(kv::encode_key(2 * i), kv::make_value(i, 30));
+  };
+  tree_->bulk_load(kN, item);
+  standard.bulk_load(kN, item);
+  std::map<std::string, std::string> ref;
+  for (uint64_t i = 0; i < kN; ++i) ref.insert(item(i));
+
+  Rng rng(23);
+  uint64_t scans = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const std::string key = kv::encode_key(rng.uniform(2 * kN + 50));
+    const double dice = rng.uniform_double();
+    if (dice < 0.25) {
+      const std::string value = kv::make_value(rng.next(), 30);
+      tree_->put(key, value);
+      standard.put(key, value);
+      ref[key] = value;
+    } else if (dice < 0.35) {
+      tree_->erase(key);
+      standard.erase(key);
+      ref.erase(key);
+    } else if (dice < 0.45) {
+      tree_->upsert(key, 3);
+      standard.upsert(key, 3);
+      const auto it = ref.find(key);
+      const uint64_t base =
+          (it == ref.end()) ? 0 : kv::decode_counter(it->second);
+      ref[key] = kv::encode_counter(base + 3);
+    } else if (dice < 0.7) {
+      const auto it = ref.find(key);
+      const auto got = tree_->get(key);
+      if (it == ref.end()) {
+        EXPECT_EQ(got, std::nullopt) << "op " << op;
+      } else {
+        EXPECT_EQ(got, it->second) << "op " << op;
+      }
+    } else {
+      const size_t limit = 1 + static_cast<size_t>(rng.uniform(60));
+      std::vector<std::pair<std::string, std::string>> want;
+      for (auto it = ref.lower_bound(key);
+           it != ref.end() && want.size() < limit; ++it) {
+        want.push_back(*it);
+      }
+      const auto got = tree_->range_scan(key, limit);
+      EXPECT_EQ(got, want) << "op " << op;
+      EXPECT_EQ(got, standard.range_scan(key, limit)) << "op " << op;
+      ++scans;
+    }
+  }
+  EXPECT_GT(scans, 500u);
+  EXPECT_GT(tree_->opt_stats().segment_reads, 0u);
+  EXPECT_GT(tree_->opt_stats().residency_upgrades, 0u);
+  EXPECT_GT(tree_->cache_stats().evictions, 0u);
+  tree_->check_invariants();
+  standard.check_invariants();
 }
 
 }  // namespace
