@@ -98,7 +98,8 @@ void run_affine_anchor(const bench::BenchArgs& args,
   const uint64_t tracks = profile.capacity_bytes / profile.track_bytes;
   const int ios = args.quick ? 600 : 2400;
   for (int i = 0; i < ios; ++i) {
-    io.touch_read((rng.next() % tracks) * profile.track_bytes, io_bytes);
+    const uint64_t offset = (rng.next() % tracks) * profile.track_bytes;
+    DAMKIT_CHECK_OK(io.touch_read_checked(offset, io_bytes));
   }
   dev.export_metrics(reg, "hdd.");
   reg.set("hdd.sim_seconds", sim::to_seconds(io.now()));

@@ -40,7 +40,8 @@ void run_hdd_affine(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   const uint64_t tracks = profile.capacity_bytes / profile.track_bytes;
   const int ios = args.quick ? 500 : 2000;
   for (int i = 0; i < ios; ++i) {
-    io.touch_read((rng.next() % tracks) * profile.track_bytes, io_bytes);
+    const uint64_t offset = (rng.next() % tracks) * profile.track_bytes;
+    DAMKIT_CHECK_OK(io.touch_read_checked(offset, io_bytes));
   }
   dev.export_metrics(reg, "hdd.");
   reg.set("hdd.sim_seconds", sim::to_seconds(io.now()));
@@ -58,6 +59,8 @@ void run_ssd_batch(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   const int width = profile.total_dies();
   const int rounds = args.quick ? 150 : 600;
   std::vector<sim::IoRequest> batch;
+  std::vector<sim::IoCompletion> completions;
+  std::vector<Status> per_io;
   for (int r = 0; r < rounds; ++r) {
     batch.clear();
     for (int w = 0; w < width; ++w) {
@@ -65,7 +68,7 @@ void run_ssd_batch(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
                        (rng.next() % stripes) * profile.stripe_bytes,
                        profile.stripe_bytes});
     }
-    io.submit_batch(batch);
+    DAMKIT_CHECK_OK(io.submit_batch_checked(batch, &completions, &per_io));
   }
   dev.export_metrics(reg, "ssd.");
   reg.set("ssd.sim_seconds", sim::to_seconds(io.now()));

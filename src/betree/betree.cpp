@@ -9,6 +9,16 @@
 
 namespace damkit::betree {
 
+namespace {
+
+// Max children batch-prefetched ahead of a range scan. The window doubles
+// from 2 as a scan proceeds through an internal node, so a short scan
+// wastes at most one small batch while a long one reaches full device
+// parallelism.
+constexpr size_t kScanPrefetchWindow = 8;
+
+}  // namespace
+
 BeTree::BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config)
     : dev_(&dev),
       io_(&io),
@@ -420,19 +430,19 @@ StatusOr<bool> BeTree::scan_rec(
   }
 
   const size_t start = node->child_index(lo);
-  // Read ahead of the scan in doubling batches: the children are
-  // independent extents, so an SSD serves a window P at a time (PDAM) and
-  // an HDD reorders it within the NCQ window. Starting at 2 bounds the
-  // waste when the scan stops early.
+  // Read ahead of the scan in doubling batches (up to
+  // kScanPrefetchWindow): the children are independent extents, so an SSD
+  // serves a window P at a time (PDAM) and an HDD reorders it within the
+  // NCQ window. Starting at 2 bounds the waste when the scan stops early.
   size_t window = 2;
   size_t prefetched_until = start;
   std::vector<MessageView> child_pending;
   for (size_t i = start; i < node->child_count(); ++i) {
-    if (config_.scan_prefetch_window > 1 && i >= prefetched_until) {
+    if (i >= prefetched_until) {
       const size_t end = std::min(i + window, node->child_count());
       DAMKIT_RETURN_IF_ERROR(prefetch_children(*node, i, end));
       prefetched_until = end;
-      window = std::min(window * 2, config_.scan_prefetch_window);
+      window = std::min(window * 2, kScanPrefetchWindow);
     }
     // Deepest level first: this node's buffer is older than every
     // ancestor's, whose views are kept only if routed to child i.
@@ -477,7 +487,7 @@ void BeTree::bulk_load(
 
   auto write_direct = [this](uint64_t id, BeTreeNode& n) {
     n.serialize(io_buf_);
-    store_.write_node(id, io_buf_);
+    DAMKIT_CHECK_OK(store_.try_write_node(id, io_buf_));
   };
 
   std::vector<std::pair<std::string, uint64_t>> level;  // (first key, id)

@@ -44,11 +44,6 @@ struct BeTreeConfig {
   uint64_t base_offset = 0;
   /// Estimated key size used only for the default-fanout heuristic.
   size_t pivot_estimate_bytes = 24;
-  /// Max children batch-prefetched ahead of a range scan (0/1 disables).
-  /// The window doubles from 2 as a scan proceeds through an internal
-  /// node, so a short scan wastes at most one small batch while a long
-  /// one reaches full device parallelism.
-  size_t scan_prefetch_window = 8;
   /// Block codec for stored node images (see blockdev::NodeStore). The
   /// optimized Bε-tree's sub-node charges are scaled by each node's
   /// stored/logical ratio, so Theorem-9 accounting stays consistent.

@@ -132,7 +132,7 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
       // Deserialize first; the IO size to charge depends on which child
       // the descent takes (the parent's pivot block told the real system
       // this before the IO was issued).
-      store_.peek_node(id, io_buf_);
+      DAMKIT_RETURN_IF_ERROR(store_.peek_node(id, io_buf_));
       node = BeTreeNode::deserialize(io_buf_);
       newly_loaded = true;
     }

@@ -70,15 +70,6 @@ Status NodeStore::fetch_payload(uint64_t node_id, std::vector<uint8_t>& out) {
   return Status();
 }
 
-// The legacy void methods delegate to the try_* implementations: on an
-// infallible device the two are byte- and clock-identical, and on a
-// faulty device the legacy path aborts only after the shared retry
-// policy is exhausted (callers that can handle errors use try_*).
-
-void NodeStore::read_node(uint64_t node_id, std::vector<uint8_t>& out) {
-  DAMKIT_CHECK_OK(try_read_node(node_id, out));
-}
-
 Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   const uint64_t offset = alloc_.offset_of(node_id);
   if (!compressed_node(node_id)) {
@@ -106,10 +97,6 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   ++stats_.node_reads;
   stats_.bytes_read += dec_scratch_.size();
   return Status();
-}
-
-void NodeStore::write_node(uint64_t node_id, std::span<const uint8_t> image) {
-  DAMKIT_CHECK_OK(try_write_node(node_id, image));
 }
 
 Status NodeStore::try_write_node(uint64_t node_id,
@@ -141,11 +128,6 @@ Status NodeStore::try_write_node(uint64_t node_id,
   return Status();
 }
 
-void NodeStore::read_span(uint64_t node_id, uint64_t offset,
-                          std::span<uint8_t> out) {
-  DAMKIT_CHECK_OK(try_read_span(node_id, offset, out));
-}
-
 Status NodeStore::try_read_span(uint64_t node_id, uint64_t offset,
                                 std::span<uint8_t> out) {
   DAMKIT_CHECK(offset + out.size() <= node_bytes_);
@@ -172,13 +154,8 @@ Status NodeStore::try_read_span(uint64_t node_id, uint64_t offset,
   return Status();
 }
 
-void NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
-  DAMKIT_CHECK_OK(fetch_payload(node_id, out));
-}
-
-void NodeStore::touch_read(uint64_t node_id, uint64_t offset,
-                           uint64_t length) {
-  DAMKIT_CHECK_OK(try_touch_read(node_id, offset, length));
+Status NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
+  return fetch_payload(node_id, out);
 }
 
 Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
@@ -194,11 +171,6 @@ Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
   return Status();
 }
 
-void NodeStore::read_nodes(std::span<const uint64_t> ids,
-                           std::vector<std::vector<uint8_t>>& out) {
-  DAMKIT_CHECK_OK(try_read_nodes(ids, out));
-}
-
 Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
                                  std::vector<std::vector<uint8_t>>& out) {
   out.resize(ids.size());
@@ -206,60 +178,21 @@ Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
   reqs.reserve(ids.size());
-  std::vector<size_t>& pending = pending_scratch_;  // ids still unserved
-  pending.clear();
-  pending.reserve(ids.size());
   uint64_t total_bytes = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const uint64_t len =
-        compressed_node(ids[i]) ? stored_len(ids[i]) : node_bytes_;
-    reqs.push_back({sim::IoKind::kRead, alloc_.offset_of(ids[i]), len});
+  for (const uint64_t id : ids) {
+    const uint64_t len = compressed_node(id) ? stored_len(id) : node_bytes_;
+    reqs.push_back({sim::IoKind::kRead, alloc_.offset_of(id), len});
     total_bytes += len;
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t i = pending[j];
-      if (per_io[j].ok()) {
-        if (const Status decoded = fetch_payload(ids[i], out[i]);
-            !decoded.ok() && abandoned.ok()) {
-          abandoned = decoded;
-        }
-      } else if (per_io[j].code() == StatusCode::kUnavailable &&
-                 attempt < max_attempts) {
-        failed.push_back(i);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
+      retry_scratch_, [&](size_t i, const Status& verdict) {
+        return verdict.ok() ? fetch_payload(ids[i], out[i]) : Status();
+      }));
   ++stats_.read_batches;
   stats_.batched_reads += ids.size();
   stats_.bytes_read += total_bytes;
   return Status();
-}
-
-void NodeStore::write_nodes(std::span<const NodeImage> writes) {
-  DAMKIT_CHECK_OK(try_write_nodes(writes));
 }
 
 Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
@@ -273,9 +206,6 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
   reqs.reserve(writes.size());
-  std::vector<size_t>& pending = pending_scratch_;
-  pending.clear();
-  pending.reserve(writes.size());
   uint64_t total_bytes = 0;
   for (size_t i = 0; i < writes.size(); ++i) {
     const std::span<const uint8_t> padded = pad_image(writes[i].image);
@@ -287,58 +217,23 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
     reqs.push_back({sim::IoKind::kWrite, alloc_.offset_of(writes[i].node_id),
                     batch_images_[i].size()});
     total_bytes += batch_images_[i].size();
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      const size_t i = pending[j];
-      if (per_io[j].ok()) {
-        dev_->write_bytes(reqs[i].offset, batch_images_[i]);
-        if (codec_ != nullptr) {
-          set_stored_len(writes[i].node_id, batch_images_[i].size());
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/true, reqs,
+      retry_scratch_, [&](size_t i, const Status& verdict) {
+        dev_->settle_write(reqs[i].offset, batch_images_[i], verdict);
+        if (verdict.ok()) {
+          if (codec_ != nullptr) {
+            set_stored_len(writes[i].node_id, batch_images_[i].size());
+          }
+          if (written != nullptr) (*written)[i] = true;
         }
-        if (written != nullptr) (*written)[i] = true;
-        continue;
-      }
-      // A failed write's payload goes through the device's failure hook:
-      // nothing lands on a transient error, a torn prefix on kCorruption.
-      dev_->note_failed_write(reqs[i].offset, batch_images_[i]);
-      const bool retryable = per_io[j].code() == StatusCode::kUnavailable ||
-                             per_io[j].code() == StatusCode::kCorruption;
-      if (retryable && attempt < max_attempts) {
-        failed.push_back(i);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+        return Status();
+      }));
   ++stats_.write_batches;
   stats_.batched_writes += writes.size();
   stats_.bytes_written += total_bytes;
   return Status();
-}
-
-void NodeStore::touch_read_batch(std::span<const NodeSpan> spans) {
-  DAMKIT_CHECK_OK(try_touch_read_batch(spans));
 }
 
 Status NodeStore::try_touch_read_batch(std::span<const NodeSpan> spans) {
@@ -346,49 +241,17 @@ Status NodeStore::try_touch_read_batch(std::span<const NodeSpan> spans) {
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
   reqs.reserve(spans.size());
-  std::vector<size_t>& pending = pending_scratch_;
-  pending.clear();
-  pending.reserve(spans.size());
   uint64_t total_bytes = 0;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const NodeSpan& s = spans[i];
+  for (const NodeSpan& s : spans) {
     DAMKIT_CHECK(s.offset + s.length <= node_bytes_);
     const PhysSpan ps = physical_span(s.node_id, s.offset, s.length);
     reqs.push_back({sim::IoKind::kRead,
                     alloc_.offset_of(s.node_id) + ps.offset, ps.length});
     total_bytes += ps.length;
-    pending.push_back(i);
   }
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  double backoff = static_cast<double>(retry_.backoff_ns);
-  std::vector<sim::IoCompletion>& cs = cs_scratch_;
-  std::vector<Status>& per_io = per_io_scratch_;
-  Status abandoned;  // first failure among requests that exhausted retries
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::vector<sim::IoRequest>& batch = batch_scratch_;
-    batch.clear();
-    batch.reserve(pending.size());
-    for (const size_t i : pending) batch.push_back(reqs[i]);
-    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(batch, &cs, &per_io));
-    std::vector<size_t>& failed = failed_scratch_;
-    failed.clear();
-    for (size_t j = 0; j < pending.size(); ++j) {
-      if (per_io[j].ok()) continue;
-      if (per_io[j].code() == StatusCode::kUnavailable &&
-          attempt < max_attempts) {
-        failed.push_back(pending[j]);
-      } else {
-        ++retry_counters_.give_ups;
-        if (abandoned.ok()) abandoned = per_io[j];
-      }
-    }
-    if (failed.empty()) break;
-    io_->spend(static_cast<sim::SimTime>(backoff));
-    backoff *= retry_.backoff_multiplier;
-    retry_counters_.retries += failed.size();
-    std::swap(pending, failed);
-  }
-  DAMKIT_RETURN_IF_ERROR(abandoned);
+  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
+      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
+      retry_scratch_, [](size_t, const Status&) { return Status(); }));
   stats_.bytes_read += total_bytes;
   ++stats_.touch_batches;
   stats_.batched_touches += spans.size();

@@ -31,12 +31,12 @@ struct NodeStoreStats {
   uint64_t node_writes = 0;       // whole-extent scalar writes
   uint64_t span_reads = 0;        // sub-extent scalar reads
   uint64_t touch_reads = 0;       // timing-only scalar reads
-  uint64_t batched_reads = 0;     // requests through read_nodes
-  uint64_t batched_writes = 0;    // requests through write_nodes
-  uint64_t batched_touches = 0;   // requests through touch_read_batch
-  uint64_t read_batches = 0;      // read_nodes calls
-  uint64_t write_batches = 0;     // write_nodes calls
-  uint64_t touch_batches = 0;     // touch_read_batch calls
+  uint64_t batched_reads = 0;     // requests through try_read_nodes
+  uint64_t batched_writes = 0;    // requests through try_write_nodes
+  uint64_t batched_touches = 0;   // requests through try_touch_read_batch
+  uint64_t read_batches = 0;      // try_read_nodes calls
+  uint64_t write_batches = 0;     // try_write_nodes calls
+  uint64_t touch_batches = 0;     // try_touch_read_batch calls
   uint64_t bytes_read = 0;        // payload+timing bytes, both paths
   uint64_t bytes_written = 0;
 
@@ -81,39 +81,35 @@ class NodeStore {
     if (node_id < stored_len_.size()) stored_len_[node_id] = 0;
   }
 
-  /// Retry policy applied by every try_* IO below: transient faults are
+  /// Retry policy applied by every IO below: transient faults are
   /// re-attempted up to the policy's budget with simulated backoff charged
-  /// to the IoContext, then surfaced. The legacy void methods share the
-  /// same policy and CHECK-abort on final failure.
+  /// to the IoContext, then surfaced as a non-OK Status.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
   const RetryCounters& retry_counters() const { return retry_counters_; }
 
   /// Read the entire node extent (cost: one IO of node_bytes).
-  void read_node(uint64_t node_id, std::vector<uint8_t>& out);
   Status try_read_node(uint64_t node_id, std::vector<uint8_t>& out);
 
   /// Write a node image (padded to the full extent; cost: one IO of
   /// node_bytes — classic trees write whole nodes).
-  void write_node(uint64_t node_id, std::span<const uint8_t> image);
   Status try_write_node(uint64_t node_id, std::span<const uint8_t> image);
 
   /// Read `length` bytes at `offset` within the node (cost: one IO of
   /// `length` bytes). Used by the optimized Bε-tree's pivot/segment reads.
-  void read_span(uint64_t node_id, uint64_t offset, std::span<uint8_t> out);
   Status try_read_span(uint64_t node_id, uint64_t offset,
                        std::span<uint8_t> out);
 
   /// Charge a read of `length` bytes at node-relative `offset` without
   /// copying payload (layout experiments where only timing matters).
-  void touch_read(uint64_t node_id, uint64_t offset, uint64_t length);
   Status try_touch_read(uint64_t node_id, uint64_t offset, uint64_t length);
 
   /// Payload-only read with NO timing charge. Callers must charge the
-  /// appropriate (possibly smaller) IO separately via touch_read — this is
-  /// the OptBeTree sub-node read path, where the IO size is decided by the
-  /// pivots the parent level already delivered.
-  void peek_node(uint64_t node_id, std::vector<uint8_t>& out);
+  /// appropriate (possibly smaller) IO separately via try_touch_read —
+  /// this is the OptBeTree sub-node read path, where the IO size is
+  /// decided by the pivots the parent level already delivered. Non-OK
+  /// (kCorruption) only when a stored codec frame fails to decode.
+  Status peek_node(uint64_t node_id, std::vector<uint8_t>& out);
 
   /// A pending whole-node write for the batched path.
   struct NodeImage {
@@ -129,29 +125,24 @@ class NodeStore {
 
   /// Vectored reads: all node extents are submitted as ONE device batch,
   /// so the clock advances to the slowest completion instead of the sum.
-  /// out is resized to ids.size(), each element to node_bytes.
-  void read_nodes(std::span<const uint64_t> ids,
-                  std::vector<std::vector<uint8_t>>& out);
-  /// Fallible vectored reads: failed requests alone are re-batched under
-  /// the retry policy; on give-up the first failure is returned and the
-  /// corresponding out slots are unspecified.
+  /// out is resized to ids.size(), each element to node_bytes. Failed
+  /// requests alone are re-batched under the retry policy; on give-up the
+  /// first failure is returned and the corresponding out slots are
+  /// unspecified.
   Status try_read_nodes(std::span<const uint64_t> ids,
                         std::vector<std::vector<uint8_t>>& out);
 
   /// Vectored whole-node writes (each padded to the full extent), one
-  /// device batch.
-  void write_nodes(std::span<const NodeImage> writes);
-  /// Fallible vectored writes; failed requests alone are re-batched under
-  /// the retry policy. On give-up some extents may hold torn data — the
-  /// caller must keep the in-memory images authoritative (dirty) until a
-  /// later write succeeds. When `written` is non-null it is resized to
-  /// writes.size() and (*written)[i] reports whether write i durably
-  /// landed (all true on an OK return).
+  /// device batch; failed requests alone are re-batched under the retry
+  /// policy. On give-up some extents may hold torn data — the caller must
+  /// keep the in-memory images authoritative (dirty) until a later write
+  /// succeeds. When `written` is non-null it is resized to writes.size()
+  /// and (*written)[i] reports whether write i durably landed (all true on
+  /// an OK return).
   Status try_write_nodes(std::span<const NodeImage> writes,
                          std::vector<bool>* written = nullptr);
 
   /// Vectored timing-only sub-extent reads, one device batch.
-  void touch_read_batch(std::span<const NodeSpan> spans);
   Status try_touch_read_batch(std::span<const NodeSpan> spans);
 
   sim::IoContext& io() { return *io_; }
@@ -211,11 +202,7 @@ class NodeStore {
   std::vector<uint8_t> node_scratch_;  // decoded node for span reads
   std::vector<std::vector<uint8_t>> batch_images_;  // batched write staging
   std::vector<sim::IoRequest> reqs_scratch_;
-  std::vector<sim::IoRequest> batch_scratch_;
-  std::vector<size_t> pending_scratch_;
-  std::vector<size_t> failed_scratch_;
-  std::vector<sim::IoCompletion> cs_scratch_;
-  std::vector<Status> per_io_scratch_;
+  BatchRetryScratch retry_scratch_;
   NodeStoreStats stats_;
   RetryPolicy retry_;
   RetryCounters retry_counters_;

@@ -316,7 +316,7 @@ void BTree::bulk_load(
 
   auto write_direct = [this](uint64_t id, BTreeNode& n) {
     n.serialize(io_buf_);
-    store_.write_node(id, io_buf_);
+    DAMKIT_CHECK_OK(store_.try_write_node(id, io_buf_));
   };
 
   for (uint64_t i = 0; i < count; ++i) {

@@ -90,11 +90,6 @@ Status BufferPool::writeback(Entry& e) {
   }
   e.dirty = false;
   ++stats_.dirty_writebacks;
-  DAMKIT_STATS_ONLY({
-    if (events_ != nullptr && stats::collecting()) {
-      events_->emit({0, "cache", "writeback", e.id, e.bytes, 1});
-    }
-  });
   return Status();
 }
 
@@ -191,11 +186,6 @@ void BufferPool::make_room(uint64_t incoming_bytes) {
     }
     charged_bytes_ -= it->bytes;
     index_.erase(it->id);
-    DAMKIT_STATS_ONLY({
-      if (events_ != nullptr && stats::collecting()) {
-        events_->emit({0, "cache", "evict", it->id, it->bytes, 0});
-      }
-    });
     it = lru_.erase(it);
     ++stats_.evictions;
   }

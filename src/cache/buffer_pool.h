@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 #include "util/status.h"
 
 namespace damkit::cache {
@@ -140,9 +139,6 @@ class BufferPool {
   }
   void clear_stats() { stats_ = BufferPoolStats{}; }
 
-  /// Structured-event sink for evictions/writebacks (nullptr disables).
-  void set_event_trace(stats::TraceBuffer* events) { events_ = events; }
-
   /// Export hit/miss/eviction counters and byte-budget gauges under
   /// `prefix` (e.g. "btree.cache."). Refreshes the pinned snapshot.
   void export_metrics(stats::MetricsRegistry& reg,
@@ -177,7 +173,6 @@ class BufferPool {
   // pinned-leak abort excludes them from the resident pinned set.
   uint64_t writeback_deferred_bytes_ = 0;
   mutable BufferPoolStats stats_;
-  stats::TraceBuffer* events_ = nullptr;
 };
 
 }  // namespace damkit::cache

@@ -174,44 +174,18 @@ Status LsmTree::compact_tier(size_t level) {
   return Status();
 }
 
-Status LsmTree::charge_compaction_batches(std::vector<sim::IoRequest> reqs) {
-  std::vector<sim::IoCompletion> completions;
-  std::vector<Status> per_io;
-  const size_t width = std::max<size_t>(config_.compaction_batch_ios, 1);
-  const uint32_t max_attempts = std::max<uint32_t>(retry_.max_attempts, 1);
-  for (size_t i = 0; i < reqs.size(); i += width) {
-    const size_t n = std::min(width, reqs.size() - i);
-    std::vector<sim::IoRequest> batch(
-        reqs.begin() + static_cast<ptrdiff_t>(i),
-        reqs.begin() + static_cast<ptrdiff_t>(i + n));
+Status LsmTree::charge_compaction_batches(
+    std::span<const sim::IoRequest> reqs) {
+  blockdev::BatchRetryScratch scratch;
+  for (size_t i = 0; i < reqs.size(); i += kCompactionBatchIos) {
+    const auto batch =
+        reqs.subspan(i, std::min(kCompactionBatchIos, reqs.size() - i));
     ++stats_.compaction_batches;
     stats_.compaction_batched_ios += batch.size();
-    double backoff = static_cast<double>(retry_.backoff_ns);
-    for (uint32_t attempt = 1;; ++attempt) {
-      DAMKIT_RETURN_IF_ERROR(
-          io_->submit_batch_checked(batch, &completions, &per_io));
-      // Re-batch only the transiently-failed requests; anything that
-      // exhausted its attempts (or failed non-transiently) abandons the
-      // compaction.
-      std::vector<sim::IoRequest> failed;
-      Status abandoned;
-      for (size_t j = 0; j < batch.size(); ++j) {
-        if (per_io[j].ok()) continue;
-        if (per_io[j].code() == StatusCode::kUnavailable &&
-            attempt < max_attempts) {
-          failed.push_back(batch[j]);
-        } else {
-          ++retry_counters_.give_ups;
-          if (abandoned.ok()) abandoned = per_io[j];
-        }
-      }
-      DAMKIT_RETURN_IF_ERROR(abandoned);
-      if (failed.empty()) break;
-      io_->spend(static_cast<sim::SimTime>(backoff));
-      backoff *= retry_.backoff_multiplier;
-      retry_counters_.retries += failed.size();
-      batch = std::move(failed);
-    }
+    // A request that exhausts its attempts abandons the compaction.
+    DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
+        *io_, retry_, &retry_counters_, /*retry_corruption=*/false, batch,
+        scratch, [](size_t, const Status&) { return Status(); }));
   }
   return Status();
 }
@@ -230,31 +204,27 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
 
   // Precharge the input reads through the batch path: the inputs are
   // immutable, so every run IO of the merge is known upfront. Interleave
-  // them round-robin across tables and submit `compaction_batch_ios` per
+  // them round-robin across tables and submit kCompactionBatchIos per
   // device batch — an SSD serves each batch across its dies in parallel
   // instead of one run per merge stall. The cursors below then consume
   // payload without further timing charges.
-  bool precharged = false;
-  if (config_.compaction_batch_ios > 1) {
-    std::vector<std::vector<sim::IoRequest>> per_input;
-    size_t total = 0;
-    per_input.reserve(inputs.size());
-    for (const auto& t : inputs) {
-      per_input.push_back(t->run_requests(config_.scan_readahead_blocks));
-      total += per_input.back().size();
-    }
-    if (total > 1) {
-      std::vector<sim::IoRequest> interleaved;
-      interleaved.reserve(total);
-      for (size_t round = 0; interleaved.size() < total; ++round) {
-        for (const auto& runs : per_input) {
-          if (round < runs.size()) interleaved.push_back(runs[round]);
-        }
+  std::vector<std::vector<sim::IoRequest>> per_input;
+  size_t total = 0;
+  per_input.reserve(inputs.size());
+  for (const auto& t : inputs) {
+    per_input.push_back(t->run_requests(config_.scan_readahead_blocks));
+    total += per_input.back().size();
+  }
+  const bool precharged = total > 1;
+  if (precharged) {
+    std::vector<sim::IoRequest> interleaved;
+    interleaved.reserve(total);
+    for (size_t round = 0; interleaved.size() < total; ++round) {
+      for (const auto& runs : per_input) {
+        if (round < runs.size()) interleaved.push_back(runs[round]);
       }
-      DAMKIT_RETURN_IF_ERROR(
-          charge_compaction_batches(std::move(interleaved)));
-      precharged = true;
     }
+    DAMKIT_RETURN_IF_ERROR(charge_compaction_batches(interleaved));
   }
 
   // K-way merge, recency = input order (lower index shadows higher).
@@ -277,9 +247,9 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
 
   cursors.reserve(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    SSTable::Iterator it = inputs[i]->seek(
-        "", *io_, config_.scan_readahead_blocks,
-        /*charge_io=*/!precharged, &retry_, &retry_counters_);
+    SSTable::Iterator it = inputs[i]->seek("", *io_, retry_, &retry_counters_,
+                                           config_.scan_readahead_blocks,
+                                           /*charge_io=*/!precharged);
     if (!it.valid()) DAMKIT_RETURN_IF_ERROR(abort_merge(it.status()));
     if (it.valid()) cursors.push_back({std::move(it), i});
   }
@@ -541,9 +511,8 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
       Source s;
       s.priority = priority++;
       if (kv::compare(t->max_key(), lo) >= 0) {
-        s.it = std::make_unique<SSTable::Iterator>(
-            t->seek(lo, *io_, config_.scan_readahead_blocks,
-                    /*charge_io=*/true, &retry_, &retry_counters_));
+        s.it = std::make_unique<SSTable::Iterator>(t->seek(
+            lo, *io_, retry_, &retry_counters_, config_.scan_readahead_blocks));
         DAMKIT_RETURN_IF_ERROR(s.it->status());
         if (s.it->valid()) sources.push_back(std::move(s));
       }
@@ -559,9 +528,8 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
     while (idx < lv.size() && kv::compare(lv[idx]->max_key(), lo) < 0) ++idx;
     if (idx == lv.size()) continue;
     s.table_idx = idx;
-    s.it = std::make_unique<SSTable::Iterator>(
-        lv[idx]->seek(lo, *io_, config_.scan_readahead_blocks,
-                      /*charge_io=*/true, &retry_, &retry_counters_));
+    s.it = std::make_unique<SSTable::Iterator>(lv[idx]->seek(
+        lo, *io_, retry_, &retry_counters_, config_.scan_readahead_blocks));
     DAMKIT_RETURN_IF_ERROR(s.it->status());
     if (s.it->valid()) sources.push_back(std::move(s));
   }
@@ -578,10 +546,8 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
            s.table_idx + 1 < s.level->size()) {
       ++s.table_idx;
       s.it = std::make_unique<SSTable::Iterator>(
-          (*s.level)[s.table_idx]->seek(lo, *io_,
-                                        config_.scan_readahead_blocks,
-                                        /*charge_io=*/true, &retry_,
-                                        &retry_counters_));
+          (*s.level)[s.table_idx]->seek(lo, *io_, retry_, &retry_counters_,
+                                        config_.scan_readahead_blocks));
       DAMKIT_RETURN_IF_ERROR(s.it->status());
     }
     return Status();
@@ -660,7 +626,7 @@ void LsmTree::export_metrics(stats::MetricsRegistry& reg,
     reg.set(p + "compaction_batch_occupancy",
             static_cast<double>(stats_.compaction_batched_ios) /
                 static_cast<double>(stats_.compaction_batches *
-                                    config_.compaction_batch_ios));
+                                    kCompactionBatchIos));
   }
   if (stats_.logical_bytes_written > 0) {
     reg.set(p + "write_amplification",

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,11 @@ namespace damkit::lsm {
 ///              ~ depth, but up to level0_limit probes per level).
 enum class CompactionStyle : uint8_t { kLeveled, kTiered };
 
+/// Run IOs a compaction submits per device batch, interleaved across its
+/// input tables so they land on distinct extents (SSD dies serve them in
+/// parallel).
+inline constexpr size_t kCompactionBatchIos = 8;
+
 struct LsmConfig {
   uint64_t memtable_bytes = 4 * 1024 * 1024;
   /// Compaction output split size — LevelDB's 2 MiB knob.
@@ -46,10 +52,6 @@ struct LsmConfig {
   /// Blocks fetched per IO by scans and compactions (sequential access);
   /// point reads always fetch exactly one block.
   size_t scan_readahead_blocks = 32;
-  /// Run IOs a compaction submits per device batch, interleaved across
-  /// its input tables so they land on distinct extents (SSD dies serve
-  /// them in parallel). 1 disables batching (serial per-run charging).
-  size_t compaction_batch_ios = 8;
   uint64_t level1_bytes = 10 * 1024 * 1024;
   double size_ratio = 10.0;         // level i+1 / level i capacity
   CompactionStyle style = CompactionStyle::kLeveled;
@@ -171,9 +173,9 @@ class LsmTree final : public kv::Dictionary {
   StatusOr<std::vector<SSTableRef>> merge_tables(
       const std::vector<SSTableRef>& inputs, bool bottom, size_t source_level,
       bool split_output = true);
-  /// Charge `reqs` as device batches of `compaction_batch_ios`, retrying
+  /// Charge `reqs` as device batches of kCompactionBatchIos, retrying
   /// failed requests under the retry policy.
-  Status charge_compaction_batches(std::vector<sim::IoRequest> reqs);
+  Status charge_compaction_batches(std::span<const sim::IoRequest> reqs);
   uint64_t level_capacity(size_t level) const;
   void install_level1plus(size_t level, std::vector<SSTableRef> added,
                           const std::vector<SSTableRef>& removed);

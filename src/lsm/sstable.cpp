@@ -97,12 +97,6 @@ void SSTableBuilder::flush_block() {
   block_.clear();
 }
 
-SSTableRef SSTableBuilder::finish() {
-  StatusOr<SSTableRef> table = try_finish(blockdev::RetryPolicy{}, nullptr);
-  DAMKIT_CHECK_OK(table.status());
-  return *std::move(table);
-}
-
 StatusOr<SSTableRef> SSTableBuilder::try_finish(
     const blockdev::RetryPolicy& policy, blockdev::RetryCounters* counters) {
   DAMKIT_CHECK(!finished_);
@@ -196,14 +190,6 @@ Status SSTable::try_fetch_block_raw(size_t block_idx, sim::IoContext& io,
   return Status();
 }
 
-std::optional<Entry> SSTable::get(std::string_view key,
-                                  sim::IoContext& io) const {
-  StatusOr<std::optional<Entry>> hit =
-      try_get(key, io, blockdev::RetryPolicy{}, nullptr);
-  DAMKIT_CHECK_OK(hit.status());
-  return *std::move(hit);
-}
-
 StatusOr<std::optional<Entry>> SSTable::try_get(
     std::string_view key, sim::IoContext& io,
     const blockdev::RetryPolicy& policy,
@@ -240,15 +226,15 @@ StatusOr<std::optional<Entry>> SSTable::try_get(
 }
 
 SSTable::Iterator::Iterator(const SSTable* table, sim::IoContext* io,
-                            std::string_view lo, size_t readahead_blocks,
-                            bool charge_io,
-                            const blockdev::RetryPolicy* policy,
-                            blockdev::RetryCounters* counters)
+                            std::string_view lo,
+                            const blockdev::RetryPolicy& policy,
+                            blockdev::RetryCounters* counters,
+                            size_t readahead_blocks, bool charge_io)
     : table_(table),
       io_(io),
       readahead_(std::max<size_t>(readahead_blocks, 1)),
       charge_io_(charge_io),
-      policy_(policy),
+      policy_(&policy),
       counters_(counters) {
   // First block that could contain keys >= lo.
   const auto it = std::upper_bound(
@@ -280,14 +266,9 @@ void SSTable::Iterator::load_blocks(size_t first_block) {
   std::vector<uint8_t> buf(run_bytes);
   if (charge_io_) {
     const uint64_t off = table_->device_offset_ + first.offset;
-    Status s;
-    if (policy_ != nullptr) {
-      s = blockdev::with_retries(*io_, *policy_, counters_,
-                                 /*retry_corruption=*/false,
-                                 [&] { return io_->read_checked(off, buf); });
-    } else {
-      s = io_->read_checked(off, buf);
-    }
+    const Status s = blockdev::with_retries(
+        *io_, *policy_, counters_, /*retry_corruption=*/false,
+        [&] { return io_->read_checked(off, buf); });
     if (!s.ok()) {
       // The cursor stops here; the failure is reported via status() and
       // valid() goes false so merge loops terminate cleanly.
@@ -349,11 +330,12 @@ void SSTable::Iterator::next() {
 }
 
 SSTable::Iterator SSTable::seek(std::string_view lo, sim::IoContext& io,
-                                size_t readahead_blocks, bool charge_io,
-                                const blockdev::RetryPolicy* policy,
-                                blockdev::RetryCounters* counters) const {
-  return Iterator(this, &io, lo, readahead_blocks, charge_io, policy,
-                  counters);
+                                const blockdev::RetryPolicy& policy,
+                                blockdev::RetryCounters* counters,
+                                size_t readahead_blocks,
+                                bool charge_io) const {
+  return Iterator(this, &io, lo, policy, counters, readahead_blocks,
+                  charge_io);
 }
 
 std::vector<sim::IoRequest> SSTable::run_requests(

@@ -69,12 +69,11 @@ class SSTableBuilder {
   uint64_t entry_count() const { return count_; }
   uint64_t data_bytes() const { return data_.size() + block_.size(); }
 
-  /// Write the table (one sequential device IO) and return its handle.
-  /// The builder must not be reused. Returns nullptr if no entries.
-  SSTableRef finish();
-  /// Fallible finish with retry-with-backoff on the table write. On
-  /// give-up the reserved extent is freed and no table exists — the
-  /// builder's source data (e.g. the memtable) must be kept by the caller.
+  /// Write the table (one sequential device IO, retried under `policy`)
+  /// and return its handle; nullptr if no entries. The builder must not be
+  /// reused. On give-up the reserved extent is freed and no table exists —
+  /// the builder's source data (e.g. the memtable) must be kept by the
+  /// caller.
   StatusOr<SSTableRef> try_finish(const blockdev::RetryPolicy& policy,
                                   blockdev::RetryCounters* counters);
 
@@ -128,13 +127,10 @@ class SSTable {
   }
 
   /// Point lookup. Consults the bloom filter first (no IO); on a maybe,
-  /// reads exactly one data block (charged to `io`). Returns nullopt if
-  /// the key is not in this table; a tombstone returns an Entry with
-  /// tombstone=true.
-  std::optional<Entry> get(std::string_view key, sim::IoContext& io) const;
-  /// Fallible lookup: the block read is retried under `policy` (transient
-  /// faults only — a corrupt read has nothing to retry into), then the
-  /// failure is surfaced.
+  /// reads exactly one data block (charged to `io`, retried under
+  /// `policy` — transient faults only, a corrupt read has nothing to retry
+  /// into — then the failure is surfaced). Returns nullopt if the key is
+  /// not in this table; a tombstone returns an Entry with tombstone=true.
   StatusOr<std::optional<Entry>> try_get(std::string_view key,
                                          sim::IoContext& io,
                                          const blockdev::RetryPolicy& policy,
@@ -143,8 +139,9 @@ class SSTable {
 
   /// Sequential cursor over entries with key >= lo. `readahead_blocks`
   /// blocks are fetched per IO (1 = strict point granularity; scans and
-  /// compactions use larger runs — the affine model rewards exactly this).
-  /// With charge_io = false the cursor reads payload only: the caller has
+  /// compactions use larger runs — the affine model rewards exactly this),
+  /// each retried under `policy`, which must outlive the cursor. With
+  /// charge_io = false the cursor reads payload only: the caller has
   /// already charged the run IOs (e.g. as one compaction-wide batch).
   class Iterator {
    public:
@@ -159,16 +156,16 @@ class SSTable {
    private:
     friend class SSTable;
     Iterator(const SSTable* table, sim::IoContext* io, std::string_view lo,
-             size_t readahead_blocks, bool charge_io,
-             const blockdev::RetryPolicy* policy,
-             blockdev::RetryCounters* counters);
+             const blockdev::RetryPolicy& policy,
+             blockdev::RetryCounters* counters, size_t readahead_blocks,
+             bool charge_io);
     void load_blocks(size_t first_block);
 
     const SSTable* table_ = nullptr;
     sim::IoContext* io_ = nullptr;
     size_t readahead_ = 1;
     bool charge_io_ = true;
-    const blockdev::RetryPolicy* policy_ = nullptr;  // nullptr = fail fast
+    const blockdev::RetryPolicy* policy_;  // never null
     blockdev::RetryCounters* counters_ = nullptr;
     Status status_;
     size_t next_block_ = 0;        // first block not yet fetched
@@ -179,9 +176,9 @@ class SSTable {
     bool valid_ = false;
   };
   Iterator seek(std::string_view lo, sim::IoContext& io,
-                size_t readahead_blocks = 1, bool charge_io = true,
-                const blockdev::RetryPolicy* policy = nullptr,
-                blockdev::RetryCounters* counters = nullptr) const;
+                const blockdev::RetryPolicy& policy,
+                blockdev::RetryCounters* counters,
+                size_t readahead_blocks = 1, bool charge_io = true) const;
 
   /// The device reads a full sequential pass at `readahead_blocks` issues:
   /// one request per run of contiguous blocks. Used to precharge a

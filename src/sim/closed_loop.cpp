@@ -6,11 +6,10 @@
 namespace damkit::sim {
 
 ClosedLoopResult run_closed_loop(Device& dev, const ClosedLoopConfig& config) {
-  const uint64_t span = dev.capacity_bytes() - config.io_bytes;
-  const uint64_t align = config.align_to_io_size ? config.io_bytes : 1;
-  const uint64_t slots = span / align + 1;
+  const uint64_t slots =
+      (dev.capacity_bytes() - config.io_bytes) / config.io_bytes + 1;
   return run_closed_loop(dev, config, [&](int /*client*/, Rng& rng) {
-    return rng.uniform(slots) * align;
+    return rng.uniform(slots) * config.io_bytes;
   });
 }
 

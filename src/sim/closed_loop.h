@@ -23,7 +23,6 @@ struct ClosedLoopConfig {
   uint64_t ios_per_client = 1024;
   uint64_t io_bytes = 64 * 1024;
   IoKind kind = IoKind::kRead;
-  bool align_to_io_size = true;  // block-aligned offsets, as in the paper
   uint64_t seed = 1;
 };
 
@@ -41,8 +40,8 @@ struct ClosedLoopResult {
   }
 };
 
-/// Runs the closed loop with uniformly random (optionally aligned) offsets
-/// over the device's full LBA range, exactly as §4 describes.
+/// Runs the closed loop with uniformly random offsets, aligned to
+/// io_bytes, over the device's full LBA range, exactly as §4 describes.
 ClosedLoopResult run_closed_loop(Device& dev, const ClosedLoopConfig& config);
 
 /// Generalized form: `next_offset(client, rng)` supplies each IO's offset,

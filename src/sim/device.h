@@ -126,7 +126,11 @@ class Device {
   virtual std::string name() const = 0;
 
   /// Compute service timing for `req` submitted at `now`, updating internal
-  /// mechanical/electrical state. Does not touch payload bytes.
+  /// mechanical/electrical state. Does not touch payload bytes. submit()
+  /// and submit_batch() are the pure timing-model entry points (closed-loop
+  /// drivers, the disk scheduler, trace replay, decorating devices) and
+  /// never fault; storage code does its IO through IoContext's checked
+  /// calls instead.
   IoCompletion submit(const IoRequest& req, SimTime now) {
     enforce_clock(now);
     return submit_io(req, now);
@@ -221,25 +225,12 @@ class Device {
     store_.discard(offset, length);
   }
 
-  /// Payload access (synchronous; timing handled by submit()).
+  /// Payload access (synchronous; timing handled by the submit paths).
   void read_bytes(uint64_t offset, std::span<uint8_t> out) {
     store_.read(offset, out);
   }
   void write_bytes(uint64_t offset, std::span<const uint8_t> data) {
     store_.write(offset, data);
-  }
-
-  /// Convenience: timing + payload in one call.
-  IoCompletion read(uint64_t offset, std::span<uint8_t> out, SimTime now) {
-    const IoCompletion c = submit({IoKind::kRead, offset, out.size()}, now);
-    store_.read(offset, out);
-    return c;
-  }
-  IoCompletion write(uint64_t offset, std::span<const uint8_t> data,
-                     SimTime now) {
-    const IoCompletion c = submit({IoKind::kWrite, offset, data.size()}, now);
-    store_.write(offset, data);
-    return c;
   }
 
   /// Fallible timing + payload. On failure `out` is left untouched (reads)
@@ -255,19 +246,26 @@ class Device {
                        SimTime now, IoCompletion* c) {
     const Status s =
         submit_checked({IoKind::kWrite, offset, data.size()}, now, c);
-    if (s.ok()) {
+    settle_write(offset, data, s);
+    return s;
+  }
+
+  /// Move a checked write's payload per its fault verdict: an OK write
+  /// lands in full, a failed one goes through note_failed_write. Callers
+  /// that split timing from payload (batched writes) call this once per
+  /// request instead of write_bytes().
+  void settle_write(uint64_t offset, std::span<const uint8_t> data,
+                    const Status& verdict) {
+    if (verdict.ok()) {
       store_.write(offset, data);
     } else {
       note_failed_write(offset, data);
     }
-    return s;
   }
 
   /// Payload hook for a write whose checked submission failed. The default
   /// drops the payload entirely (nothing reached the media); fault models
-  /// override to persist a torn prefix. Callers that split timing from
-  /// payload (batched writes) must route each failed request's payload
-  /// here instead of write_bytes().
+  /// override to persist a torn prefix.
   virtual void note_failed_write(uint64_t offset,
                                  std::span<const uint8_t> data) {
     (void)offset;
@@ -286,9 +284,8 @@ class Device {
       std::span<const IoRequest> reqs, SimTime now);
 
   /// Fault-decision hook, consulted once per request in submission order
-  /// by the checked paths only (submit()/submit_batch() never fault: their
-  /// callers have no way to observe an error other than aborting). The
-  /// default injects nothing.
+  /// by the checked paths only (the timing-model entry points
+  /// submit()/submit_batch() never fault). The default injects nothing.
   virtual Status inject_fault(const IoRequest& req, SimTime now) {
     (void)req;
     (void)now;
@@ -399,34 +396,11 @@ class IoContext {
 
   Device& device() { return *dev_; }
 
-  /// Issue a read and advance this context's clock to its completion.
-  void read(uint64_t offset, std::span<uint8_t> out) {
-    now_ = dev_->read(offset, out, now_).finish;
-  }
-  /// Issue a write and advance this context's clock to its completion.
-  void write(uint64_t offset, std::span<const uint8_t> data) {
-    now_ = dev_->write(offset, data, now_).finish;
-  }
-  /// Timing-only read (payload ignored), used by layout experiments.
-  void touch_read(uint64_t offset, uint64_t length) {
-    now_ = dev_->submit({IoKind::kRead, offset, length}, now_).finish;
-  }
-
-  /// Issue a batch of timing-only IOs and advance the clock to the *max*
-  /// completion. This is where batching pays: a serial loop advances by
-  /// the sum of latencies, a batch only by the slowest request (the
-  /// device overlaps the rest).
-  std::vector<IoCompletion> submit_batch(std::span<const IoRequest> reqs) {
-    std::vector<IoCompletion> cs = dev_->submit_batch(reqs, now_);
-    SimTime done = now_;
-    for (const IoCompletion& c : cs) done = std::max(done, c.finish);
-    now_ = done;
-    return cs;
-  }
-
-  /// Fallible variants. The clock still advances to the completion on a
-  /// faulted IO — a failed request occupies the device like any other —
-  /// so retry loops charge realistic time for every attempt.
+  /// Every IO below advances this context's clock to its completion, even
+  /// a faulted one — a failed request occupies the device like any other —
+  /// so retry loops charge realistic time for every attempt. Each can fail
+  /// with a Status: invalid requests, and whatever the device's fault hook
+  /// injects.
   Status read_checked(uint64_t offset, std::span<uint8_t> out) {
     IoCompletion c;
     const Status s = dev_->read_checked(offset, out, now_, &c);
@@ -453,9 +427,11 @@ class IoContext {
     advance_to(c.finish);
     return s;
   }
-  /// Batch counterpart of submit_batch(): advances to the max completion
-  /// and reports per-request fault verdicts in `*per_io`. Non-OK return
-  /// (invalid request) charges no time.
+  /// A batch of IOs, all outstanding at now(): the clock advances to the
+  /// *max* completion. This is where batching pays: a serial loop advances
+  /// by the sum of latencies, a batch only by the slowest request (the
+  /// device overlaps the rest). Per-request fault verdicts land in
+  /// `*per_io`; a non-OK return (invalid request) charges no time.
   Status submit_batch_checked(std::span<const IoRequest> reqs,
                               std::vector<IoCompletion>* completions,
                               std::vector<Status>* per_io) {

@@ -27,8 +27,7 @@ FaultInjectingDevice::FaultInjectingDevice(Device& inner,
       inner_(&inner),
       cfg_(cfg),
       fault_rng_(cfg.seed),
-      spike_rng_(cfg.seed ^ 0x9d2c5680f0e1a3b7ULL),
-      crash_at_(cfg.crash_at_io) {
+      spike_rng_(cfg.seed ^ 0x9d2c5680f0e1a3b7ULL) {
   check_rate(cfg.read_error_rate, "read_error_rate");
   check_rate(cfg.write_error_rate, "write_error_rate");
   check_rate(cfg.torn_write_rate, "torn_write_rate");

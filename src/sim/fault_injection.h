@@ -20,19 +20,20 @@
 //     events Didona et al. highlight).
 //
 // On top of the probabilistic classes sits a deterministic *crash point*:
-// arm it at the Nth checked IO and that IO fails — a write lands only as
-// a seeded strict prefix (power loss mid-extent), a read returns nothing —
-// and every later checked IO fails kUnavailable until reboot() is called.
-// The media (the wrapper's sparse store) survives the crash, which is
-// exactly what a recovery path gets to work with. The crash check consumes
-// no randomness, so arming it never perturbs the probabilistic schedules
-// of IOs before the crash point.
+// arm it at the Nth checked IO (set_crash_at / crash_after) and that IO
+// fails — a write lands only as a seeded strict prefix (power loss
+// mid-extent), a read returns nothing — and every later checked IO fails
+// kUnavailable until reboot() is called. The media (the wrapper's sparse
+// store) survives the crash, which is exactly what a recovery path gets to
+// work with. The crash check consumes no randomness, so arming it never
+// perturbs the probabilistic schedules of IOs before the crash point.
 //
 // Faults are only consulted on the *checked* submission paths
-// (submit_checked / read_checked / ...); the legacy CHECK-abort paths
-// never fail, so code that has not opted into error handling keeps its
-// exact previous behavior. Latency spikes apply to every path — a slow IO
-// is not an error.
+// (submit_checked / read_checked / ...), which every storage IO goes
+// through. The timing-only entry points submit() / submit_batch() never
+// fail: they serve timing models (closed-loop drivers, the disk
+// scheduler, trace replay) that move no payload. Latency spikes apply to
+// every path — a slow IO is not an error.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +58,6 @@ struct FaultConfig {
   double torn_write_rate = 0.0;     // P(kCorruption + torn prefix) per write
   double latency_spike_rate = 0.0;  // P(finish += latency_spike_ns) per IO
   SimTime latency_spike_ns = 10 * kNsPerMs;
-  /// 1-based checked-IO index at which the device dies; 0 = never. The
-  /// crash_at_io-th checked IO and every later one fail until reboot().
-  uint64_t crash_at_io = 0;
 };
 
 struct FaultStats {

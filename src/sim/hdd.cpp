@@ -117,50 +117,53 @@ void HddDevice::export_metrics(stats::MetricsRegistry& reg,
   }
 }
 
+SchedPick pick_request(SchedPolicy policy, uint64_t head,
+                       std::span<const uint64_t> tracks, bool& scan_up) {
+  DAMKIT_CHECK(!tracks.empty());
+  const auto distance = [head](uint64_t t) {
+    return t > head ? t - head : head - t;
+  };
+  SchedPick pick;
+  if (policy == SchedPolicy::kFifo) return pick;
+  if (policy == SchedPolicy::kScan) {
+    bool found = false;
+    for (size_t i = 0; i < tracks.size(); ++i) {
+      const bool on_side = scan_up ? tracks[i] >= head : tracks[i] <= head;
+      if (on_side &&
+          (!found || distance(tracks[i]) < distance(tracks[pick.index]))) {
+        pick.index = i;
+        found = true;
+      }
+    }
+    if (found) return pick;
+    scan_up = !scan_up;  // nothing left on this side: reverse the sweep
+    pick.reversed = true;
+  }
+  // kSstf, or a kScan sweep that just reversed: nearest track overall.
+  for (size_t i = 1; i < tracks.size(); ++i) {
+    if (distance(tracks[i]) < distance(tracks[pick.index])) pick.index = i;
+  }
+  return pick;
+}
+
 std::vector<IoCompletion> HddDevice::submit_batch_io(
     std::span<const IoRequest> reqs, SimTime now) {
   std::vector<IoCompletion> out(reqs.size());
   std::vector<size_t> pending(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) pending[i] = i;
-
+  std::vector<uint64_t> tracks(reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    pending[i] = i;
+    tracks[i] = track_of(reqs[i].offset);
+  }
   // Greedy service order from the live arm position, mirroring the NCQ
   // policies of scheduler.h at batch granularity.
   while (!pending.empty()) {
-    size_t pick = 0;
-    if (config_.batch_policy != SchedPolicy::kFifo) {
-      const uint64_t head = head_track_;
-      auto distance = [&](size_t idx) {
-        const uint64_t t = track_of(reqs[idx].offset);
-        return t > head ? t - head : head - t;
-      };
-      if (config_.batch_policy == SchedPolicy::kSstf) {
-        for (size_t j = 1; j < pending.size(); ++j) {
-          if (distance(pending[j]) < distance(pending[pick])) pick = j;
-        }
-      } else {  // kScan: nearest track on the current sweep side
-        auto on_side = [&](size_t idx) {
-          const uint64_t t = track_of(reqs[idx].offset);
-          return batch_scan_up_ ? t >= head : t <= head;
-        };
-        bool found = false;
-        for (size_t j = 0; j < pending.size(); ++j) {
-          if (!on_side(pending[j])) continue;
-          if (!found || distance(pending[j]) < distance(pending[pick])) {
-            pick = j;
-            found = true;
-          }
-        }
-        if (!found) {  // nothing left on this side: reverse the sweep
-          batch_scan_up_ = !batch_scan_up_;
-          for (size_t j = 1; j < pending.size(); ++j) {
-            if (distance(pending[j]) < distance(pending[pick])) pick = j;
-          }
-        }
-      }
-    }
-    const size_t idx = pending[pick];
+    const SchedPick pick =
+        pick_request(config_.batch_policy, head_track_, tracks, batch_scan_up_);
+    const size_t idx = pending[pick.index];
     out[idx] = submit_io(reqs[idx], now);
-    pending.erase(pending.begin() + static_cast<ptrdiff_t>(pick));
+    pending.erase(pending.begin() + static_cast<ptrdiff_t>(pick.index));
+    tracks.erase(tracks.begin() + static_cast<ptrdiff_t>(pick.index));
   }
   return out;
 }

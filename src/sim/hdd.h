@@ -9,6 +9,7 @@
 // regression; the fit quality (R² ≈ 0.999) is the experimental result.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "sim/device.h"
@@ -58,6 +59,19 @@ struct HddConfig {
   /// Expected per-byte transfer cost in seconds (1 / average bandwidth).
   double expected_transfer_s_per_byte() const { return 1.0 / avg_bandwidth_bps; }
 };
+
+/// One step of the order a SchedPolicy imposes on pending requests: which
+/// of them, given their tracks in arrival order, the arm at `head` serves
+/// next. kFifo takes the oldest; kSstf the nearest track (oldest on ties);
+/// kScan the nearest on the `scan_up` side of the sweep, flipping
+/// `scan_up` (and reporting `reversed`) when that side is empty. Both
+/// HddDevice's batches and run_scheduled's NCQ window order through this.
+struct SchedPick {
+  size_t index = 0;  // into `tracks`
+  bool reversed = false;
+};
+SchedPick pick_request(SchedPolicy policy, uint64_t head,
+                       std::span<const uint64_t> tracks, bool& scan_up);
 
 /// Single-actuator disk: IOs queue behind the arm. Reads and writes are
 /// symmetric (no write cache is modelled — the affine model of the paper

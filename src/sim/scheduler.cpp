@@ -27,12 +27,8 @@ SchedulerResult run_scheduled(HddDevice& dev, const SchedulerConfig& config,
                      return a.available_at < b.available_at;
                    });
 
-  struct Pending {
-    IoRequest io;
-    SimTime available_at;
-    size_t arrival;  // FIFO order
-  };
-  std::vector<Pending> window;
+  std::vector<TimedRequest> window;  // arrival order
+  std::vector<uint64_t> tracks;      // the window's, for pick_request
   size_t next_arrival = 0;
   SimTime now = 0;
   bool scan_up = true;
@@ -41,15 +37,13 @@ SchedulerResult run_scheduled(HddDevice& dev, const SchedulerConfig& config,
     while (next_arrival < requests.size() &&
            window.size() < config.queue_depth &&
            requests[next_arrival].available_at <= now) {
-      window.push_back({requests[next_arrival].io,
-                        requests[next_arrival].available_at, next_arrival});
+      window.push_back(requests[next_arrival]);
       ++next_arrival;
     }
     if (window.empty() && next_arrival < requests.size()) {
       // Idle until the next request arrives.
       now = std::max(now, requests[next_arrival].available_at);
-      window.push_back({requests[next_arrival].io,
-                        requests[next_arrival].available_at, next_arrival});
+      window.push_back(requests[next_arrival]);
       ++next_arrival;
     }
   };
@@ -58,59 +52,16 @@ SchedulerResult run_scheduled(HddDevice& dev, const SchedulerConfig& config,
     refill();
     if (window.empty()) break;
 
-    size_t pick = 0;
-    const uint64_t head = dev.head_track();
-    switch (config.policy) {
-      case SchedPolicy::kFifo: {
-        for (size_t i = 1; i < window.size(); ++i) {
-          if (window[i].arrival < window[pick].arrival) pick = i;
-        }
-        break;
-      }
-      case SchedPolicy::kSstf: {
-        auto distance = [&](const Pending& p) {
-          const uint64_t t = dev.track_of(p.io.offset);
-          return t > head ? t - head : head - t;
-        };
-        for (size_t i = 1; i < window.size(); ++i) {
-          if (distance(window[i]) < distance(window[pick])) pick = i;
-        }
-        break;
-      }
-      case SchedPolicy::kScan: {
-        // Nearest request in the sweep direction; reverse if none.
-        auto in_direction = [&](const Pending& p) {
-          const uint64_t t = dev.track_of(p.io.offset);
-          return scan_up ? t >= head : t <= head;
-        };
-        auto distance = [&](const Pending& p) {
-          const uint64_t t = dev.track_of(p.io.offset);
-          return t > head ? t - head : head - t;
-        };
-        bool found = false;
-        for (size_t i = 0; i < window.size(); ++i) {
-          if (!in_direction(window[i])) continue;
-          if (!found || distance(window[i]) < distance(window[pick])) {
-            pick = i;
-            found = true;
-          }
-        }
-        if (!found) {
-          scan_up = !scan_up;
-          ++result.direction_reversals;
-          for (size_t i = 0; i < window.size(); ++i) {
-            if (!found || distance(window[i]) < distance(window[pick])) {
-              pick = i;
-              found = true;
-            }
-          }
-        }
-        break;
-      }
+    tracks.clear();
+    for (const TimedRequest& r : window) {
+      tracks.push_back(dev.track_of(r.io.offset));
     }
+    const SchedPick pick =
+        pick_request(config.policy, dev.head_track(), tracks, scan_up);
+    if (pick.reversed) ++result.direction_reversals;
 
-    const Pending p = window[static_cast<size_t>(pick)];
-    window.erase(window.begin() + static_cast<ptrdiff_t>(pick));
+    const TimedRequest p = window[pick.index];
+    window.erase(window.begin() + static_cast<ptrdiff_t>(pick.index));
     const IoCompletion c = dev.submit(p.io, now);
     now = c.finish;
     result.latency.record(c.finish - p.available_at);

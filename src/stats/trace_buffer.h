@@ -2,10 +2,10 @@
 // with a JSONL dump, the "why was that IO issued" companion to the
 // numeric MetricsRegistry.
 //
-// Producers (Device, BufferPool, the trees) hold an optional TraceBuffer*
-// and emit through it only when non-null and stats::collecting() — a
-// single predictable branch per event on the hot path, and nothing at all
-// when DAMKIT_STATS_ENABLED=0. The buffer is single-owner and not
+// Producers (Device and the trees) hold an optional TraceBuffer* and
+// emit through it only when non-null and stats::collecting() — a single
+// predictable branch per event on the hot path, and nothing at all when
+// DAMKIT_STATS_ENABLED=0. The buffer is single-owner and not
 // thread-safe by design: in parallel sweeps each worker wires its own
 // buffer to its own device/tree, matching the one-registry-per-worker
 // metrics discipline.
@@ -14,7 +14,6 @@
 // so emission is a struct copy; the category/name pair gives the schema:
 //   io:       name=read|write|batch, v0=offset (batch: width), v1=length,
 //             v2=latency_ns
-//   cache:    name=evict|writeback,  v0=id, v1=bytes, v2=dirty(0/1)
 //   betree:   name=flush,            v0=depth, v1=messages, v2=0
 //   lsm:      name=memtable_flush|compaction, v0=level, v1=bytes_in,
 //             v2=bytes_out

@@ -45,8 +45,8 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
   }
 
   // Phase 1: payload blocks, one batch per attempt. A torn or failed
-  // chunk is repaired by rewriting; nothing is loadable until the header
-  // lands, so partial payload states are harmless.
+  // chunk is repaired by rewriting it alone; nothing is loadable until the
+  // header lands, so partial payload states are harmless.
   std::vector<uint8_t> image(payload.begin(), payload.end());
   image.resize(padded, 0);
   std::vector<sim::IoRequest> reqs;
@@ -54,23 +54,14 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
     reqs.push_back({sim::IoKind::kWrite, slot + bb + off,
                     std::min(kIoChunk, padded - off)});
   }
-  DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, [&]() -> Status {
-        std::vector<sim::IoCompletion> cs;
-        std::vector<Status> per_io;
-        DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(reqs, &cs, &per_io));
-        Status first;
-        for (size_t i = 0; i < reqs.size(); ++i) {
-          const auto chunk = std::span<const uint8_t>(image).subspan(
-              reqs[i].offset - (slot + bb), reqs[i].length);
-          if (per_io[i].ok()) {
-            dev_->write_bytes(reqs[i].offset, chunk);
-          } else {
-            dev_->note_failed_write(reqs[i].offset, chunk);
-            if (first.ok()) first = per_io[i];
-          }
-        }
-        return first;
+  blockdev::BatchRetryScratch scratch;
+  DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
+      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch,
+      [&](size_t i, const Status& verdict) {
+        const auto chunk = std::span<const uint8_t>(image).subspan(
+            reqs[i].offset - (slot + bb), reqs[i].length);
+        dev_->settle_write(reqs[i].offset, chunk, verdict);
+        return Status();
       }));
 
   // Phase 2: the header block, strictly after the payload is durable —

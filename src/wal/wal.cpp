@@ -138,24 +138,14 @@ Status WriteAheadLog::write_blocks(uint64_t first_block,
         {sim::IoKind::kWrite, cfg_.base_offset + (first_block + b) * bb, bb});
   }
   const std::span<const uint8_t> all(content);
-  // One SQ/CQ batch per attempt; a retry rewrites every block in full,
-  // which is also the torn-write repair (hence retry_corruption).
-  const Status s = blockdev::with_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, [&]() -> Status {
-        std::vector<sim::IoCompletion> cs;
-        std::vector<Status> per_io;
-        DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(reqs, &cs, &per_io));
-        Status first;
-        for (uint64_t b = 0; b < blocks; ++b) {
-          const auto img = all.subspan(b * bb, bb);
-          if (per_io[b].ok()) {
-            dev_->write_bytes(reqs[b].offset, img);
-          } else {
-            dev_->note_failed_write(reqs[b].offset, img);
-            if (first.ok()) first = per_io[b];
-          }
-        }
-        return first;
+  // One SQ/CQ batch per attempt; a retry rewrites each failed block in
+  // full, which is also the torn-write repair (hence retry_corruption).
+  blockdev::BatchRetryScratch scratch;
+  const Status s = blockdev::with_batch_retries(
+      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch,
+      [&](size_t b, const Status& verdict) {
+        dev_->settle_write(reqs[b].offset, all.subspan(b * bb, bb), verdict);
+        return Status();
       });
   if (s.ok()) commit_blocks_ += blocks;
   return s;

@@ -29,9 +29,9 @@ TEST_F(NodeStoreTest, WriteThenReadRoundTrip) {
   for (size_t i = 0; i < image.size(); ++i) {
     image[i] = static_cast<uint8_t>(i * 3);
   }
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   std::vector<uint8_t> back;
-  store.read_node(id, back);
+  ASSERT_TRUE(store.try_read_node(id, back).ok());
   ASSERT_EQ(back.size(), 64u * kKiB);  // whole extent
   for (size_t i = 0; i < image.size(); ++i) EXPECT_EQ(back[i], image[i]);
   for (size_t i = image.size(); i < back.size(); ++i) EXPECT_EQ(back[i], 0);
@@ -40,10 +40,10 @@ TEST_F(NodeStoreTest, WriteThenReadRoundTrip) {
 TEST_F(NodeStoreTest, WholeNodeIoCharged) {
   NodeStore store(dev_, io_, 64 * kKiB);
   const uint64_t id = store.allocate();
-  store.write_node(id, std::vector<uint8_t>(10));
+  ASSERT_TRUE(store.try_write_node(id, std::vector<uint8_t>(10)).ok());
   EXPECT_EQ(dev_.stats().bytes_written, 64u * kKiB);  // padded write
   std::vector<uint8_t> buf;
-  store.read_node(id, buf);
+  ASSERT_TRUE(store.try_read_node(id, buf).ok());
   EXPECT_EQ(dev_.stats().bytes_read, 64u * kKiB);
 }
 
@@ -51,10 +51,10 @@ TEST_F(NodeStoreTest, SpanReadChargesOnlySpan) {
   NodeStore store(dev_, io_, 64 * kKiB);
   const uint64_t id = store.allocate();
   std::vector<uint8_t> image(64 * kKiB, 7);
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   dev_.clear_stats();
   std::vector<uint8_t> part(4096);
-  store.read_span(id, 8192, part);
+  ASSERT_TRUE(store.try_read_span(id, 8192, part).ok());
   EXPECT_EQ(dev_.stats().bytes_read, 4096u);
   for (uint8_t b : part) EXPECT_EQ(b, 7);
 }
@@ -63,7 +63,7 @@ TEST_F(NodeStoreTest, TouchReadAdvancesClockWithoutPayload) {
   NodeStore store(dev_, io_, 64 * kKiB);
   const uint64_t id = store.allocate();
   const sim::SimTime before = io_.now();
-  store.touch_read(id, 0, 4096);
+  ASSERT_TRUE(store.try_touch_read(id, 0, 4096).ok());
   EXPECT_GT(io_.now(), before);
   EXPECT_EQ(dev_.stats().bytes_read, 4096u);
 }
@@ -71,11 +71,11 @@ TEST_F(NodeStoreTest, TouchReadAdvancesClockWithoutPayload) {
 TEST_F(NodeStoreTest, PeekNodeIsFreeOfTimingCharges) {
   NodeStore store(dev_, io_, 64 * kKiB);
   const uint64_t id = store.allocate();
-  store.write_node(id, std::vector<uint8_t>(16, 9));
+  ASSERT_TRUE(store.try_write_node(id, std::vector<uint8_t>(16, 9)).ok());
   const sim::SimTime before = io_.now();
   dev_.clear_stats();
   std::vector<uint8_t> buf;
-  store.peek_node(id, buf);
+  ASSERT_TRUE(store.peek_node(id, buf).ok());
   EXPECT_EQ(io_.now(), before);
   EXPECT_EQ(dev_.stats().reads, 0u);
   EXPECT_EQ(buf[0], 9);
@@ -85,12 +85,12 @@ TEST_F(NodeStoreTest, DistinctNodesDoNotAlias) {
   NodeStore store(dev_, io_, 4 * kKiB);
   const uint64_t a = store.allocate();
   const uint64_t b = store.allocate();
-  store.write_node(a, std::vector<uint8_t>(10, 0xaa));
-  store.write_node(b, std::vector<uint8_t>(10, 0xbb));
+  ASSERT_TRUE(store.try_write_node(a, std::vector<uint8_t>(10, 0xaa)).ok());
+  ASSERT_TRUE(store.try_write_node(b, std::vector<uint8_t>(10, 0xbb)).ok());
   std::vector<uint8_t> buf;
-  store.read_node(a, buf);
+  ASSERT_TRUE(store.try_read_node(a, buf).ok());
   EXPECT_EQ(buf[0], 0xaa);
-  store.read_node(b, buf);
+  ASSERT_TRUE(store.try_read_node(b, buf).ok());
   EXPECT_EQ(buf[0], 0xbb);
 }
 
@@ -106,7 +106,7 @@ TEST_F(NodeStoreTest, FreeAndReuse) {
 TEST_F(NodeStoreTest, BaseOffsetRespected) {
   NodeStore store(dev_, io_, 4 * kKiB, 1 * kMiB);
   const uint64_t id = store.allocate();
-  store.write_node(id, std::vector<uint8_t>(4, 0x11));
+  ASSERT_TRUE(store.try_write_node(id, std::vector<uint8_t>(4, 0x11)).ok());
   // The byte must land at base offset in the underlying device.
   std::vector<uint8_t> raw(1);
   dev_.read_bytes(1 * kMiB, raw);
@@ -118,12 +118,15 @@ TEST_F(NodeStoreTest, ReadNodesMatchesSerialPayloads) {
   std::vector<uint64_t> ids;
   for (int i = 0; i < 4; ++i) {
     const uint64_t id = store.allocate();
-    store.write_node(id, std::vector<uint8_t>(16, static_cast<uint8_t>(i)));
+    ASSERT_TRUE(store
+                    .try_write_node(
+                        id, std::vector<uint8_t>(16, static_cast<uint8_t>(i)))
+                    .ok());
     ids.push_back(id);
   }
   dev_.clear_stats();
   std::vector<std::vector<uint8_t>> images;
-  store.read_nodes(ids, images);
+  ASSERT_TRUE(store.try_read_nodes(ids, images).ok());
   ASSERT_EQ(images.size(), 4u);
   for (size_t i = 0; i < images.size(); ++i) {
     ASSERT_EQ(images[i].size(), 4u * kKiB);
@@ -141,13 +144,13 @@ TEST_F(NodeStoreTest, WriteNodesRoundTripsAndPads) {
   const std::vector<uint8_t> ia(10, 0xaa);
   const std::vector<uint8_t> ib(20, 0xbb);
   const NodeStore::NodeImage writes[] = {{a, ia}, {b, ib}};
-  store.write_nodes(writes);
+  ASSERT_TRUE(store.try_write_nodes(writes).ok());
   EXPECT_EQ(dev_.stats().bytes_written, 2u * 4 * kKiB);  // padded extents
   std::vector<uint8_t> back;
-  store.read_node(a, back);
+  ASSERT_TRUE(store.try_read_node(a, back).ok());
   EXPECT_EQ(back[0], 0xaa);
   EXPECT_EQ(back[10], 0);  // zero-padded past the image
-  store.read_node(b, back);
+  ASSERT_TRUE(store.try_read_node(b, back).ok());
   EXPECT_EQ(back[19], 0xbb);
 }
 
@@ -161,10 +164,12 @@ TEST_F(NodeStoreTest, BatchAdvancesClockToMaxCompletion) {
   sim::IoContext serial_io(serial_dev);
   NodeStore serial_store(serial_dev, serial_io, 64 * kKiB);
   for (int i = 0; i < 8; ++i) serial_store.allocate();
-  for (uint64_t id : ids) serial_store.touch_read(id, 0, 64 * kKiB);
+  for (uint64_t id : ids) {
+    ASSERT_TRUE(serial_store.try_touch_read(id, 0, 64 * kKiB).ok());
+  }
 
   std::vector<std::vector<uint8_t>> images;
-  store.read_nodes(ids, images);
+  ASSERT_TRUE(store.try_read_nodes(ids, images).ok());
   // The HDD still serializes on its single actuator, but the batch window
   // lets it reorder seeks — never slower than the one-at-a-time path.
   EXPECT_LE(io_.now(), serial_io.now());
@@ -177,7 +182,7 @@ TEST_F(NodeStoreTest, TouchReadBatchChargesEverySpan) {
   const uint64_t b = store.allocate();
   const sim::SimTime before = io_.now();
   const NodeStore::NodeSpan spans[] = {{a, 0, 4096}, {b, 8192, 1024}};
-  store.touch_read_batch(spans);
+  ASSERT_TRUE(store.try_touch_read_batch(spans).ok());
   EXPECT_GT(io_.now(), before);
   EXPECT_EQ(dev_.stats().reads, 2u);
   EXPECT_EQ(dev_.stats().bytes_read, 4096u + 1024u);
@@ -188,15 +193,16 @@ using NodeStoreDeathTest = NodeStoreTest;
 TEST_F(NodeStoreDeathTest, OversizeImageAborts) {
   NodeStore store(dev_, io_, 4 * kKiB);
   const uint64_t id = store.allocate();
-  EXPECT_DEATH(store.write_node(id, std::vector<uint8_t>(5 * kKiB)),
-               "exceeds extent");
+  EXPECT_DEATH(
+      (void)store.try_write_node(id, std::vector<uint8_t>(5 * kKiB)),
+      "exceeds extent");
 }
 
 TEST_F(NodeStoreDeathTest, SpanPastExtentAborts) {
   NodeStore store(dev_, io_, 4 * kKiB);
   const uint64_t id = store.allocate();
   std::vector<uint8_t> buf(4096);
-  EXPECT_DEATH(store.read_span(id, 1024, buf), "");
+  EXPECT_DEATH((void)store.try_read_span(id, 1024, buf), "");
 }
 
 }  // namespace

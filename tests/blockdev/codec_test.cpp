@@ -260,7 +260,7 @@ TEST_P(NodeStoreCodecTest, CompressedWriteChargesStoredBytesOnly) {
   NodeStore store(dev_, io_, 64 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
   const auto image = sorted_records(500);  // compressible, < node_bytes
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   const uint64_t stored = store.stored_bytes(id);
   EXPECT_GT(stored, 0u);
   EXPECT_LT(stored, 64u * kKiB);
@@ -268,7 +268,7 @@ TEST_P(NodeStoreCodecTest, CompressedWriteChargesStoredBytesOnly) {
 
   dev_.clear_stats();
   std::vector<uint8_t> back;
-  store.read_node(id, back);
+  ASSERT_TRUE(store.try_read_node(id, back).ok());
   EXPECT_EQ(dev_.stats().bytes_read, stored);  // partial-extent read
   ASSERT_EQ(back.size(), 64u * kKiB);
   EXPECT_EQ(std::memcmp(back.data(), image.data(), image.size()), 0);
@@ -282,12 +282,12 @@ TEST_P(NodeStoreCodecTest, IncompressibleImageFallsBackToRawExtent) {
   const uint64_t id = store.allocate();
   Rng rng(23);
   const auto image = random_bytes(rng, 4 * kKiB);  // fills the extent
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   // A frame would exceed the extent, so the raw padded image is stored.
   EXPECT_EQ(store.stored_bytes(id), 4u * kKiB);
   EXPECT_EQ(dev_.stats().bytes_written, 4u * kKiB);
   std::vector<uint8_t> back;
-  store.read_node(id, back);
+  ASSERT_TRUE(store.try_read_node(id, back).ok());
   EXPECT_EQ(back, image);
 }
 
@@ -295,19 +295,19 @@ TEST_P(NodeStoreCodecTest, SpanAndTouchChargesScaleWithStoredSize) {
   NodeStore store(dev_, io_, 64 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
   std::vector<uint8_t> image(64 * kKiB, 7);  // collapses to almost nothing
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   const uint64_t stored = store.stored_bytes(id);
   ASSERT_LT(stored, 64u * kKiB / 100);
 
   dev_.clear_stats();
   std::vector<uint8_t> span(16 * kKiB);
-  store.read_span(id, 8192, span);
+  ASSERT_TRUE(store.try_read_span(id, 8192, span).ok());
   // A quarter of the node charges about a quarter of the frame.
   EXPECT_LE(dev_.stats().bytes_read, stored / 4 + 1);
   for (uint8_t b : span) ASSERT_EQ(b, 7);
 
   dev_.clear_stats();
-  store.touch_read(id, 0, 64 * kKiB);
+  ASSERT_TRUE(store.try_touch_read(id, 0, 64 * kKiB).ok());
   EXPECT_EQ(dev_.stats().bytes_read, stored);  // whole node = whole frame
 }
 
@@ -324,7 +324,7 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
   }
   std::vector<NodeStore::NodeImage> writes;
   for (size_t i = 0; i < ids.size(); ++i) writes.push_back({ids[i], images[i]});
-  store.write_nodes(writes);
+  ASSERT_TRUE(store.try_write_nodes(writes).ok());
   uint64_t stored_total = 0;
   for (const uint64_t id : ids) stored_total += store.stored_bytes(id);
   EXPECT_EQ(dev_.stats().bytes_written, stored_total);
@@ -332,7 +332,7 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
 
   dev_.clear_stats();
   std::vector<std::vector<uint8_t>> back;
-  store.read_nodes(ids, back);
+  ASSERT_TRUE(store.try_read_nodes(ids, back).ok());
   EXPECT_EQ(dev_.stats().bytes_read, stored_total);
   ASSERT_EQ(back.size(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -346,7 +346,7 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
 TEST_P(NodeStoreCodecTest, FreeResetsStoredLength) {
   NodeStore store(dev_, io_, 16 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
-  store.write_node(id, sorted_records(100));
+  ASSERT_TRUE(store.try_write_node(id, sorted_records(100)).ok());
   ASSERT_LT(store.stored_bytes(id), 16u * kKiB);  // compressed
   store.free(id);
   ASSERT_EQ(store.allocate(), id);  // slot reuse
@@ -358,11 +358,11 @@ TEST_P(NodeStoreCodecTest, PeekServesDecodedPayloadWithoutTiming) {
   NodeStore store(dev_, io_, 16 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
   const auto image = sorted_records(100);
-  store.write_node(id, image);
+  ASSERT_TRUE(store.try_write_node(id, image).ok());
   const sim::SimTime before = io_.now();
   dev_.clear_stats();
   std::vector<uint8_t> back;
-  store.peek_node(id, back);
+  ASSERT_TRUE(store.peek_node(id, back).ok());
   EXPECT_EQ(io_.now(), before);
   EXPECT_EQ(dev_.stats().reads, 0u);
   EXPECT_EQ(std::memcmp(back.data(), image.data(), image.size()), 0);
@@ -384,11 +384,11 @@ TEST(NodeStoreIdentityTest, ExplicitIdentityMatchesDefaultTiming) {
   const uint64_t a = plain.allocate();
   const uint64_t b = ident.allocate();
   const auto image = sorted_records(100);
-  plain.write_node(a, image);
-  ident.write_node(b, image);
+  ASSERT_TRUE(plain.try_write_node(a, image).ok());
+  ASSERT_TRUE(ident.try_write_node(b, image).ok());
   std::vector<uint8_t> buf;
-  plain.read_node(a, buf);
-  ident.read_node(b, buf);
+  ASSERT_TRUE(plain.try_read_node(a, buf).ok());
+  ASSERT_TRUE(ident.try_read_node(b, buf).ok());
   EXPECT_EQ(io_a.now(), io_b.now());
   EXPECT_EQ(dev_a.stats().bytes_written, dev_b.stats().bytes_written);
   EXPECT_EQ(ident.codec_kind(), CodecKind::kIdentity);

@@ -22,6 +22,7 @@
 #include "sim/ssd.h"
 #include "stats/metrics.h"
 #include "util/bytes.h"
+#include "wal/durable_engine.h"
 
 namespace damkit {
 namespace {
@@ -247,6 +248,53 @@ TEST(FaultSoakDeterminismTest, SameSeedSameOutcome) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultSoakTest,
                          testing::Values(101u, 202u, 303u));
+
+// Durable engines under fire: the soak behind wal::make_durable, at rates
+// high enough that the WAL and snapshot writers retry inside their block
+// batches. A batch retry re-submits only the failed blocks and counts one
+// retry per block, so the accounting closes exactly as it does for the
+// bare engines.
+class DurableFaultSoakTest
+    : public testing::TestWithParam<std::tuple<kv::EngineKind, uint64_t>> {};
+
+TEST_P(DurableFaultSoakTest, EveryFaultIsRetriedOrGivenUp) {
+  const auto [kind, seed] = GetParam();
+  sim::FaultConfig faults;
+  faults.seed = seed;
+  faults.read_error_rate = 0.1;
+  faults.write_error_rate = 0.1;
+  faults.torn_write_rate = 0.05;
+  faults.latency_spike_rate = 0.02;
+  sim::SsdDevice inner(sim::testbed_ssd_profile());
+  sim::FaultInjectingDevice dev(inner, faults);
+  sim::IoContext io(dev);
+  const auto tree = wal::make_durable(
+      kv::make_engine(kind, dev, io, soak_config()), dev, io,
+      wal::default_durability_config(dev.capacity_bytes()));
+
+  SoakOutcome out;
+  out.report = harness::run_fault_soak(*tree, harness::SoakSpec{});
+  tree->check_invariants();
+  out.counters = tree->retry_counters();
+  out.injected = dev.fault_stats().injected_errors();
+  expect_soak_clean(out);
+  expect_faults_accounted(out);
+}
+
+constexpr kv::EngineKind kDurableEngines[] = {
+    kv::EngineKind::kBTree, kv::EngineKind::kBeTree, kv::EngineKind::kLsm};
+
+std::string durable_soak_name(
+    const testing::TestParamInfo<DurableFaultSoakTest::ParamType>& info) {
+  const auto [kind, seed] = info.param;
+  return std::string(kv::engine_kind_name(kind)) + "_seed" +
+         std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, DurableFaultSoakTest,
+                         testing::Combine(testing::ValuesIn(kDurableEngines),
+                                          testing::Values(1u, 2u, 3u)),
+                         durable_soak_name);
 
 }  // namespace
 }  // namespace damkit

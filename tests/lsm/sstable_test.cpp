@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "kv/slice.h"
 #include "sim/hdd.h"
@@ -28,17 +30,30 @@ class SSTableTest : public testing::Test {
     for (uint64_t i = 0; i < count; ++i) {
       b.add(Entry{kv::encode_key(i * stride), kv::make_value(i, 40), false});
     }
-    return b.finish();
+    return finish(b);
+  }
+
+  SSTableRef finish(SSTableBuilder& b) {
+    StatusOr<SSTableRef> t = b.try_finish(policy_, nullptr);
+    EXPECT_TRUE(t.ok()) << t.status().to_string();
+    return t.ok() ? *std::move(t) : nullptr;
+  }
+
+  std::optional<Entry> get(const SSTableRef& t, std::string_view key) {
+    StatusOr<std::optional<Entry>> hit = t->try_get(key, io_, policy_, nullptr);
+    EXPECT_TRUE(hit.ok()) << hit.status().to_string();
+    return hit.ok() ? *std::move(hit) : std::nullopt;
   }
 
   sim::HddDevice dev_;
   sim::IoContext io_;
   blockdev::ByteArena arena_;
+  const blockdev::RetryPolicy policy_{};
 };
 
 TEST_F(SSTableTest, EmptyBuilderReturnsNull) {
   SSTableBuilder b(dev_, io_, arena_, 1024, 10.0, 1);
-  EXPECT_EQ(b.finish(), nullptr);
+  EXPECT_EQ(finish(b), nullptr);
 }
 
 TEST_F(SSTableTest, MetadataCorrect) {
@@ -55,7 +70,7 @@ TEST_F(SSTableTest, MetadataCorrect) {
 TEST_F(SSTableTest, GetFindsEveryKey) {
   SSTableRef t = build(500, 3);
   for (uint64_t i = 0; i < 500; i += 7) {
-    const auto hit = t->get(kv::encode_key(i * 3), io_);
+    const auto hit = get(t, kv::encode_key(i * 3));
     ASSERT_TRUE(hit.has_value()) << i;
     EXPECT_EQ(hit->value, kv::make_value(i, 40));
     EXPECT_FALSE(hit->tombstone);
@@ -64,17 +79,17 @@ TEST_F(SSTableTest, GetFindsEveryKey) {
 
 TEST_F(SSTableTest, GetMissesBetweenAndOutside) {
   SSTableRef t = build(100, 10);
-  EXPECT_FALSE(t->get(kv::encode_key(5), io_).has_value());    // between
-  EXPECT_FALSE(t->get(kv::encode_key(995), io_).has_value());  // between
-  EXPECT_FALSE(t->get(kv::encode_key(10'000), io_).has_value());  // above
+  EXPECT_FALSE(get(t, kv::encode_key(5)).has_value());       // between
+  EXPECT_FALSE(get(t, kv::encode_key(995)).has_value());     // between
+  EXPECT_FALSE(get(t, kv::encode_key(10'000)).has_value());  // above
 }
 
 TEST_F(SSTableTest, TombstonesSurfaceAsEntries) {
   SSTableBuilder b(dev_, io_, arena_, 1024, 10.0, 1);
   b.add(Entry{kv::encode_key(1), "v", false});
   b.add(Entry{kv::encode_key(2), "", true});
-  SSTableRef t = b.finish();
-  const auto hit = t->get(kv::encode_key(2), io_);
+  SSTableRef t = finish(b);
+  const auto hit = get(t, kv::encode_key(2));
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->tombstone);
 }
@@ -82,7 +97,7 @@ TEST_F(SSTableTest, TombstonesSurfaceAsEntries) {
 TEST_F(SSTableTest, PointReadCostsOneBlock) {
   SSTableRef t = build(2000, 1, 4096);
   dev_.clear_stats();
-  const auto hit = t->get(kv::encode_key(1234), io_);
+  const auto hit = get(t, kv::encode_key(1234));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(dev_.stats().reads, 1u);
   EXPECT_LE(dev_.stats().bytes_read, 2u * 4096);  // one (possibly full) block
@@ -105,7 +120,7 @@ TEST_F(SSTableTest, BloomSkipsAbsentKeysWithoutIo) {
 
 TEST_F(SSTableTest, IteratorFullScanInOrder) {
   SSTableRef t = build(1500, 2);
-  auto it = t->seek("", io_);
+  auto it = t->seek("", io_, policy_, nullptr);
   uint64_t n = 0;
   std::string prev;
   while (it.valid()) {
@@ -119,10 +134,10 @@ TEST_F(SSTableTest, IteratorFullScanInOrder) {
 
 TEST_F(SSTableTest, IteratorSeeksMidTable) {
   SSTableRef t = build(1000, 2);  // keys 0,2,...,1998
-  auto it = t->seek(kv::encode_key(501), io_);
+  auto it = t->seek(kv::encode_key(501), io_, policy_, nullptr);
   ASSERT_TRUE(it.valid());
   EXPECT_EQ(it.entry().key, kv::encode_key(502));
-  auto it2 = t->seek(kv::encode_key(2000), io_);
+  auto it2 = t->seek(kv::encode_key(2000), io_, policy_, nullptr);
   EXPECT_FALSE(it2.valid());
 }
 
@@ -159,7 +174,8 @@ TEST_F(SSTableDeathTest, OutOfOrderKeysAbort) {
 TEST_F(SSTableDeathTest, ReadAfterReleaseAborts) {
   SSTableRef t = build(100);
   t->release();
-  EXPECT_DEATH((void)t->get(kv::encode_key(5), io_), "released");
+  EXPECT_DEATH((void)t->try_get(kv::encode_key(5), io_, policy_, nullptr),
+               "released");
 }
 
 }  // namespace

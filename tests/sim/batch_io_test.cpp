@@ -1,9 +1,11 @@
 // Tests for the batched submission path (Device::submit_batch and
-// IoContext::submit_batch): a batch of one must be bit-identical to the
-// serial path, an SSD batch must exploit die parallelism per the PDAM,
-// and the nondecreasing-clock contract must abort loudly when violated.
+// IoContext::submit_batch_checked): a batch of one must be bit-identical
+// to the serial path, an SSD batch must exploit die parallelism per the
+// PDAM, and the nondecreasing-clock contract must abort loudly when
+// violated.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "sim/device.h"
@@ -14,6 +16,16 @@
 
 namespace damkit::sim {
 namespace {
+
+// A checked batch on a fault-free device: every request succeeds, and
+// the clock advances to the batch's max completion.
+std::vector<IoCompletion> submit_batch(IoContext& io,
+                                       std::span<const IoRequest> reqs) {
+  std::vector<IoCompletion> cs;
+  std::vector<Status> per_io;
+  EXPECT_TRUE(io.submit_batch_checked(reqs, &cs, &per_io).ok());
+  return cs;
+}
 
 HddConfig hdd_config() {
   HddConfig cfg;
@@ -87,8 +99,8 @@ TEST(BatchIoTest, IoContextBatchOfOneMatchesTouchRead) {
   for (int i = 0; i < 8; ++i) {
     const IoRequest req{IoKind::kRead,
                         static_cast<uint64_t>(i) * 64 * kKiB, 64 * kKiB};
-    serial.touch_read(req.offset, req.length);
-    batched.submit_batch({&req, 1});
+    ASSERT_TRUE(serial.touch_read_checked(req.offset, req.length).ok());
+    submit_batch(batched, {&req, 1});
     EXPECT_EQ(serial.now(), batched.now());
   }
 }
@@ -159,12 +171,14 @@ TEST(BatchIoTest, SsdBatchExploitsDieParallelism) {
   }
   SsdDevice serial_dev(cfg);
   IoContext serial(serial_dev);
-  for (const IoRequest& r : reqs) serial.touch_read(r.offset, r.length);
+  for (const IoRequest& r : reqs) {
+    ASSERT_TRUE(serial.touch_read_checked(r.offset, r.length).ok());
+  }
   const SimTime serial_elapsed = serial.now();
 
   SsdDevice batch_dev(cfg);
   IoContext batched(batch_dev);
-  batched.submit_batch(reqs);
+  submit_batch(batched, reqs);
   const SimTime batch_elapsed = batched.now();
 
   ASSERT_GT(batch_elapsed, 0u);
@@ -210,7 +224,7 @@ TEST(BatchIoTest, BatchAdvancesClockToMaxNotSum) {
     reqs.push_back({IoKind::kRead,
                     static_cast<uint64_t>(i) * cfg.stripe_bytes, 64 * kKiB});
   }
-  const auto cs = io.submit_batch(reqs);
+  const auto cs = submit_batch(io, reqs);
   SimTime max_finish = 0;
   SimTime sum = 0;
   for (const IoCompletion& c : cs) {

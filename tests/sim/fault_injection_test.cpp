@@ -79,9 +79,9 @@ TEST(FaultInjectionTest, ZeroRatesAreTimingTransparent) {
   std::vector<uint8_t> buf(kIo);
   for (size_t i = 0; i < 100; ++i) {
     const uint64_t off = (i * 7 % 64) * kIo;
-    plain_io.write(off, buf);
+    ASSERT_TRUE(plain_io.write_checked(off, buf).ok());
     ASSERT_TRUE(wrapped_io.write_checked(off, buf).ok());
-    plain_io.read(off, buf);
+    ASSERT_TRUE(plain_io.read_checked(off, buf).ok());
     ASSERT_TRUE(wrapped_io.read_checked(off, buf).ok());
   }
   EXPECT_EQ(plain_io.now(), wrapped_io.now());
@@ -164,7 +164,7 @@ TEST(FaultInjectionTest, LatencySpikesDelayCompletionOnly) {
   IoContext io(dev);
 
   std::vector<uint8_t> buf(kIo);
-  plain_io.write(0, buf);
+  ASSERT_TRUE(plain_io.write_checked(0, buf).ok());
   ASSERT_TRUE(io.write_checked(0, buf).ok());  // a spike is not an error
   EXPECT_EQ(io.now(), plain_io.now() + cfg.latency_spike_ns);
   EXPECT_EQ(dev.fault_stats().injected_latency_spikes, 1u);
@@ -211,18 +211,22 @@ TEST(FaultInjectionTest, BatchReportsPerRequestVerdicts) {
   EXPECT_EQ(io.now(), max_finish);
 }
 
-TEST(FaultInjectionTest, LegacyPathsNeverFault) {
+TEST(FaultInjectionTest, TimingOnlyPathsNeverFault) {
   SsdDevice inner(testbed_ssd_profile());
   FaultInjectingDevice dev(inner, all_faults(3, 1.0));
-  IoContext io(dev);
-  // Unchecked read/write/submit must ignore error draws entirely (they
-  // predate Status plumbing); only spikes apply, as slow IO is not error.
-  std::vector<uint8_t> data(kIo, 0x77);
-  io.write(0, data);
-  std::vector<uint8_t> out(kIo);
-  io.read(0, out);
-  EXPECT_EQ(out, data);
+  // submit()/submit_batch() are the timing-model entry points (closed-loop
+  // drivers, the scheduler, trace replay) and move no payload: they must
+  // ignore error draws entirely. Only spikes apply, as slow IO is not
+  // error.
+  const IoRequest reqs[] = {{IoKind::kWrite, 0, kIo},
+                            {IoKind::kRead, kIo, kIo}};
+  const IoCompletion c = dev.submit(reqs[0], 0);
+  const std::vector<IoCompletion> cs = dev.submit_batch(reqs, c.finish);
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(dev.stats().reads + dev.stats().writes, 3u);
+  EXPECT_EQ(dev.checked_ios(), 0u);  // the fault hook was never consulted
   EXPECT_EQ(dev.fault_stats().injected_errors(), 0u);
+  EXPECT_EQ(dev.fault_stats().injected_latency_spikes, 3u);
 }
 
 TEST(FaultInjectionTest, ExportsFaultCounters) {

@@ -138,10 +138,11 @@ TEST(HddTest, PayloadRoundTripWithTiming) {
   std::vector<uint8_t> out(64, 0);
   std::vector<uint8_t> in(64);
   for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<uint8_t>(i);
-  SimTime t = dev.write(4096, in, 0).finish;
-  t = dev.read(4096, out, t).finish;
+  IoCompletion c;
+  ASSERT_TRUE(dev.write_checked(4096, in, 0, &c).ok());
+  ASSERT_TRUE(dev.read_checked(4096, out, c.finish, &c).ok());
   EXPECT_EQ(in, out);
-  EXPECT_GT(t, 0u);
+  EXPECT_GT(c.finish, 0u);
 }
 
 TEST(HddDeathTest, OutOfRangeIo) {
@@ -156,10 +157,10 @@ TEST(HddTest, IoContextAdvancesClock) {
   IoContext io(dev);
   EXPECT_EQ(io.now(), 0u);
   std::vector<uint8_t> buf(4096);
-  io.read(0, buf);
+  ASSERT_TRUE(io.read_checked(0, buf).ok());
   const SimTime after_first = io.now();
   EXPECT_GT(after_first, 0u);
-  io.touch_read(kGiB, 1 * kMiB);
+  ASSERT_TRUE(io.touch_read_checked(kGiB, 1 * kMiB).ok());
   EXPECT_GT(io.now(), after_first);
 }
 

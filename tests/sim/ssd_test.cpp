@@ -201,7 +201,8 @@ TEST(SsdTest, LinkDisabledByDefault) {
 TEST(SsdTest, TrimDropsPayloadWithoutTiming) {
   SsdDevice dev(small_config());
   std::vector<uint8_t> data(64 * kKiB, 0x7e);
-  dev.write(0, data, 0);
+  IoCompletion c;
+  ASSERT_TRUE(dev.write_checked(0, data, 0, &c).ok());
   EXPECT_GT(dev.resident_host_bytes(), 0u);
   dev.trim(0, 64 * kKiB);
   EXPECT_EQ(dev.resident_host_bytes(), 0u);

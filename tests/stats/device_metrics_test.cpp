@@ -1,4 +1,5 @@
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,16 @@
 namespace damkit::sim {
 namespace {
 
+// A checked batch on a fault-free device: every request succeeds, and
+// the clock advances to the batch's max completion.
+std::vector<IoCompletion> submit_batch(IoContext& io,
+                                       std::span<const IoRequest> reqs) {
+  std::vector<IoCompletion> cs;
+  std::vector<Status> per_io;
+  EXPECT_TRUE(io.submit_batch_checked(reqs, &cs, &per_io).ok());
+  return cs;
+}
+
 // A uniform random-read workload's measured setup/transfer decomposition
 // must agree with HddConfig's closed-form affine expectations — the same
 // consistency CI's bench-smoke gate enforces, at unit-test scale.
@@ -26,7 +37,8 @@ TEST(DeviceMetrics, HddAffineSplitMatchesClosedForm) {
   const uint64_t tracks = config.capacity_bytes / config.track_bytes;
   const uint64_t io_bytes = config.track_bytes / 4;  // track-aligned, < track
   for (int i = 0; i < 1500; ++i) {
-    io.touch_read((rng.next() % tracks) * config.track_bytes, io_bytes);
+    const uint64_t offset = (rng.next() % tracks) * config.track_bytes;
+    ASSERT_TRUE(io.touch_read_checked(offset, io_bytes).ok());
   }
 
   const DeviceStats& st = dev.stats();
@@ -82,7 +94,7 @@ TEST(DeviceMetrics, BatchOfOneEquivalentToSerial) {
   IoContext batched_io(batched_dev);
   std::vector<IoCompletion> batched;
   for (const auto& r : reqs) {
-    const auto cs = batched_io.submit_batch({&r, 1});
+    const auto cs = submit_batch(batched_io, {&r, 1});
     batched.push_back(cs[0]);
   }
 
@@ -124,7 +136,7 @@ TEST(DeviceMetrics, SsdExportsPerDieUtilization) {
                      static_cast<uint64_t>(d) * config.stripe_bytes,
                      config.stripe_bytes});
   }
-  io.submit_batch(batch);
+  submit_batch(io, batch);
 
   stats::MetricsRegistry reg;
   dev.export_metrics(reg, "ssd.");
@@ -144,11 +156,11 @@ TEST(DeviceMetrics, EventTraceRecordsIos) {
   stats::TraceBuffer events(16);
   dev.set_event_trace(&events);
   IoContext io(dev);
-  io.touch_read(0, 4096);
+  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
   const std::vector<IoRequest> batch = {{IoKind::kRead, 0, 4096},
                                         {IoKind::kRead, config.stripe_bytes,
                                          4096}};
-  io.submit_batch(batch);
+  submit_batch(io, batch);
 
   const auto recorded = events.events();
   // 1 scalar io + 1 batch marker + 2 batched ios.
@@ -160,7 +172,7 @@ TEST(DeviceMetrics, EventTraceRecordsIos) {
 
   // Disabling collection stops emission without detaching the buffer.
   stats::set_collecting(false);
-  io.touch_read(0, 4096);
+  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
   stats::set_collecting(true);
   EXPECT_EQ(events.events().size(), 4u);
 }

@@ -267,7 +267,8 @@ std::unique_ptr<sim::Device> make_device(const std::string& spec,
 // With --fault-seed the device is wrapped in a FaultInjectingDevice and
 // the workload runs through the fallible try_* APIs: every injected fault
 // is either retried away by the engine or surfaced (and counted) as a
-// failed operation — never an abort.
+// failed operation — never an abort. Unless a crash fired, the run exits 1
+// when the injected faults do not equal retries + give-ups.
 int cmd_metrics(int argc, char** argv) {
   std::string device_spec = "ssd";
   std::string json_path;
@@ -498,13 +499,16 @@ int cmd_metrics(int argc, char** argv) {
                                       sim::kNsPerUs),
       static_cast<unsigned long long>(served.latency.percentile(99.9) /
                                       sim::kNsPerUs));
+  bool accounted = true;
   if (faulty != nullptr) {
+    const uint64_t injected = faulty->fault_stats().injected_errors();
+    const blockdev::RetryCounters counters = tree->retry_counters();
+    accounted = crashed || injected == counters.retries + counters.give_ups;
     std::printf("faults: seed %llu, %llu injected "
                 "(%llu read, %llu write, %llu torn, %llu spikes), "
                 "%llu retries, %llu give-ups, %llu failed ops\n",
                 static_cast<unsigned long long>(fault_seed),
-                static_cast<unsigned long long>(
-                    faulty->fault_stats().injected_errors()),
+                static_cast<unsigned long long>(injected),
                 static_cast<unsigned long long>(
                     faulty->fault_stats().injected_read_errors),
                 static_cast<unsigned long long>(
@@ -513,10 +517,8 @@ int cmd_metrics(int argc, char** argv) {
                     faulty->fault_stats().injected_torn_writes),
                 static_cast<unsigned long long>(
                     faulty->fault_stats().injected_latency_spikes),
-                static_cast<unsigned long long>(
-                    tree->retry_counters().retries),
-                static_cast<unsigned long long>(
-                    tree->retry_counters().give_ups),
+                static_cast<unsigned long long>(counters.retries),
+                static_cast<unsigned long long>(counters.give_ups),
                 static_cast<unsigned long long>(run.failed_ops));
   }
   std::printf("simulated time: %.3f s\n\n", sim::to_seconds(io.now()));
@@ -567,6 +569,12 @@ int cmd_metrics(int argc, char** argv) {
     }
     std::printf("%zu trace events written to %s\n", events.size(),
                 trace_path.c_str());
+  }
+  if (!accounted) {
+    std::fprintf(stderr,
+                 "fault accounting broken: injected faults != retries + "
+                 "give-ups\n");
+    return 1;
   }
   return 0;
 }
