@@ -17,13 +17,17 @@ namespace {
 // parallelism.
 constexpr size_t kScanPrefetchWindow = 8;
 
+// Bulk-load fill and the leaf-merge threshold during flushes, as fractions
+// of node_bytes.
+constexpr double kBulkFill = 0.85;
+constexpr double kMinFill = 0.2;
+
 }  // namespace
 
 BeTree::BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config)
-    : dev_(&dev),
-      io_(&io),
-      config_(config),
-      store_(dev, io, config.node_bytes, config.base_offset, config.codec) {
+    : config_(config),
+      cache_(dev, io, config.node_bytes, config.cache_bytes, config.base_offset,
+             config.codec) {
   DAMKIT_CHECK(config_.node_bytes >= 1024);
   DAMKIT_CHECK(config_.cache_bytes >= config_.node_bytes);
   if (config_.target_fanout > 0) {
@@ -35,70 +39,11 @@ BeTree::BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config)
         static_cast<double>(config_.pivot_estimate_bytes)));
   }
   fanout_ = std::max<size_t>(fanout_, 4);
-  pool_ = std::make_unique<cache::BufferPool>(
-      config_.cache_bytes, [this](uint64_t id, void* object) {
-        auto* node = static_cast<BeTreeNode*>(object);
-        node->serialize(io_buf_);
-        return store_.try_write_node(id, io_buf_);
-      });
-  // Checkpoints batch: serialize every dirty node, then write all extents
-  // as one submission so the flush pays the slowest write, not the sum.
-  pool_->set_batch_writeback(
-      [this](std::span<const std::pair<uint64_t, void*>> dirty,
-             std::vector<bool>* written) {
-        std::vector<std::vector<uint8_t>> images(dirty.size());
-        std::vector<blockdev::NodeStore::NodeImage> writes;
-        writes.reserve(dirty.size());
-        for (size_t i = 0; i < dirty.size(); ++i) {
-          static_cast<BeTreeNode*>(dirty[i].second)->serialize(images[i]);
-          writes.push_back({dirty[i].first, images[i]});
-        }
-        return store_.try_write_nodes(writes, written);
-      });
 }
-
-BeTree::~BeTree() { DAMKIT_CHECK_OK(pool_->flush_all()); }
 
 const kv::Capabilities& BeTree::capabilities() const {
   static constexpr kv::Capabilities kCaps{.native_upsert = true};
   return kCaps;
-}
-
-StatusOr<BeTree::NodeRef> BeTree::try_fetch(uint64_t id) {
-  DAMKIT_CHECK(id != kInvalidNode);
-  if (NodeRef cached = pool_->get<BeTreeNode>(id)) return cached;
-  DAMKIT_RETURN_IF_ERROR(store_.try_read_node(id, io_buf_));
-  NodeRef node = BeTreeNode::deserialize(io_buf_);
-  pool_->put(id, node, config_.node_bytes, /*dirty=*/false);
-  return node;
-}
-
-BeTree::NodeRef BeTree::fetch(uint64_t id) {
-  StatusOr<NodeRef> node = try_fetch(id);
-  DAMKIT_CHECK_OK(node.status());
-  return *std::move(node);
-}
-
-void BeTree::install_new(uint64_t id, NodeRef node) {
-  pool_->put(id, std::move(node), config_.node_bytes, /*dirty=*/true);
-}
-
-Status BeTree::prefetch_children(const BeTreeNode& node, size_t begin,
-                                 size_t end) {
-  std::vector<uint64_t> missing;
-  for (size_t i = begin; i < end && i < node.child_count(); ++i) {
-    const uint64_t cid = node.child(i);
-    if (!pool_->contains(cid)) missing.push_back(cid);
-  }
-  // A batch of one gains nothing over the fetch() the caller will do.
-  if (missing.size() < 2) return Status();
-  std::vector<std::vector<uint8_t>> images;
-  DAMKIT_RETURN_IF_ERROR(store_.try_read_nodes(missing, images));
-  for (size_t i = 0; i < missing.size(); ++i) {
-    pool_->put(missing[i], BeTreeNode::deserialize(images[i]),
-               config_.node_bytes, /*dirty=*/false);
-  }
-  return Status();
 }
 
 Status BeTree::try_put(std::string_view key, std::string_view value) {
@@ -129,10 +74,10 @@ Status BeTree::try_upsert(std::string_view key, int64_t delta) {
 
 Status BeTree::root_add(Message msg) {
   if (root_ == kInvalidNode) {
-    StatusOr<uint64_t> id = store_.try_allocate();
+    StatusOr<uint64_t> id = cache_.store().try_allocate();
     DAMKIT_RETURN_IF_ERROR(id.status());
     root_ = *id;
-    install_new(root_, BeTreeNode::make_leaf());
+    cache_.install(root_, BeTreeNode::make_leaf());
     height_ = 1;
   }
   StatusOr<NodeRef> root_or = try_fetch(root_);
@@ -146,7 +91,7 @@ Status BeTree::root_add(Message msg) {
     const size_t idx = root->child_index(msg.key);
     root->buffer_add(idx, std::move(msg));
   }
-  mark_dirty(root_);
+  cache_.mark_dirty(root_);
   if (overflowing(*root) || flush_pressure(*root)) return fix_root();
   return Status();
 }
@@ -160,12 +105,12 @@ Status BeTree::fix_root() {
   // Reserve the potential new root up front: once fix_node has produced
   // splits they MUST be linked under a new root, and an allocation failure
   // at that point would orphan their subtrees.
-  StatusOr<uint64_t> reserved = store_.try_allocate();
+  StatusOr<uint64_t> reserved = cache_.store().try_allocate();
   DAMKIT_RETURN_IF_ERROR(reserved.status());
   std::vector<SplitInfo> splits;
   const Status fixed = fix_node(root_, root, splits, /*depth=*/0);
   if (splits.empty()) {
-    store_.free(*reserved);
+    cache_.store().free(*reserved);
     return fixed;
   }
   const uint64_t new_root_id = *reserved;
@@ -175,7 +120,7 @@ Status BeTree::fix_root() {
     new_root->internal_insert(new_root->child_count() - 1,
                               std::move(s.separator), s.right_id);
   }
-  install_new(new_root_id, new_root);
+  cache_.install(new_root_id, new_root);
   root_ = new_root_id;
   ++height_;
   DAMKIT_RETURN_IF_ERROR(fixed);
@@ -219,7 +164,7 @@ Status BeTree::fix_node(uint64_t id, NodeRef node, std::vector<SplitInfo>& out,
 
   // Allocate BEFORE split() mutates the node: an exhausted allocator then
   // leaves the node whole (oversized but readable; retried later).
-  StatusOr<uint64_t> right_alloc = store_.try_allocate();
+  StatusOr<uint64_t> right_alloc = cache_.store().try_allocate();
   DAMKIT_RETURN_IF_ERROR(right_alloc.status());
   const uint64_t right_id = *right_alloc;
   BeTreeNode::SplitResult sr = node->split();
@@ -229,8 +174,8 @@ Status BeTree::fix_node(uint64_t id, NodeRef node, std::vector<SplitInfo>& out,
     ++op_stats_.internal_splits;
   }
   NodeRef right = sr.right;
-  install_new(right_id, right);
-  mark_dirty(id);
+  cache_.install(right_id, right);
+  cache_.mark_dirty(id);
   // Either half may still violate limits; recurse on both, emitting the
   // accumulated separators in strictly ascending key order: left's splits
   // (keys < separator), then the separator, then right's (keys > it).
@@ -257,9 +202,10 @@ Status BeTree::flush_one(uint64_t id, NodeRef node, size_t depth) {
   if (depth >= flushes_by_depth_.size()) flushes_by_depth_.resize(depth + 1);
   ++flushes_by_depth_[depth];
   DAMKIT_STATS_ONLY(if (events_ != nullptr && stats::collecting()) {
-    events_->emit({io_->now(), "betree", "flush", depth, msgs.size(), 0});
+    events_->emit({cache_.store().io().now(), "betree", "flush", depth,
+                   msgs.size(), 0});
   });
-  mark_dirty(id);
+  cache_.mark_dirty(id);
 
   if (child->is_leaf()) {
     return apply_to_leaf_child(id, node, idx, std::move(msgs), depth);
@@ -269,7 +215,7 @@ Status BeTree::flush_one(uint64_t id, NodeRef node, size_t depth) {
     const size_t ci = child->child_index(m.key);
     child->buffer_add(ci, std::move(m));
   }
-  mark_dirty(child_id);
+  cache_.mark_dirty(child_id);
   if (overflowing(*child)) {
     std::vector<SplitInfo> splits;
     const Status fixed = fix_node(child_id, child, splits, depth + 1);
@@ -296,7 +242,7 @@ Status BeTree::apply_to_leaf_child(uint64_t parent_id, NodeRef parent,
   }
   NodeRef leaf = *std::move(leaf_or);
   for (const Message& m : msgs) leaf->leaf_apply(m);
-  mark_dirty(leaf_id);
+  cache_.mark_dirty(leaf_id);
 
   if (overflowing(*leaf)) {
     std::vector<SplitInfo> splits;
@@ -306,14 +252,14 @@ Status BeTree::apply_to_leaf_child(uint64_t parent_id, NodeRef parent,
       parent->internal_insert(at, std::move(s.separator), s.right_id);
       ++at;
     }
-    mark_dirty(parent_id);
+    cache_.mark_dirty(parent_id);
     return fixed;
   }
 
   // Underflow: merge small leaves so tombstone-heavy workloads shrink the
   // tree instead of accumulating empty leaves.
   const auto min_bytes = static_cast<uint64_t>(
-      config_.min_fill * static_cast<double>(config_.node_bytes));
+      kMinFill * static_cast<double>(config_.node_bytes));
   if (leaf->byte_size() >= min_bytes || parent->child_count() < 2) {
     return Status();
   }
@@ -335,10 +281,9 @@ Status BeTree::apply_to_leaf_child(uint64_t parent_id, NodeRef parent,
 
   left->leaf_merge_from_right(*right);
   parent->internal_remove_child(li);
-  mark_dirty(left_id);
-  mark_dirty(parent_id);
-  pool_->erase(right_id);
-  store_.free(right_id);
+  cache_.mark_dirty(left_id);
+  cache_.mark_dirty(parent_id);
+  cache_.drop(right_id);
   ++op_stats_.leaf_merges;
   return collapse_root();
 }
@@ -355,8 +300,7 @@ Status BeTree::collapse_root() {
       continue;
     }
     const uint64_t only = root->child(0);
-    pool_->erase(root_);
-    store_.free(root_);
+    cache_.drop(root_);
     root_ = only;
     --height_;
   }
@@ -440,7 +384,8 @@ StatusOr<bool> BeTree::scan_rec(
   for (size_t i = start; i < node->child_count(); ++i) {
     if (i >= prefetched_until) {
       const size_t end = std::min(i + window, node->child_count());
-      DAMKIT_RETURN_IF_ERROR(prefetch_children(*node, i, end));
+      DAMKIT_RETURN_IF_ERROR(
+          cache_.prefetch(node->children().subspan(i, end - i)));
       prefetched_until = end;
       window = std::min(window * 2, kScanPrefetchWindow);
     }
@@ -483,12 +428,7 @@ void BeTree::bulk_load(
   if (count == 0) return;
 
   const auto target = static_cast<uint64_t>(
-      config_.bulk_fill * static_cast<double>(config_.node_bytes));
-
-  auto write_direct = [this](uint64_t id, BeTreeNode& n) {
-    n.serialize(io_buf_);
-    DAMKIT_CHECK_OK(store_.try_write_node(id, io_buf_));
-  };
+      kBulkFill * static_cast<double>(config_.node_bytes));
 
   std::vector<std::pair<std::string, uint64_t>> level;  // (first key, id)
   NodeRef cur = BeTreeNode::make_leaf();
@@ -502,8 +442,8 @@ void BeTree::bulk_load(
     const uint64_t add =
         BeTreeNode::leaf_entry_bytes(key.size(), value.size());
     if (cur->entry_count() > 0 && cur->byte_size() + add > target) {
-      const uint64_t id = store_.allocate();
-      write_direct(id, *cur);
+      const uint64_t id = cache_.store().allocate();
+      DAMKIT_CHECK_OK(cache_.write_through(id, *cur));
       level.emplace_back(std::move(cur_first), id);
       cur = BeTreeNode::make_leaf();
     }
@@ -511,8 +451,8 @@ void BeTree::bulk_load(
     cur->leaf_append(key, value);
   }
   {
-    const uint64_t id = store_.allocate();
-    write_direct(id, *cur);
+    const uint64_t id = cache_.store().allocate();
+    DAMKIT_CHECK_OK(cache_.write_through(id, *cur));
     level.emplace_back(std::move(cur_first), id);
   }
   height_ = 1;
@@ -535,8 +475,8 @@ void BeTree::bulk_load(
                               std::move(level[i].first), level[i].second);
         ++i;
       }
-      const uint64_t id = store_.allocate();
-      write_direct(id, *node);
+      const uint64_t id = cache_.store().allocate();
+      DAMKIT_CHECK_OK(cache_.write_through(id, *node));
       above.emplace_back(std::move(first), id);
     }
     level = std::move(above);
@@ -571,11 +511,10 @@ void BeTree::export_metrics(stats::MetricsRegistry& reg,
   }
   if (op_stats_.logical_bytes_written > 0) {
     reg.set(p + "write_amplification",
-            static_cast<double>(store_.stats().bytes_written) /
+            static_cast<double>(cache_.store().stats().bytes_written) /
                 static_cast<double>(op_stats_.logical_bytes_written));
   }
-  pool_->export_metrics(reg, p + "cache.");
-  store_.export_metrics(reg, p + "store.");
+  cache_.export_metrics(reg, p);
 }
 
 void BeTree::check_invariants() {
@@ -587,7 +526,7 @@ void BeTree::check_invariants() {
 void BeTree::check_subtree(uint64_t id, const std::string* lo,
                            const std::string* hi, size_t depth,
                            size_t leaf_depth, uint64_t* live) {
-  NodeRef node = fetch(id);
+  const NodeRef node = try_fetch(id).value();
   DAMKIT_CHECK_MSG(node->byte_size() == node->recomputed_byte_size(),
                    "byte-size drift at node " << id);
   DAMKIT_CHECK_MSG(node->byte_size() <= config_.node_bytes,

@@ -19,7 +19,7 @@
 
 #include "betree/betree_node.h"
 #include "blockdev/block_device.h"
-#include "cache/buffer_pool.h"
+#include "cache/node_cache.h"
 #include "kv/dictionary.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
@@ -38,8 +38,6 @@ struct BeTreeConfig {
   /// ε = 1/2 regime the paper calls the B^(1/2)-tree.
   size_t target_fanout = 0;
   uint64_t cache_bytes = 32 * 1024 * 1024;
-  double bulk_fill = 0.85;
-  double min_fill = 0.2;  // leaf-merge threshold during flushes
   FlushPolicy flush_policy = FlushPolicy::kFullestChild;
   uint64_t base_offset = 0;
   /// Estimated key size used only for the default-fanout heuristic.
@@ -67,7 +65,6 @@ struct BeTreeOpStats {
 class BeTree : public kv::Dictionary {
  public:
   BeTree(sim::Device& dev, sim::IoContext& io, BeTreeConfig config);
-  ~BeTree() override;
 
   std::string_view name() const override { return "betree"; }
   const kv::Capabilities& capabilities() const override;
@@ -94,29 +91,31 @@ class BeTree : public kv::Dictionary {
                      uint64_t)>& item) override;
 
   /// Write back dirty nodes; failed nodes stay dirty (retried next call).
-  Status checkpoint() override { return pool_->flush_all(); }
+  Status checkpoint() override { return cache_.flush_all(); }
 
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() override { pool_->discard_all(); }
+  void abandon() override { cache_.discard_all(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    store_.set_retry_policy(policy);
+    cache_.store().set_retry_policy(policy);
   }
   blockdev::RetryCounters retry_counters() const override {
-    return store_.retry_counters();
+    return cache_.store().retry_counters();
   }
 
   size_t height() const override { return height_; }
-  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
+  double cache_hit_rate() const override { return cache_.stats().hit_rate(); }
   size_t target_fanout() const { return fanout_; }
-  uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
+  uint64_t nodes_in_use() const { return cache_.store().nodes_in_use(); }
   const BeTreeOpStats& op_stats() const { return op_stats_; }
-  const cache::BufferPoolStats& cache_stats() const { return pool_->stats(); }
+  const cache::NodeCacheStats& cache_stats() const { return cache_.stats(); }
+  const blockdev::NodeStoreStats& store_stats() const {
+    return cache_.store().stats();
+  }
   const BeTreeConfig& config() const { return config_; }
-  sim::IoContext& io() { return *io_; }
 
   /// Structural invariants: key ordering, buffer routing (every buffered
   /// message's key lies in its child's range), size accounting, uniform
@@ -150,18 +149,11 @@ class BeTree : public kv::Dictionary {
   };
 
   /// Fetch for structural/mutating access (whole-node IO on miss).
-  /// Subclasses may refine the IO accounting (see OptBeTree).
-  virtual StatusOr<NodeRef> try_fetch(uint64_t id);
-  /// CHECK-on-error wrapper around try_fetch (legacy/invariant paths).
-  NodeRef fetch(uint64_t id);
-  /// Batch-read children [begin, end) of `node` that are not yet cached
-  /// (one vectored device IO), inserting them clean and fully resident.
-  Status prefetch_children(const BeTreeNode& node, size_t begin, size_t end);
+  /// OptBeTree refines the IO accounting of partially read nodes.
+  virtual StatusOr<NodeRef> try_fetch(uint64_t id) { return cache_.fetch(id); }
   /// Additional flush pressure beyond whole-node overflow. The optimized
   /// Bε-tree caps per-child buffers at B/F (Theorem 9) by overriding this.
   virtual bool flush_pressure(const BeTreeNode& node) const;
-  void install_new(uint64_t id, NodeRef node);
-  void mark_dirty(uint64_t id) { pool_->mark_dirty(id); }
 
   Status root_add(Message msg);
   /// Restore size/fanout invariants at (id, node); any splits that the
@@ -200,12 +192,9 @@ class BeTree : public kv::Dictionary {
   void check_subtree(uint64_t id, const std::string* lo, const std::string* hi,
                      size_t depth, size_t leaf_depth, uint64_t* live);
 
-  sim::Device* dev_;
-  sim::IoContext* io_;
   BeTreeConfig config_;
   size_t fanout_;
-  blockdev::NodeStore store_;
-  std::unique_ptr<cache::BufferPool> pool_;
+  cache::NodeCache<BeTreeNode> cache_;
 
   uint64_t root_ = kInvalidNode;
   size_t height_ = 0;
@@ -213,7 +202,6 @@ class BeTree : public kv::Dictionary {
   std::vector<uint64_t> flushes_by_depth_;  // index = flushing node's depth
   stats::TraceBuffer* events_ = nullptr;
   size_t round_robin_cursor_ = 0;
-  std::vector<uint8_t> io_buf_;
 };
 
 }  // namespace damkit::betree

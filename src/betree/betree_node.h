@@ -79,6 +79,7 @@ class BeTreeNode {
   // --- Internal interface ---
   size_t child_count() const { return children_.size(); }
   uint64_t child(size_t i) const { return children_[i]; }
+  std::span<const uint64_t> children() const { return children_; }
   size_t pivot_count() const { return pivots_.count(); }
   kv::Slice pivot(size_t i) const { return pivots_.record(i).substr(2); }
   size_t child_index(std::string_view key) const;

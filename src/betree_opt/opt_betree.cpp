@@ -71,12 +71,12 @@ StatusOr<OptBeTree::NodeRef> OptBeTree::try_fetch(uint64_t id) {
       std::min<uint64_t>(node->residency.charged_bytes, config_.node_bytes);
   const uint64_t remainder = config_.node_bytes - charged;
   if (remainder > 0) {
-    DAMKIT_RETURN_IF_ERROR(store_.try_touch_read(id, charged, remainder));
+    DAMKIT_RETURN_IF_ERROR(
+        cache_.store().try_touch_read(id, charged, remainder));
   }
   node->residency = BeTreeNode::Residency{};
   ++opt_stats_.residency_upgrades;
-  pool_->erase(id);
-  pool_->put(id, node, config_.node_bytes, /*dirty=*/false);
+  cache_.recharge(id, config_.node_bytes);
   return node;
 }
 
@@ -97,7 +97,7 @@ Status OptBeTree::charge_segment(uint64_t id, const NodeRef& node,
     spans.push_back({id, offset, len});
     total += len;
   }
-  DAMKIT_RETURN_IF_ERROR(store_.try_touch_read_batch(spans));
+  DAMKIT_RETURN_IF_ERROR(cache_.store().try_touch_read_batch(spans));
   opt_stats_.segment_reads += spans.size();
   opt_stats_.segment_bytes_read += total;
 
@@ -108,12 +108,11 @@ Status OptBeTree::charge_segment(uint64_t id, const NodeRef& node,
   node->residency.segments.push_back(seg);
 
   if (newly_loaded) {
-    pool_->put(id, node, node->residency.charged_bytes, /*dirty=*/false);
+    cache_.put(id, node, node->residency.charged_bytes, /*dirty=*/false);
   } else {
     // Re-account at the grown charge (entry stays clean: mutations always
     // upgrade to full residency before dirtying).
-    pool_->erase(id);
-    pool_->put(id, node, node->residency.charged_bytes, /*dirty=*/false);
+    cache_.recharge(id, node->residency.charged_bytes);
   }
   return Status();
 }
@@ -126,14 +125,14 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
   uint64_t id = root_;
   std::optional<std::string> result_state;
   for (;;) {
-    NodeRef node = pool_->get<BeTreeNode>(id);
+    NodeRef node = cache_.lookup(id);
     bool newly_loaded = false;
     if (node == nullptr) {
       // Deserialize first; the IO size to charge depends on which child
       // the descent takes (the parent's pivot block told the real system
       // this before the IO was issued).
-      DAMKIT_RETURN_IF_ERROR(store_.peek_node(id, io_buf_));
-      node = BeTreeNode::deserialize(io_buf_);
+      DAMKIT_RETURN_IF_ERROR(cache_.store().peek_node(id, peek_buf_));
+      node = BeTreeNode::deserialize(peek_buf_);
       newly_loaded = true;
     }
 

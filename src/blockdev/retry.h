@@ -23,12 +23,16 @@
 
 namespace damkit::blockdev {
 
+/// Simulated wait before the first re-attempt; each later wait is
+/// kBackoffMultiplier times the previous one.
+inline constexpr sim::SimTime kBackoffNs = 50 * sim::kNsPerUs;
+inline constexpr double kBackoffMultiplier = 2.0;
+
 /// `max_attempts` counts total tries (1 = fail fast, no retry). Attempt
-/// k+1 is preceded by a simulated wait of backoff_ns * multiplier^(k-1).
+/// k+1 is preceded by a simulated wait of
+/// kBackoffNs * kBackoffMultiplier^(k-1).
 struct RetryPolicy {
   uint32_t max_attempts = 3;
-  sim::SimTime backoff_ns = 50 * sim::kNsPerUs;
-  double backoff_multiplier = 2.0;
 };
 
 struct RetryCounters {
@@ -52,7 +56,7 @@ Status with_retries(sim::IoContext& io, const RetryPolicy& policy,
                     RetryCounters* counters, bool retry_corruption,
                     Fn&& attempt) {
   const uint32_t max_attempts = std::max<uint32_t>(policy.max_attempts, 1);
-  double backoff = static_cast<double>(policy.backoff_ns);
+  double backoff = static_cast<double>(kBackoffNs);
   Status s = attempt();
   for (uint32_t tries = 1; !s.ok(); ++tries) {
     if (!is_retryable(s, retry_corruption) || tries >= max_attempts) {
@@ -60,7 +64,7 @@ Status with_retries(sim::IoContext& io, const RetryPolicy& policy,
       return s;
     }
     io.spend(static_cast<sim::SimTime>(backoff));
-    backoff *= policy.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     if (counters != nullptr) ++counters->retries;
     s = attempt();
   }
@@ -96,7 +100,7 @@ Status with_batch_retries(sim::IoContext& io, const RetryPolicy& policy,
                           std::span<const sim::IoRequest> reqs,
                           BatchRetryScratch& scratch, OnVerdict&& on_verdict) {
   const uint32_t max_attempts = std::max<uint32_t>(policy.max_attempts, 1);
-  double backoff = static_cast<double>(policy.backoff_ns);
+  double backoff = static_cast<double>(kBackoffNs);
   std::vector<size_t>& pending = scratch.pending;
   pending.resize(reqs.size());
   std::iota(pending.begin(), pending.end(), size_t{0});
@@ -122,7 +126,7 @@ Status with_batch_retries(sim::IoContext& io, const RetryPolicy& policy,
     }
     if (scratch.failed.empty()) break;
     io.spend(static_cast<sim::SimTime>(backoff));
-    backoff *= policy.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     if (counters != nullptr) counters->retries += scratch.failed.size();
     std::swap(pending, scratch.failed);
     scratch.batch.clear();

@@ -1,7 +1,6 @@
 #include "btree/btree.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -10,69 +9,28 @@
 namespace damkit::btree {
 
 BTree::BTree(sim::Device& dev, sim::IoContext& io, BTreeConfig config)
-    : dev_(&dev),
-      io_(&io),
-      config_(config),
-      store_(dev, io, config.node_bytes, config.base_offset, config.codec) {
+    : config_(config),
+      cache_(dev, io, config.node_bytes, config.cache_bytes, config.base_offset,
+             config.codec) {
   DAMKIT_CHECK(config_.node_bytes >= 512);
   DAMKIT_CHECK(config_.cache_bytes >= config_.node_bytes);
-  pool_ = std::make_unique<cache::BufferPool>(
-      config_.cache_bytes, [this](uint64_t id, void* object) {
-        auto* node = static_cast<BTreeNode*>(object);
-        node->serialize(io_buf_);
-        return store_.try_write_node(id, io_buf_);
-      });
-  // Checkpoints write all dirty nodes as one device batch.
-  pool_->set_batch_writeback(
-      [this](std::span<const std::pair<uint64_t, void*>> dirty,
-             std::vector<bool>* written) {
-        std::vector<std::vector<uint8_t>> images(dirty.size());
-        std::vector<blockdev::NodeStore::NodeImage> writes;
-        writes.reserve(dirty.size());
-        for (size_t i = 0; i < dirty.size(); ++i) {
-          static_cast<BTreeNode*>(dirty[i].second)->serialize(images[i]);
-          writes.push_back({dirty[i].first, images[i]});
-        }
-        return store_.try_write_nodes(writes, written);
-      });
 }
-
-BTree::~BTree() { DAMKIT_CHECK_OK(pool_->flush_all()); }
 
 const kv::Capabilities& BTree::capabilities() const {
   static constexpr kv::Capabilities kCaps{};  // RMW upsert, native bulk load
   return kCaps;
 }
 
-StatusOr<BTree::NodeRef> BTree::try_fetch(uint64_t id) {
-  DAMKIT_CHECK(id != kInvalidNode);
-  if (NodeRef cached = pool_->get<BTreeNode>(id)) return cached;
-  DAMKIT_RETURN_IF_ERROR(store_.try_read_node(id, io_buf_));
-  NodeRef node = BTreeNode::deserialize(io_buf_);
-  pool_->put(id, node, config_.node_bytes, /*dirty=*/false);
-  return node;
-}
-
-BTree::NodeRef BTree::fetch(uint64_t id) {
-  StatusOr<NodeRef> node = try_fetch(id);
-  DAMKIT_CHECK_OK(node.status());
-  return *std::move(node);
-}
-
-void BTree::install_new(uint64_t id, NodeRef node) {
-  pool_->put(id, std::move(node), config_.node_bytes, /*dirty=*/true);
-}
-
 Status BTree::descend(std::string_view key, uint64_t* leaf_id,
                       std::vector<PathEntry>* path, NodeRef* leaf) {
   uint64_t id = root_;
-  StatusOr<NodeRef> node = try_fetch(id);
+  StatusOr<NodeRef> node = cache_.fetch(id);
   DAMKIT_RETURN_IF_ERROR(node.status());
   while (!(*node)->is_leaf()) {
     const size_t idx = (*node)->child_index(key);
     if (path != nullptr) path->push_back({id, *node, idx});
     id = (*node)->child(idx);
-    node = try_fetch(id);
+    node = cache_.fetch(id);
     DAMKIT_RETURN_IF_ERROR(node.status());
   }
   *leaf_id = id;
@@ -91,10 +49,10 @@ Status BTree::try_put(std::string_view key, std::string_view value) {
   ++op_stats_.puts;
   op_stats_.logical_bytes_written += key.size() + value.size();
   if (root_ == kInvalidNode) {
-    StatusOr<uint64_t> id = store_.try_allocate();
+    StatusOr<uint64_t> id = cache_.store().try_allocate();
     DAMKIT_RETURN_IF_ERROR(id.status());
     root_ = *id;
-    install_new(root_, BTreeNode::make_leaf());
+    cache_.install(root_, BTreeNode::make_leaf());
     height_ = 1;
   }
   std::vector<PathEntry> path;
@@ -102,7 +60,7 @@ Status BTree::try_put(std::string_view key, std::string_view value) {
   NodeRef leaf;
   DAMKIT_RETURN_IF_ERROR(descend(key, &leaf_id, &path, &leaf));
   if (leaf->leaf_put(key, value)) ++size_;
-  mark_dirty(leaf_id);
+  cache_.mark_dirty(leaf_id);
   if (overflowing(*leaf)) return split_upward(path, leaf_id, leaf);
   return Status();
 }
@@ -113,14 +71,14 @@ Status BTree::split_upward(std::vector<PathEntry>& path, uint64_t node_id,
     // Reserve every extent this round needs BEFORE mutating any node, so
     // an allocation failure leaves the tree structurally intact (the node
     // stays overflowing; a later put retries the split).
-    StatusOr<uint64_t> right_alloc = store_.try_allocate();
+    StatusOr<uint64_t> right_alloc = cache_.store().try_allocate();
     DAMKIT_RETURN_IF_ERROR(right_alloc.status());
     const uint64_t right_id = *right_alloc;
     uint64_t new_root = kInvalidNode;
     if (path.empty()) {
-      StatusOr<uint64_t> root_alloc = store_.try_allocate();
+      StatusOr<uint64_t> root_alloc = cache_.store().try_allocate();
       if (!root_alloc.ok()) {
-        store_.free(right_id);
+        cache_.store().free(right_id);
         return root_alloc.status();
       }
       new_root = *root_alloc;
@@ -129,15 +87,15 @@ Status BTree::split_upward(std::vector<PathEntry>& path, uint64_t node_id,
     ++op_stats_.splits;
     BTreeNode::SplitResult split = node->split();
     if (node->is_leaf()) node->set_next_leaf(right_id);
-    install_new(right_id, split.right);
-    mark_dirty(node_id);
+    cache_.install(right_id, split.right);
+    cache_.mark_dirty(node_id);
 
     if (path.empty()) {
       // Grow a new root above.
       NodeRef root = BTreeNode::make_internal();
       root->internal_init(node_id);
       root->internal_insert(0, std::move(split.separator), right_id);
-      install_new(new_root, root);
+      cache_.install(new_root, root);
       root_ = new_root;
       ++height_;
       return Status();
@@ -147,7 +105,7 @@ Status BTree::split_upward(std::vector<PathEntry>& path, uint64_t node_id,
     path.pop_back();
     parent.node->internal_insert(parent.child_idx, std::move(split.separator),
                                  right_id);
-    mark_dirty(parent.id);
+    cache_.mark_dirty(parent.id);
     node = parent.node;
     node_id = parent.id;
   }
@@ -175,7 +133,7 @@ Status BTree::try_erase(std::string_view key) {
   if (!leaf->leaf_erase(key)) return Status();
   --size_;
   op_stats_.logical_bytes_written += key.size();
-  mark_dirty(leaf_id);
+  cache_.mark_dirty(leaf_id);
   if (underflowing(*leaf) && !path.empty()) {
     // The key is already gone; a rebalance failure leaves the tree valid
     // but under-filled, and the error is still surfaced to the caller.
@@ -205,14 +163,14 @@ Status BTree::rebalance_upward(std::vector<PathEntry>& path, uint64_t node_id,
       left_id = node_id;
       left = node;
       right_id = parent.node->child(left_idx + 1);
-      StatusOr<NodeRef> sib = try_fetch(right_id);
+      StatusOr<NodeRef> sib = cache_.fetch(right_id);
       DAMKIT_RETURN_IF_ERROR(sib.status());
       right = *std::move(sib);
     } else {
       DAMKIT_CHECK(parent.child_idx > 0);
       left_idx = parent.child_idx - 1;
       left_id = parent.node->child(left_idx);
-      StatusOr<NodeRef> sib = try_fetch(left_id);
+      StatusOr<NodeRef> sib = cache_.fetch(left_id);
       DAMKIT_RETURN_IF_ERROR(sib.status());
       left = *std::move(sib);
       right_id = node_id;
@@ -230,17 +188,16 @@ Status BTree::rebalance_upward(std::vector<PathEntry>& path, uint64_t node_id,
       ++op_stats_.merges;
       left->merge_from_right(*right, separator);
       parent.node->internal_remove(left_idx);
-      mark_dirty(left_id);
-      mark_dirty(parent.id);
-      pool_->erase(right_id);
-      store_.free(right_id);
+      cache_.mark_dirty(left_id);
+      cache_.mark_dirty(parent.id);
+      cache_.drop(right_id);
     } else {
       ++op_stats_.borrows;
       std::string new_sep = left->borrow_balance(*right, separator);
       parent.node->internal_set_pivot(left_idx, std::move(new_sep));
-      mark_dirty(left_id);
-      mark_dirty(right_id);
-      mark_dirty(parent.id);
+      cache_.mark_dirty(left_id);
+      cache_.mark_dirty(right_id);
+      cache_.mark_dirty(parent.id);
       // Borrowing fixes the pair locally; the parent's size is unchanged,
       // so no further propagation is needed.
       break;
@@ -252,12 +209,11 @@ Status BTree::rebalance_upward(std::vector<PathEntry>& path, uint64_t node_id,
 
   // Collapse trivial roots: an internal root with one child.
   while (height_ > 1) {
-    StatusOr<NodeRef> root = try_fetch(root_);
+    StatusOr<NodeRef> root = cache_.fetch(root_);
     DAMKIT_RETURN_IF_ERROR(root.status());
     if ((*root)->is_leaf() || (*root)->child_count() > 1) break;
     const uint64_t only_child = (*root)->child(0);
-    pool_->erase(root_);
-    store_.free(root_);
+    cache_.drop(root_);
     root_ = only_child;
     --height_;
   }
@@ -277,7 +233,7 @@ BTree::try_range_scan(std::string_view lo, size_t limit) {
     if (i >= leaf->entry_count()) {
       const uint64_t next = leaf->next_leaf();
       if (next == kInvalidNode) break;
-      StatusOr<NodeRef> next_leaf = try_fetch(next);
+      StatusOr<NodeRef> next_leaf = cache_.fetch(next);
       DAMKIT_RETURN_IF_ERROR(next_leaf.status());
       leaf = *std::move(next_leaf);
       i = 0;
@@ -295,9 +251,8 @@ void BTree::bulk_load(
   DAMKIT_CHECK_MSG(root_ == kInvalidNode, "bulk_load requires an empty tree");
   if (count == 0) return;
 
-  const auto target =
-      static_cast<uint64_t>(config_.bulk_fill *
-                            static_cast<double>(config_.node_bytes));
+  const auto target = static_cast<uint64_t>(
+      kBulkFill * static_cast<double>(config_.node_bytes));
 
   struct Level {  // (first key, node id) per completed node
     std::vector<std::pair<std::string, uint64_t>> nodes;
@@ -310,14 +265,9 @@ void BTree::bulk_load(
   uint64_t pending_id = kInvalidNode;
   std::string pending_first;
   NodeRef cur = BTreeNode::make_leaf();
-  uint64_t cur_id = store_.allocate();
+  uint64_t cur_id = cache_.store().allocate();
   std::string cur_first;
   std::string prev_key;
-
-  auto write_direct = [this](uint64_t id, BTreeNode& n) {
-    n.serialize(io_buf_);
-    DAMKIT_CHECK_OK(store_.try_write_node(id, io_buf_));
-  };
 
   for (uint64_t i = 0; i < count; ++i) {
     auto [key, value] = item(i);
@@ -328,25 +278,25 @@ void BTree::bulk_load(
     if (cur->entry_count() > 0 && cur->byte_size() + add > target) {
       if (pending) {
         pending->set_next_leaf(cur_id);
-        write_direct(pending_id, *pending);
+        DAMKIT_CHECK_OK(cache_.write_through(pending_id, *pending));
         leaves.nodes.emplace_back(std::move(pending_first), pending_id);
       }
       pending = std::move(cur);
       pending_id = cur_id;
       pending_first = std::move(cur_first);
       cur = BTreeNode::make_leaf();
-      cur_id = store_.allocate();
+      cur_id = cache_.store().allocate();
     }
     if (cur->entry_count() == 0) cur_first = key;
     cur->leaf_append(key, value);
   }
   if (pending) {
     pending->set_next_leaf(cur_id);
-    write_direct(pending_id, *pending);
+    DAMKIT_CHECK_OK(cache_.write_through(pending_id, *pending));
     leaves.nodes.emplace_back(std::move(pending_first), pending_id);
   }
   cur->set_next_leaf(kInvalidNode);
-  write_direct(cur_id, *cur);
+  DAMKIT_CHECK_OK(cache_.write_through(cur_id, *cur));
   leaves.nodes.emplace_back(std::move(cur_first), cur_id);
 
   size_ = count;
@@ -359,7 +309,7 @@ void BTree::bulk_load(
     size_t i = 0;
     while (i < below.nodes.size()) {
       NodeRef node = BTreeNode::make_internal();
-      const uint64_t id = store_.allocate();
+      const uint64_t id = cache_.store().allocate();
       std::string first = below.nodes[i].first;
       node->internal_init(below.nodes[i].second);
       ++i;
@@ -380,7 +330,7 @@ void BTree::bulk_load(
                               below.nodes[i].second);
         ++i;
       }
-      write_direct(id, *node);
+      DAMKIT_CHECK_OK(cache_.write_through(id, *node));
       above.nodes.emplace_back(std::move(first), id);
     }
     below = std::move(above);
@@ -416,18 +366,17 @@ void BTree::export_metrics(stats::MetricsRegistry& reg,
   reg.set(p + "size", static_cast<double>(size_));
   if (op_stats_.logical_bytes_written > 0) {
     reg.set(p + "write_amplification",
-            static_cast<double>(store_.stats().bytes_written) /
+            static_cast<double>(cache_.store().stats().bytes_written) /
                 static_cast<double>(op_stats_.logical_bytes_written));
   }
-  pool_->export_metrics(reg, p + "cache.");
-  store_.export_metrics(reg, p + "store.");
+  cache_.export_metrics(reg, p);
 }
 
 void BTree::check_subtree(uint64_t id, const std::string* lo,
                           const std::string* hi, size_t depth,
                           size_t leaf_depth, uint64_t* entries,
                           uint64_t* expected_leaf) {
-  NodeRef node = fetch(id);
+  const NodeRef node = cache_.fetch(id).value();
   DAMKIT_CHECK_MSG(node->byte_size() == node->recomputed_byte_size(),
                    "byte-size drift at node " << id);
   DAMKIT_CHECK_MSG(node->byte_size() <= config_.node_bytes,

@@ -18,7 +18,7 @@
 
 #include "blockdev/block_device.h"
 #include "btree/btree_node.h"
-#include "cache/buffer_pool.h"
+#include "cache/node_cache.h"
 #include "kv/dictionary.h"
 #include "sim/device.h"
 
@@ -27,10 +27,6 @@ namespace damkit::btree {
 struct BTreeConfig {
   uint64_t node_bytes = 64 * 1024;
   uint64_t cache_bytes = 32 * 1024 * 1024;
-  /// Bulk-load leaf/internal fill fraction (§7 loads the data set first).
-  double bulk_fill = 0.85;
-  /// Underflow threshold as a fraction of node_bytes.
-  double min_fill = 0.25;
   /// Device offset where this tree's extents begin.
   uint64_t base_offset = 0;
   /// Block codec for stored node images (see blockdev::NodeStore): node
@@ -53,7 +49,6 @@ struct BTreeOpStats {
 class BTree final : public kv::Dictionary {
  public:
   BTree(sim::Device& dev, sim::IoContext& io, BTreeConfig config);
-  ~BTree() override;
 
   std::string_view name() const override { return "btree"; }
   const kv::Capabilities& capabilities() const override;
@@ -88,29 +83,31 @@ class BTree final : public kv::Dictionary {
 
   /// Write back dirty nodes: failed nodes stay dirty in the cache (no data
   /// loss); calling again retries exactly the still-dirty set.
-  Status checkpoint() override { return pool_->flush_all(); }
+  Status checkpoint() override { return cache_.flush_all(); }
 
   /// Crash teardown: drop all cached (possibly dirty) nodes without
   /// writing them back, so a tree over a dead device can be destroyed
   /// without the destructor's flush aborting. Terminal — destroy after.
-  void abandon() override { pool_->discard_all(); }
+  void abandon() override { cache_.discard_all(); }
 
   /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    store_.set_retry_policy(policy);
+    cache_.store().set_retry_policy(policy);
   }
   blockdev::RetryCounters retry_counters() const override {
-    return store_.retry_counters();
+    return cache_.store().retry_counters();
   }
 
   uint64_t size() const { return size_; }
   size_t height() const override { return height_; }
-  double cache_hit_rate() const override { return pool_->stats().hit_rate(); }
-  uint64_t nodes_in_use() const { return store_.nodes_in_use(); }
+  double cache_hit_rate() const override { return cache_.stats().hit_rate(); }
+  uint64_t nodes_in_use() const { return cache_.store().nodes_in_use(); }
   const BTreeOpStats& op_stats() const { return op_stats_; }
-  const cache::BufferPoolStats& cache_stats() const { return pool_->stats(); }
+  const cache::NodeCacheStats& cache_stats() const { return cache_.stats(); }
+  const blockdev::NodeStoreStats& store_stats() const {
+    return cache_.store().stats();
+  }
   const BTreeConfig& config() const { return config_; }
-  sim::IoContext& io() { return *io_; }
 
   /// Structural invariant check (test support): key order within and
   /// across nodes, child counts, leaf chain consistency, size accounting.
@@ -125,10 +122,10 @@ class BTree final : public kv::Dictionary {
  private:
   using NodeRef = std::shared_ptr<BTreeNode>;
 
-  StatusOr<NodeRef> try_fetch(uint64_t id);
-  NodeRef fetch(uint64_t id);  // CHECK-on-error wrapper (invariant checks)
-  void install_new(uint64_t id, NodeRef node);
-  void mark_dirty(uint64_t id) { pool_->mark_dirty(id); }
+  /// Bulk-load leaf/internal fill (§7 loads the data set first) and the
+  /// underflow threshold, as fractions of node_bytes.
+  static constexpr double kBulkFill = 0.85;
+  static constexpr double kMinFill = 0.25;
 
   struct PathEntry {
     uint64_t id;
@@ -149,24 +146,20 @@ class BTree final : public kv::Dictionary {
   }
   bool underflowing(const BTreeNode& n) const {
     return static_cast<double>(n.byte_size()) <
-           config_.min_fill * static_cast<double>(config_.node_bytes);
+           kMinFill * static_cast<double>(config_.node_bytes);
   }
 
   void check_subtree(uint64_t id, const std::string* lo, const std::string* hi,
                      size_t depth, size_t leaf_depth, uint64_t* entries,
                      uint64_t* leftmost_leaf);
 
-  sim::Device* dev_;
-  sim::IoContext* io_;
   BTreeConfig config_;
-  blockdev::NodeStore store_;
-  std::unique_ptr<cache::BufferPool> pool_;
+  cache::NodeCache<BTreeNode> cache_;
 
   uint64_t root_ = kInvalidNode;
   size_t height_ = 0;  // number of levels (1 = just a leaf root)
   uint64_t size_ = 0;  // live key count
   BTreeOpStats op_stats_;
-  std::vector<uint8_t> io_buf_;  // scratch for node IO
 };
 
 }  // namespace damkit::btree

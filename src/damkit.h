@@ -12,7 +12,7 @@
 #include "betree_opt/opt_betree.h"     // IWYU pragma: export
 #include "blockdev/block_device.h"     // IWYU pragma: export
 #include "btree/btree.h"               // IWYU pragma: export
-#include "cache/buffer_pool.h"         // IWYU pragma: export
+#include "cache/node_cache.h"          // IWYU pragma: export
 #include "harness/crash.h"             // IWYU pragma: export
 #include "harness/experiments.h"       // IWYU pragma: export
 #include "harness/fitting.h"           // IWYU pragma: export

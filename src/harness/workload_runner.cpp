@@ -119,6 +119,15 @@ Status checkpoint_with_retries(kv::Dictionary& dict, int max_attempts) {
   return s;
 }
 
+namespace {
+
+// Extra checkpoint draws, and extra reads per key in the verify sweep,
+// before the soak reports a violation.
+constexpr int kSoakCheckpointAttempts = 200;
+constexpr int kSoakVerifyReadAttempts = 200;
+
+}  // namespace
+
 SoakReport run_fault_soak(kv::Dictionary& dict, const SoakSpec& spec) {
   std::map<std::string, std::string> expected;
   std::set<std::string> uncertain;  // failed mutation: old-or-new state
@@ -172,7 +181,7 @@ SoakReport run_fault_soak(kv::Dictionary& dict, const SoakSpec& spec) {
   // The checkpoint must eventually land (each attempt consumes fresh
   // fault draws, so a give-up does not repeat forever).
   const Status checkpoint =
-      checkpoint_with_retries(dict, spec.checkpoint_attempts);
+      checkpoint_with_retries(dict, kSoakCheckpointAttempts);
   report.checkpoint_ok = checkpoint.ok();
   if (!checkpoint.ok()) {
     report.violations.push_back("checkpoint never landed: " +
@@ -184,7 +193,7 @@ SoakReport run_fault_soak(kv::Dictionary& dict, const SoakSpec& spec) {
   for (const auto& [key, value] : expected) {
     if (uncertain.count(key) != 0) continue;
     StatusOr<std::optional<std::string>> got = dict.try_get(key);
-    for (int tries = 0; !got.ok() && tries < spec.verify_read_attempts;
+    for (int tries = 0; !got.ok() && tries < kSoakVerifyReadAttempts;
          ++tries) {
       got = dict.try_get(key);
     }

@@ -128,8 +128,6 @@ struct SoakSpec {
   uint64_t key_space = 4000;
   size_t value_bytes = 100;
   uint64_t seed = 0;
-  int checkpoint_attempts = 200;
-  int verify_read_attempts = 200;
 };
 
 struct SoakReport {

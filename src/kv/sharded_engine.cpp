@@ -18,16 +18,8 @@ uint64_t shard_hash(std::string_view key) {
 
 ShardedEngine::ShardedEngine(EngineKind kind, sim::Device& dev,
                              sim::IoContext& io, const EngineConfig& config,
-                             const ShardedConfig& sharded)
-    : cfg_(sharded) {
+                             const ShardedConfig& sharded) {
   DAMKIT_CHECK_MSG(sharded.shards >= 1, "need at least one shard");
-  if (cfg_.partition == ShardedConfig::Partition::kRange) {
-    DAMKIT_CHECK_MSG(
-        cfg_.range_splits.size() + 1 == static_cast<size_t>(sharded.shards),
-        "range partitioning needs shards-1 split keys");
-    DAMKIT_CHECK(std::is_sorted(cfg_.range_splits.begin(),
-                                cfg_.range_splits.end()));
-  }
   inner_.reserve(static_cast<size_t>(sharded.shards));
   for (int i = 0; i < sharded.shards; ++i) {
     EngineConfig shard_config = config;
@@ -45,11 +37,6 @@ ShardedEngine::ShardedEngine(EngineKind kind, sim::Device& dev,
 ShardedEngine::~ShardedEngine() = default;
 
 size_t ShardedEngine::shard_of(std::string_view key) const {
-  if (cfg_.partition == ShardedConfig::Partition::kRange) {
-    const auto it = std::upper_bound(cfg_.range_splits.begin(),
-                                     cfg_.range_splits.end(), key);
-    return static_cast<size_t>(it - cfg_.range_splits.begin());
-  }
   return shard_hash(key) % inner_.size();
 }
 
@@ -104,21 +91,10 @@ ShardedEngine::try_range_scan(std::string_view lo, size_t limit) {
   if (inner_.size() == 1) return inner_[0]->try_range_scan(lo, limit);
   std::vector<std::vector<std::pair<std::string, std::string>>> runs;
   runs.reserve(inner_.size());
-  if (cfg_.partition == ShardedConfig::Partition::kRange) {
-    // Later shards only matter if earlier ones run dry before `limit`.
-    size_t need = limit;
-    for (size_t s = shard_of(lo); s < inner_.size() && need > 0; ++s) {
-      auto run = inner_[s]->try_range_scan(lo, need);
-      if (!run.ok()) return run.status();
-      need -= std::min(need, run->size());
-      runs.push_back(*std::move(run));
-    }
-  } else {
-    for (const auto& shard : inner_) {
-      auto run = shard->try_range_scan(lo, limit);
-      if (!run.ok()) return run.status();
-      runs.push_back(*std::move(run));
-    }
+  for (const auto& shard : inner_) {
+    auto run = shard->try_range_scan(lo, limit);
+    if (!run.ok()) return run.status();
+    runs.push_back(*std::move(run));
   }
   return merge_scans(std::move(runs), limit);
 }

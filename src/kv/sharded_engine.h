@@ -22,11 +22,6 @@ namespace damkit::kv {
 
 struct ShardedConfig {
   int shards = 4;
-  enum class Partition : uint8_t { kHash, kRange };
-  Partition partition = Partition::kHash;
-  /// For kRange: shards-1 ascending split keys; shard i holds keys in
-  /// [splits[i-1], splits[i]). Empty selects kHash.
-  std::vector<std::string> range_splits;
   /// Device region stride between consecutive shards.
   uint64_t shard_stride_bytes = 4ULL << 30;
   /// Region start of shard 0.
@@ -78,14 +73,13 @@ class ShardedEngine final : public Dictionary {
 
  private:
   std::vector<std::unique_ptr<Dictionary>> inner_;
-  ShardedConfig cfg_;
   Capabilities caps_;
   std::string name_;
 };
 
 /// Convenience: a k-shard router over `kind`, or the bare engine when
-/// sharded.shards == 1 and no custom partitioning is requested (the
-/// single-shard fast path — zero wrapper layers).
+/// sharded.shards == 1 at base offset 0 (the single-shard fast path —
+/// zero wrapper layers).
 std::unique_ptr<Dictionary> make_sharded_engine(EngineKind kind,
                                                 sim::Device& dev,
                                                 sim::IoContext& io,

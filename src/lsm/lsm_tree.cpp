@@ -76,8 +76,7 @@ Status LsmTree::checkpoint() {
 Status LsmTree::flush_memtable() {
   const uint64_t mem_bytes = mem_.approximate_bytes();
   SSTableBuilder builder(*dev_, *io_, arena_, config_.block_bytes,
-                         config_.bloom_bits_per_key, next_sequence_++,
-                         codec_.get());
+                         next_sequence_++, codec_.get());
   for (const auto& [key, slot] : mem_.entries()) {
     builder.add(Entry{key, slot.value, slot.tombstone});
   }
@@ -212,7 +211,7 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
   size_t total = 0;
   per_input.reserve(inputs.size());
   for (const auto& t : inputs) {
-    per_input.push_back(t->run_requests(config_.scan_readahead_blocks));
+    per_input.push_back(t->run_requests(kScanReadaheadBlocks));
     total += per_input.back().size();
   }
   const bool precharged = total > 1;
@@ -248,7 +247,7 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
   cursors.reserve(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     SSTable::Iterator it = inputs[i]->seek("", *io_, retry_, &retry_counters_,
-                                           config_.scan_readahead_blocks,
+                                           kScanReadaheadBlocks,
                                            /*charge_io=*/!precharged);
     if (!it.valid()) DAMKIT_RETURN_IF_ERROR(abort_merge(it.status()));
     if (it.valid()) cursors.push_back({std::move(it), i});
@@ -259,8 +258,8 @@ StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
     if (bottom && e.tombstone) return Status();  // tombstones die at bottom
     if (!builder) {
       builder = std::make_unique<SSTableBuilder>(
-          *dev_, *io_, arena_, config_.block_bytes,
-          config_.bloom_bits_per_key, next_sequence_++, codec_.get());
+          *dev_, *io_, arena_, config_.block_bytes, next_sequence_++,
+          codec_.get());
     }
     builder->add(std::move(e));
     if (split_output &&
@@ -512,7 +511,7 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
       s.priority = priority++;
       if (kv::compare(t->max_key(), lo) >= 0) {
         s.it = std::make_unique<SSTable::Iterator>(t->seek(
-            lo, *io_, retry_, &retry_counters_, config_.scan_readahead_blocks));
+            lo, *io_, retry_, &retry_counters_, kScanReadaheadBlocks));
         DAMKIT_RETURN_IF_ERROR(s.it->status());
         if (s.it->valid()) sources.push_back(std::move(s));
       }
@@ -529,7 +528,7 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
     if (idx == lv.size()) continue;
     s.table_idx = idx;
     s.it = std::make_unique<SSTable::Iterator>(lv[idx]->seek(
-        lo, *io_, retry_, &retry_counters_, config_.scan_readahead_blocks));
+        lo, *io_, retry_, &retry_counters_, kScanReadaheadBlocks));
     DAMKIT_RETURN_IF_ERROR(s.it->status());
     if (s.it->valid()) sources.push_back(std::move(s));
   }
@@ -547,7 +546,7 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
       ++s.table_idx;
       s.it = std::make_unique<SSTable::Iterator>(
           (*s.level)[s.table_idx]->seek(lo, *io_, retry_, &retry_counters_,
-                                        config_.scan_readahead_blocks));
+                                        kScanReadaheadBlocks));
       DAMKIT_RETURN_IF_ERROR(s.it->status());
     }
     return Status();

@@ -42,16 +42,16 @@ enum class CompactionStyle : uint8_t { kLeveled, kTiered };
 /// parallel).
 inline constexpr size_t kCompactionBatchIos = 8;
 
+/// Blocks fetched per IO by scans and compactions (sequential access);
+/// point reads always fetch exactly one block.
+inline constexpr size_t kScanReadaheadBlocks = 32;
+
 struct LsmConfig {
   uint64_t memtable_bytes = 4 * 1024 * 1024;
   /// Compaction output split size — LevelDB's 2 MiB knob.
   uint64_t sstable_target_bytes = 2 * 1024 * 1024;
   uint64_t block_bytes = 4096;      // point-read granularity
-  double bloom_bits_per_key = 10.0;
   size_t level0_limit = 4;          // flushes before L0→L1 compaction
-  /// Blocks fetched per IO by scans and compactions (sequential access);
-  /// point reads always fetch exactly one block.
-  size_t scan_readahead_blocks = 32;
   uint64_t level1_bytes = 10 * 1024 * 1024;
   double size_ratio = 10.0;         // level i+1 / level i capacity
   CompactionStyle style = CompactionStyle::kLeveled;

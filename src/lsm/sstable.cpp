@@ -45,14 +45,12 @@ EntryView decode_entry_view(const uint8_t* p) {
 
 SSTableBuilder::SSTableBuilder(sim::Device& dev, sim::IoContext& io,
                                blockdev::ByteArena& arena,
-                               uint64_t block_bytes, double bloom_bits_per_key,
-                               uint64_t sequence,
+                               uint64_t block_bytes, uint64_t sequence,
                                const blockdev::BlockCodec* codec)
     : dev_(&dev),
       io_(&io),
       arena_(&arena),
       block_bytes_(block_bytes),
-      bloom_bits_(bloom_bits_per_key),
       sequence_(sequence),
       codec_(codec != nullptr &&
                      codec->kind() != blockdev::CodecKind::kIdentity
@@ -114,7 +112,7 @@ StatusOr<SSTableRef> SSTableBuilder::try_finish(
   table->max_key_ = std::move(last_key_);
   table->data_bytes_ = data_.size();
 
-  table->bloom_ = BloomFilter(count_, bloom_bits_);
+  table->bloom_ = BloomFilter(count_, kBloomBitsPerKey);
   for (const auto& k : keys_seen_) table->bloom_.add(k);
 
   table->index_.reserve(index_.size());

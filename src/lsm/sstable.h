@@ -50,6 +50,9 @@ struct EntryView {
 class SSTable;
 using SSTableRef = std::shared_ptr<const SSTable>;
 
+/// Bloom filter bits per key in every table.
+inline constexpr double kBloomBitsPerKey = 10.0;
+
 /// Streams sorted entries into a new table image and writes it out.
 class SSTableBuilder {
  public:
@@ -59,7 +62,7 @@ class SSTableBuilder {
   /// must outlive every table this builder produces. nullptr = identity.
   SSTableBuilder(sim::Device& dev, sim::IoContext& io,
                  blockdev::ByteArena& arena, uint64_t block_bytes,
-                 double bloom_bits_per_key, uint64_t sequence,
+                 uint64_t sequence,
                  const blockdev::BlockCodec* codec = nullptr);
   ~SSTableBuilder();
 
@@ -84,7 +87,6 @@ class SSTableBuilder {
   sim::IoContext* io_;
   blockdev::ByteArena* arena_;
   uint64_t block_bytes_;
-  double bloom_bits_;
   uint64_t sequence_;
   const blockdev::BlockCodec* codec_;
 

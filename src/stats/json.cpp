@@ -1,7 +1,5 @@
 #include "stats/json.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,218 +53,6 @@ void json_append_double(std::string& out, double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   out += buf;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  StatusOr<JsonValue> run() {
-    JsonValue v;
-    DAMKIT_RETURN_IF_ERROR(value(&v));
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters");
-    return v;
-  }
-
- private:
-  Status fail(const std::string& what) const {
-    return Status::invalid_argument("json parse error at byte " +
-                                    std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status value(JsonValue* out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') return string_value(out);
-    if (c == 't' || c == 'f') return bool_value(out);
-    if (c == 'n') return null_value(out);
-    return number(out);
-  }
-
-  Status object(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    consume('{');
-    if (consume('}')) return Status();
-    for (;;) {
-      JsonValue key;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected object key");
-      }
-      DAMKIT_RETURN_IF_ERROR(string_value(&key));
-      if (!consume(':')) return fail("expected ':'");
-      JsonValue val;
-      DAMKIT_RETURN_IF_ERROR(value(&val));
-      out->object.emplace_back(std::move(key.str), std::move(val));
-      if (consume(',')) continue;
-      if (consume('}')) return Status();
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  Status array(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    consume('[');
-    if (consume(']')) return Status();
-    for (;;) {
-      JsonValue val;
-      DAMKIT_RETURN_IF_ERROR(value(&val));
-      out->array.push_back(std::move(val));
-      if (consume(',')) continue;
-      if (consume(']')) return Status();
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  Status string_value(JsonValue* out) {
-    out->kind = JsonValue::Kind::kString;
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status();
-      if (c != '\\') {
-        out->str += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out->str += '"';
-          break;
-        case '\\':
-          out->str += '\\';
-          break;
-        case '/':
-          out->str += '/';
-          break;
-        case 'n':
-          out->str += '\n';
-          break;
-        case 't':
-          out->str += '\t';
-          break;
-        case 'r':
-          out->str += '\r';
-          break;
-        case 'b':
-          out->str += '\b';
-          break;
-        case 'f':
-          out->str += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          const std::string hex(text_.substr(pos_, 4));
-          pos_ += 4;
-          const long cp = std::strtol(hex.c_str(), nullptr, 16);
-          // ASCII only — the exporter never emits anything else.
-          if (cp < 0 || cp > 0x7f) return fail("non-ASCII \\u escape");
-          out->str += static_cast<char>(cp);
-          break;
-        }
-        default:
-          return fail("bad escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  Status bool_value(JsonValue* out) {
-    out->kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      out->bool_val = true;
-      pos_ += 4;
-      return Status();
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      out->bool_val = false;
-      pos_ += 5;
-      return Status();
-    }
-    return fail("bad literal");
-  }
-
-  Status null_value(JsonValue* out) {
-    out->kind = JsonValue::Kind::kNull;
-    if (text_.substr(pos_, 4) == "null") {
-      pos_ += 4;
-      return Status();
-    }
-    return fail("bad literal");
-  }
-
-  Status number(JsonValue* out) {
-    out->kind = JsonValue::Kind::kNumber;
-    const size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected a value");
-    const std::string lit(text_.substr(start, pos_ - start));
-    errno = 0;
-    out->num = std::strtod(lit.c_str(), nullptr);
-    if (errno == ERANGE && !std::isfinite(out->num)) {
-      return fail("number out of range");
-    }
-    if (integral && lit[0] != '-') {
-      errno = 0;
-      out->uint_val = std::strtoull(lit.c_str(), nullptr, 10);
-      out->is_integer = errno != ERANGE;
-    }
-    return Status();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-StatusOr<JsonValue> parse_json(std::string_view text) {
-  return Parser(text).run();
 }
 
 }  // namespace damkit::stats

@@ -1,19 +1,11 @@
-// Minimal JSON support for the metrics exporter: a stream-free writer
-// with stable formatting (sorted keys come from the caller; doubles
-// render with round-trip precision) and a small recursive-descent parser
-// covering the subset the exporter emits (objects, arrays, strings,
-// numbers, booleans, null). No external dependencies by design — the CI
+// Minimal JSON writing for the metrics exporter: stream-free, with stable
+// formatting (sorted keys come from the caller; doubles render with
+// round-trip precision). No external dependencies by design — the CI
 // bench-smoke job must run on a bare toolchain image.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "util/status.h"
 
 namespace damkit::stats {
 
@@ -23,36 +15,5 @@ void json_append_string(std::string& out, std::string_view s);
 /// values render without an exponent where possible. Non-finite values
 /// (NaN, ±Inf) have no JSON literal and are serialized as `null`.
 void json_append_double(std::string& out, double v);
-
-/// Parsed JSON value. Numbers keep both views: `num` (double) always, and
-/// `is_integer`/`uint_val` when the literal was a non-negative integer that
-/// fits in 64 bits (counters and histogram buckets need exactness beyond
-/// 2^53).
-class JsonValue {
- public:
-  enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_val = false;
-  double num = 0.0;
-  bool is_integer = false;
-  uint64_t uint_val = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  // Parse-order preserving; the exporter writes sorted keys anyway.
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-};
-
-/// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
-StatusOr<JsonValue> parse_json(std::string_view text);
 
 }  // namespace damkit::stats

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 
 #include "stats/json.h"
 
@@ -155,79 +154,6 @@ std::string MetricsRegistry::to_json() const {
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
-}
-
-StatusOr<MetricsRegistry> MetricsRegistry::from_json(std::string_view json) {
-  StatusOr<JsonValue> parsed = parse_json(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    return Status::invalid_argument("metrics json: root is not an object");
-  }
-
-  MetricsRegistry reg;
-  if (const JsonValue* counters = root.find("counters")) {
-    for (const auto& [name, v] : counters->object) {
-      if (!v.is_number() || !v.is_integer) {
-        return Status::invalid_argument("metrics json: counter '" + name +
-                                        "' is not a non-negative integer");
-      }
-      reg.add(name, v.uint_val);
-    }
-  }
-  if (const JsonValue* gauges = root.find("gauges")) {
-    for (const auto& [name, v] : gauges->object) {
-      // The writer serializes non-finite gauges as null (JSON has no NaN
-      // literal); read them back as NaN so the round-trip is total.
-      if (v.kind == JsonValue::Kind::kNull) {
-        reg.set(name, std::numeric_limits<double>::quiet_NaN());
-        continue;
-      }
-      if (!v.is_number()) {
-        return Status::invalid_argument("metrics json: gauge '" + name +
-                                        "' is not a number");
-      }
-      reg.set(name, v.num);
-    }
-  }
-  if (const JsonValue* histos = root.find("histograms")) {
-    for (const auto& [name, v] : histos->object) {
-      const JsonValue* count = v.find("count");
-      const JsonValue* sum = v.find("sum");
-      const JsonValue* min = v.find("min");
-      const JsonValue* max = v.find("max");
-      const JsonValue* buckets = v.find("buckets");
-      if (count == nullptr || !count->is_integer || sum == nullptr ||
-          !sum->is_integer || min == nullptr || !min->is_integer ||
-          max == nullptr || !max->is_integer || buckets == nullptr ||
-          !buckets->is_array()) {
-        return Status::invalid_argument("metrics json: histogram '" + name +
-                                        "' is malformed");
-      }
-      std::vector<std::pair<int, uint64_t>> pairs;
-      pairs.reserve(buckets->array.size());
-      uint64_t total = 0;
-      for (const JsonValue& b : buckets->array) {
-        if (!b.is_array() || b.array.size() != 2 || !b.array[0].is_integer ||
-            !b.array[1].is_integer ||
-            b.array[0].uint_val >=
-                static_cast<uint64_t>(Histogram::bucket_limit())) {
-          return Status::invalid_argument("metrics json: histogram '" + name +
-                                          "' has a malformed bucket");
-        }
-        pairs.emplace_back(static_cast<int>(b.array[0].uint_val),
-                           b.array[1].uint_val);
-        total += b.array[1].uint_val;
-      }
-      if (total != count->uint_val) {
-        return Status::invalid_argument("metrics json: histogram '" + name +
-                                        "' bucket counts disagree with count");
-      }
-      reg.histo(name) = Histogram::restore(count->uint_val, sum->uint_val,
-                                           min->uint_val, max->uint_val, pairs);
-    }
-  }
-  return reg;
 }
 
 void export_histogram_summary(MetricsRegistry& reg, std::string_view name,

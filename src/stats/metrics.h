@@ -3,7 +3,7 @@
 //
 // Design rules (kept deliberately simple so instrumentation stays cheap):
 //   - Hot paths keep their own plain struct counters (DeviceStats,
-//     BufferPoolStats, ...) exactly as before — a counter bump is one add.
+//     NodeCacheStats, ...) exactly as before — a counter bump is one add.
 //   - Histogram recording and structured-event emission are gated behind
 //     stats::collecting(), a relaxed atomic flag, and can be compiled out
 //     entirely with -DDAMKIT_STATS_ENABLED=0 (the CMake DAMKIT_STATS
@@ -27,7 +27,6 @@
 #include <string_view>
 
 #include "util/histogram.h"
-#include "util/status.h"
 
 #ifndef DAMKIT_STATS_ENABLED
 #define DAMKIT_STATS_ENABLED 1
@@ -90,9 +89,6 @@ class MetricsRegistry {
   /// "histograms":{name:{count,sum,min,max,buckets:[[index,count],...]}}}.
   /// Gauges render with enough digits to round-trip exactly.
   std::string to_json() const;
-  /// Inverse of to_json (exact for counters/histograms, bit-exact for
-  /// gauges). Returns an error on malformed input.
-  static StatusOr<MetricsRegistry> from_json(std::string_view json);
 
  private:
   std::map<std::string, uint64_t, std::less<>> counters_;

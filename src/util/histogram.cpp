@@ -71,26 +71,6 @@ void Histogram::for_each_bucket(
   }
 }
 
-Histogram Histogram::restore(
-    uint64_t count, uint64_t sum, uint64_t min, uint64_t max,
-    const std::vector<std::pair<int, uint64_t>>& buckets) {
-  Histogram h;
-  uint64_t total = 0;
-  for (const auto& [index, c] : buckets) {
-    DAMKIT_CHECK_MSG(index >= 0 && index < kBucketCount,
-                     "histogram bucket index out of range: " << index);
-    h.buckets_[static_cast<size_t>(index)] += c;
-    total += c;
-  }
-  DAMKIT_CHECK_MSG(total == count, "histogram restore: bucket counts sum to "
-                                       << total << ", expected " << count);
-  h.count_ = count;
-  h.sum_ = sum;
-  h.min_ = count == 0 ? ~0ULL : min;
-  h.max_ = max;
-  return h;
-}
-
 std::string Histogram::to_string(size_t max_rows) const {
   struct Row {
     int index;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace damkit {
@@ -44,13 +43,6 @@ class Histogram {
   /// fn(bucket_index, bucket_floor_value, count). Serialization support.
   void for_each_bucket(
       const std::function<void(int, uint64_t, uint64_t)>& fn) const;
-
-  /// Rebuild a histogram from serialized state (the exact inverse of
-  /// reading count()/sum()/min()/max() + for_each_bucket). The bucket
-  /// counts must sum to `count`; indices must be in range.
-  static Histogram restore(uint64_t count, uint64_t sum, uint64_t min,
-                           uint64_t max,
-                           const std::vector<std::pair<int, uint64_t>>& buckets);
 
  private:
   static constexpr int kSubBuckets = 16;  // per power-of-two

@@ -10,6 +10,9 @@ namespace damkit::wal {
 
 namespace {
 
+// Entries per try_range_scan chunk while serializing a snapshot.
+constexpr size_t kSnapshotScanChunk = 512;
+
 void append_entry(std::vector<uint8_t>* payload, std::string_view key,
                   std::string_view value) {
   const size_t at = payload->size();
@@ -151,18 +154,16 @@ Status DurableEngine::serialize_state(std::vector<uint8_t>* payload,
                                       uint64_t* entries) {
   payload->clear();
   *entries = 0;
-  const size_t chunk =
-      static_cast<size_t>(std::max<uint64_t>(cfg_.snapshot_scan_chunk, 1));
   std::string lo;
   while (true) {
     StatusOr<std::vector<std::pair<std::string, std::string>>> rows =
-        inner_->try_range_scan(lo, chunk);
+        inner_->try_range_scan(lo, kSnapshotScanChunk);
     if (!rows.ok()) return rows.status();
     for (const auto& [k, v] : *rows) {
       append_entry(payload, k, v);
       ++*entries;
     }
-    if (rows->size() < chunk) break;
+    if (rows->size() < kSnapshotScanChunk) break;
     // Strictly after the last key: the shortest key greater than it.
     lo = rows->back().first;
     lo.push_back('\0');

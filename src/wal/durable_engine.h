@@ -35,8 +35,6 @@ struct DurabilityConfig {
   /// (0 = only explicit checkpoint()/flush() calls). Keep it well under
   /// wal.region_bytes or appends hit kResourceExhausted first.
   uint64_t checkpoint_wal_bytes = 16ULL << 20;
-  /// Entries per try_range_scan chunk while serializing a snapshot.
-  uint64_t snapshot_scan_chunk = 512;
 };
 
 /// Places the WAL region and both snapshot slots at the top of a device,

@@ -82,7 +82,8 @@ Status WriteAheadLog::append(RecordType type, std::string_view key,
   ++next_lsn_;
   ++records_appended_;
   ++buffer_records_;
-  if (buffer_records_ >= cfg_.group_ops || buffer_.size() >= cfg_.group_bytes) {
+  if (buffer_records_ >= cfg_.group_ops ||
+      buffer_.size() >= kGroupCommitBytes) {
     return commit();
   }
   return Status();

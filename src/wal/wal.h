@@ -31,6 +31,10 @@
 
 namespace damkit::wal {
 
+/// Buffered bytes that force a group commit whatever WalConfig::group_ops
+/// says.
+inline constexpr uint64_t kGroupCommitBytes = 256ULL << 10;
+
 struct WalConfig {
   /// Region start on the device; the caller places it away from engine
   /// extent space (see default_durability_config).
@@ -39,9 +43,8 @@ struct WalConfig {
   /// Commit granularity: commits write whole multiples of this.
   uint64_t block_bytes = 4096;
   /// Group-commit policy: an append auto-commits once this many records
-  /// or this many buffered bytes are pending. 1 record = commit per op.
+  /// or kGroupCommitBytes are pending. 1 record = commit per op.
   uint64_t group_ops = 32;
-  uint64_t group_bytes = 256ULL << 10;
 };
 
 class WriteAheadLog {

@@ -175,6 +175,54 @@ TEST_F(BeTreeTest, PersistsAcrossEvictions) {
   tree_->check_invariants();
 }
 
+TEST_F(BeTreeTest, IoPolicyScalarEvictionsBatchedCheckpoints) {
+  // A fetch miss is one scalar read and a dirty eviction one scalar write.
+  reset(8192, 8, 8 * 8192);
+  for (uint64_t i = 0; i < 3000; ++i) {
+    tree_->put(kv::encode_key(i), kv::make_value(i, 30));
+  }
+  const cache::NodeCacheStats& cache = tree_->cache_stats();
+  const blockdev::NodeStoreStats& store = tree_->store_stats();
+  ASSERT_GT(cache.dirty_writebacks, 0u);
+  EXPECT_EQ(store.node_writes, cache.dirty_writebacks);
+  EXPECT_EQ(store.write_batches, 0u);
+  EXPECT_EQ(store.node_reads, cache.misses);
+  EXPECT_EQ(store.read_batches, 0u);
+
+  // With no evictions every node is resident and dirty: a checkpoint
+  // writes all of them as one batch, and a second one writes nothing.
+  tree_.reset();  // flushes while its device is still alive
+  reset();
+  for (uint64_t i = 0; i < 3000; ++i) {
+    tree_->put(kv::encode_key(i), kv::make_value(i, 30));
+  }
+  ASSERT_EQ(tree_->cache_stats().evictions, 0u);
+  const uint64_t dirty = tree_->nodes_in_use();
+  ASSERT_GT(dirty, 1u);
+  ASSERT_TRUE(tree_->checkpoint().ok());
+  ASSERT_TRUE(tree_->checkpoint().ok());
+  EXPECT_EQ(tree_->store_stats().write_batches, 1u);
+  EXPECT_EQ(tree_->store_stats().batched_writes, dirty);
+  EXPECT_EQ(tree_->store_stats().node_writes, 0u);
+}
+
+TEST_F(BeTreeTest, ScanPrefetchIsOneReadBatch) {
+  // Bulk load leaves every node cold. A short scan reads the root, then
+  // prefetches its first two children as one batch and reads no more.
+  tree_->bulk_load(800, [](uint64_t i) {
+    return std::make_pair(kv::encode_key(i), kv::make_value(i, 30));
+  });
+  ASSERT_EQ(tree_->height(), 2u);
+  const blockdev::NodeStoreStats& store = tree_->store_stats();
+  const uint64_t writes = store.node_writes;
+  ASSERT_EQ(tree_->range_scan("", 10).size(), 10u);
+  EXPECT_EQ(store.node_reads, 1u);
+  EXPECT_EQ(store.read_batches, 1u);
+  EXPECT_EQ(store.batched_reads, 2u);
+  EXPECT_EQ(store.node_writes, writes);  // bulk load wrote each node once
+  EXPECT_EQ(writes, tree_->nodes_in_use());
+}
+
 TEST_F(BeTreeTest, RoundRobinFlushPolicyWorks) {
   reset(8192, 8, 1 * kMiB, FlushPolicy::kRoundRobin);
   for (uint64_t i = 0; i < 4000; ++i) {
@@ -300,13 +348,13 @@ class ProbedBeTree : public BeTree {
   /// One step per node on the key's path, root first.
   std::vector<Step> path(std::string_view key) {
     std::vector<Step> steps;
-    NodeRef node = fetch(root_);
+    NodeRef node = try_fetch(root_).value();
     while (!node->is_leaf()) {
       const size_t idx = node->child_index(key);
       std::vector<Message> msgs;
       node->collect_for_key(idx, key, &msgs);
       steps.push_back({idx, msgs.size()});
-      node = fetch(node->child(idx));
+      node = try_fetch(node->child(idx)).value();
     }
     const bool in_leaf = node->key_equals(node->lower_bound(key), key);
     steps.push_back({0, in_leaf ? 1u : 0u});

@@ -174,6 +174,37 @@ TEST_F(BTreeTest, BulkLoadThenMutate) {
   EXPECT_EQ(tree_->size(), 5000u);
 }
 
+TEST_F(BTreeTest, IoPolicyScalarEvictionsBatchedCheckpoints) {
+  // A fetch miss is one scalar read and a dirty eviction one scalar write.
+  reset(4096, 4 * 4096);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    tree_->put(kv::encode_key(i), kv::make_value(i, 40));
+  }
+  const cache::NodeCacheStats& cache = tree_->cache_stats();
+  const blockdev::NodeStoreStats& store = tree_->store_stats();
+  ASSERT_GT(cache.dirty_writebacks, 0u);
+  EXPECT_EQ(store.node_writes, cache.dirty_writebacks);
+  EXPECT_EQ(store.write_batches, 0u);
+  EXPECT_EQ(store.node_reads, cache.misses);
+  EXPECT_EQ(store.read_batches, 0u);
+
+  // With no evictions every node is resident and dirty: a checkpoint
+  // writes all of them as one batch, and a second one writes nothing.
+  tree_.reset();  // flushes while its device is still alive
+  reset(4096, 1 * kMiB);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    tree_->put(kv::encode_key(i), kv::make_value(i, 40));
+  }
+  ASSERT_EQ(tree_->cache_stats().evictions, 0u);
+  const uint64_t dirty = tree_->nodes_in_use();
+  ASSERT_GT(dirty, 1u);
+  ASSERT_TRUE(tree_->checkpoint().ok());
+  ASSERT_TRUE(tree_->checkpoint().ok());
+  EXPECT_EQ(tree_->store_stats().write_batches, 1u);
+  EXPECT_EQ(tree_->store_stats().batched_writes, dirty);
+  EXPECT_EQ(tree_->store_stats().node_writes, 0u);
+}
+
 TEST_F(BTreeTest, PersistsAcrossCacheEvictions) {
   // Cache barely larger than a node: every access misses.
   reset(4096, 4 * 4096);

@@ -44,24 +44,6 @@ TEST(ShardedEngineTest, HashRoutingMatchesShardHash) {
   }
 }
 
-TEST(ShardedEngineTest, RangePartitionRouting) {
-  sim::SsdDevice dev(sim::testbed_ssd_profile());
-  sim::IoContext io(dev);
-  kv::ShardedConfig sharded;
-  sharded.shards = 3;
-  sharded.partition = kv::ShardedConfig::Partition::kRange;
-  sharded.range_splits = {"g", "p"};
-  kv::ShardedEngine engine(kv::EngineKind::kBTree, dev, io, small_config(),
-                           sharded);
-  // Shard i holds [splits[i-1], splits[i]).
-  EXPECT_EQ(engine.shard_of("a"), 0u);
-  EXPECT_EQ(engine.shard_of("f"), 0u);
-  EXPECT_EQ(engine.shard_of("g"), 1u);
-  EXPECT_EQ(engine.shard_of("o"), 1u);
-  EXPECT_EQ(engine.shard_of("p"), 2u);
-  EXPECT_EQ(engine.shard_of("z"), 2u);
-}
-
 class ShardedRoutingTest : public testing::TestWithParam<kv::EngineKind> {};
 
 TEST_P(ShardedRoutingTest, PointOpsReadBackAcrossShards) {

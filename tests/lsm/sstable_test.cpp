@@ -26,7 +26,7 @@ class SSTableTest : public testing::Test {
 
   SSTableRef build(uint64_t count, uint64_t stride = 1,
                    uint64_t block_bytes = 1024) {
-    SSTableBuilder b(dev_, io_, arena_, block_bytes, 10.0, 1);
+    SSTableBuilder b(dev_, io_, arena_, block_bytes, 1);
     for (uint64_t i = 0; i < count; ++i) {
       b.add(Entry{kv::encode_key(i * stride), kv::make_value(i, 40), false});
     }
@@ -52,7 +52,7 @@ class SSTableTest : public testing::Test {
 };
 
 TEST_F(SSTableTest, EmptyBuilderReturnsNull) {
-  SSTableBuilder b(dev_, io_, arena_, 1024, 10.0, 1);
+  SSTableBuilder b(dev_, io_, arena_, 1024, 1);
   EXPECT_EQ(finish(b), nullptr);
 }
 
@@ -85,7 +85,7 @@ TEST_F(SSTableTest, GetMissesBetweenAndOutside) {
 }
 
 TEST_F(SSTableTest, TombstonesSurfaceAsEntries) {
-  SSTableBuilder b(dev_, io_, arena_, 1024, 10.0, 1);
+  SSTableBuilder b(dev_, io_, arena_, 1024, 1);
   b.add(Entry{kv::encode_key(1), "v", false});
   b.add(Entry{kv::encode_key(2), "", true});
   SSTableRef t = finish(b);
@@ -165,7 +165,7 @@ TEST_F(SSTableTest, WriteIsSingleSequentialIo) {
 using SSTableDeathTest = SSTableTest;
 
 TEST_F(SSTableDeathTest, OutOfOrderKeysAbort) {
-  SSTableBuilder b(dev_, io_, arena_, 1024, 10.0, 1);
+  SSTableBuilder b(dev_, io_, arena_, 1024, 1);
   b.add(Entry{kv::encode_key(10), "v", false});
   EXPECT_DEATH(b.add(Entry{kv::encode_key(5), "v", false}),
                "strictly ascending");

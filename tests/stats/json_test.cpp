@@ -1,6 +1,6 @@
 #include "stats/json.h"
 
-#include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -40,116 +40,75 @@ TEST(JsonWriter, NonFiniteSerializesAsNull) {
   EXPECT_EQ(out, "null");
 }
 
-TEST(JsonParser, ParsesScalarsAndContainers) {
-  const auto v = parse_json(
-      R"({"a": 1, "b": -2.5, "c": [true, false, null], "d": "x"})");
-  ASSERT_TRUE(v.ok());
-  const JsonValue* a = v->find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_TRUE(a->is_integer);
-  EXPECT_EQ(a->uint_val, 1u);
-  const JsonValue* b = v->find("b");
-  ASSERT_NE(b, nullptr);
-  EXPECT_DOUBLE_EQ(b->num, -2.5);
-  const JsonValue* c = v->find("c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->array.size(), 3u);
-  const JsonValue* d = v->find("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->str, "x");
-}
-
-TEST(JsonParser, PreservesLargeU64Exactly) {
-  // 2^64 - 1 is not representable in a double; the parser must keep the
-  // exact integer for counter round-trips.
-  const auto v = parse_json(R"({"n": 18446744073709551615})");
-  ASSERT_TRUE(v.ok());
-  const JsonValue* n = v->find("n");
-  ASSERT_NE(n, nullptr);
-  EXPECT_TRUE(n->is_integer);
-  EXPECT_EQ(n->uint_val, 18446744073709551615ULL);
-}
-
-TEST(JsonParser, RejectsMalformedInput) {
-  EXPECT_FALSE(parse_json("{").ok());
-  EXPECT_FALSE(parse_json("[1,]").ok());
-  EXPECT_FALSE(parse_json("{} trailing").ok());
-  EXPECT_FALSE(parse_json("'single'").ok());
-}
-
 TEST(RegistryJson, RoundTripsAllThreeKinds) {
+  // The snapshot text carries every kind losslessly: names sorted within
+  // each kind, counters as full u64 integers, gauges in the shortest of
+  // 6, 12 or 17 significant digits that reads back bit-exactly, and
+  // histograms as [bucket index, count] pairs.
   MetricsRegistry reg;
   reg.add("dev.reads", 12345);
-  reg.add("dev.bytes", 18446744073709551615ULL);  // u64 max survives
-  reg.set("dev.util", 0.12345678901234);
+  reg.add("dev.bytes", 18446744073709551615ULL);  // u64 max, beyond 2^53
+  reg.set("dev.util", 0.25);
+  reg.set("dev.ratio", 0.123456789);  // needs 12 digits
+  reg.set("dev.sum", 0.1 + 0.2);      // needs 17
   reg.set("dev.neg", -1.5e-9);
-  reg.histo("dev.lat").record(1);
-  reg.histo("dev.lat").record(999);
-  reg.histo("dev.lat").record(1u << 20);
+  reg.set("dev.whole", 42.0);
+  Histogram& h = reg.histo("dev.lat");
+  for (const uint64_t v : {1u, 999u, 999u, 1u << 20}) h.record(v);
 
-  const std::string json = reg.to_json();
-  const auto back = MetricsRegistry::from_json(json);
-  ASSERT_TRUE(back.ok()) << back.status().message();
-
-  EXPECT_EQ(back->counter("dev.reads"), 12345u);
-  EXPECT_EQ(back->counter("dev.bytes"), 18446744073709551615ULL);
-  EXPECT_DOUBLE_EQ(back->gauge("dev.util"), 0.12345678901234);
-  EXPECT_DOUBLE_EQ(back->gauge("dev.neg"), -1.5e-9);
-  const Histogram* h = back->histogram("dev.lat");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 3u);
-  EXPECT_EQ(h->max(), 1u << 20);
-
-  // A second round trip is byte-identical (canonical form).
-  EXPECT_EQ(back->to_json(), json);
+  EXPECT_EQ(reg.to_json(), R"({
+  "counters": {
+    "dev.bytes": 18446744073709551615,
+    "dev.reads": 12345
+  },
+  "gauges": {
+    "dev.neg": -1.5e-09,
+    "dev.ratio": 0.123456789,
+    "dev.sum": 0.30000000000000004,
+    "dev.util": 0.25,
+    "dev.whole": 42
+  },
+  "histograms": {
+    "dev.lat": {"count": 4, "sum": 1050575, "min": 1, "max": 1048576, "buckets": [[1, 1], [159, 2], [320, 1]]}
+  }
+}
+)");
+  reg.for_each_gauge([](const std::string& name, double v) {
+    std::string text;
+    json_append_double(text, v);
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << name;
+  });
 }
 
-TEST(RegistryJson, EmptyRegistryRoundTrips) {
-  MetricsRegistry reg;
-  const auto back = MetricsRegistry::from_json(reg.to_json());
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->empty());
+TEST(RegistryJson, EmptyRegistryHasEmptySections) {
+  EXPECT_EQ(MetricsRegistry().to_json(), R"({
+  "counters": {},
+  "gauges": {},
+  "histograms": {}
+}
+)");
 }
 
-TEST(RegistryJson, NonFiniteGaugeRoundTripsAsNaN) {
-  // A gauge that went non-finite (e.g. a rate with a zero denominator)
-  // serializes as null and reads back as NaN; every finite neighbor is
-  // untouched and the snapshot stays parseable end to end.
+TEST(RegistryJson, NonFiniteGaugesWriteNull) {
+  // JSON has no literal for NaN or infinity: a gauge that went non-finite
+  // (e.g. a rate with a zero denominator) is written as null, and its
+  // finite neighbors are untouched.
   MetricsRegistry reg;
   reg.set("g.nan", std::numeric_limits<double>::quiet_NaN());
   reg.set("g.inf", std::numeric_limits<double>::infinity());
   reg.set("g.ninf", -std::numeric_limits<double>::infinity());
   reg.set("g.ok", 2.5);
-
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"g.nan\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"g.inf\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"g.ninf\": null"), std::string::npos) << json;
-
-  const auto back = MetricsRegistry::from_json(json);
-  ASSERT_TRUE(back.ok()) << back.status().message();
-  EXPECT_TRUE(std::isnan(back->gauge("g.nan")));
-  EXPECT_TRUE(std::isnan(back->gauge("g.inf")));
-  EXPECT_TRUE(std::isnan(back->gauge("g.ninf")));
-  EXPECT_DOUBLE_EQ(back->gauge("g.ok"), 2.5);
+  EXPECT_EQ(reg.to_json(), R"({
+  "counters": {},
+  "gauges": {
+    "g.inf": null,
+    "g.nan": null,
+    "g.ninf": null,
+    "g.ok": 2.5
+  },
+  "histograms": {}
 }
-
-TEST(RegistryJson, RejectsCorruptHistogram) {
-  // Bucket counts that do not sum to `count` must be rejected, not abort.
-  const auto bad = MetricsRegistry::from_json(
-      R"({"counters":{},"gauges":{},"histograms":)"
-      R"({"h":{"count":5,"sum":10,"min":1,"max":9,"buckets":[[1,1]]}}})");
-  EXPECT_FALSE(bad.ok());
-  // Out-of-range bucket index likewise.
-  const auto oob = MetricsRegistry::from_json(
-      R"({"counters":{},"gauges":{},"histograms":)"
-      R"({"h":{"count":1,"sum":1,"min":1,"max":1,"buckets":[[9999,1]]}}})");
-  EXPECT_FALSE(oob.ok());
-}
-
-TEST(RegistryJson, RejectsNonObjectInput) {
-  EXPECT_FALSE(MetricsRegistry::from_json("[]").ok());
-  EXPECT_FALSE(MetricsRegistry::from_json("not json").ok());
+)");
 }
 
 }  // namespace
