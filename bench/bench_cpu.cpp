@@ -15,9 +15,10 @@
 //   cpu.micro.*     host cost of the core primitives (rng, Zipfian draw,
 //                   HDD/SSD timing-model submit, bloom probe, vEB layout
 //                   build, 50-row scan of a cached Bε-tree with buffered
-//                   messages) in ns per op, min of N repetitions. Reported,
-//                   not gated: the `.ns_per_op` suffix is outside the
-//                   wall-clock gate's suffixes.
+//                   messages, read digest over a 50-row scan result) in ns
+//                   per op, min of N repetitions. Reported, not gated: the
+//                   `.ns_per_op` suffix is outside the wall-clock gate's
+//                   suffixes.
 //
 // The e2e gauges are medians of N repetitions on steady_clock. The legacy
 // reference implementations live in this file on purpose: the speedup
@@ -31,12 +32,14 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "betree/betree.h"
 #include "harness/workload_runner.h"
 #include "kv/engine.h"
+#include "kv/op_apply.h"
 #include "kv/slice.h"
 #include "node/slotted_page.h"
 #include "pdam_tree/veb_layout.h"
@@ -584,6 +587,19 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       rows += tree.range_scan(lo, 50).size();
     }
     g_sink = rows;
+  });
+
+  // One op = the read digest over one 50-row scan result of 16 B keys and
+  // 100 B values, the shape perfbench's scan-cached workload hashes.
+  std::vector<std::pair<std::string, std::string>> scan_rows;
+  for (uint64_t i = 0; i < 50; ++i) {
+    scan_rows.emplace_back(kv::encode_key(i, 16), kv::make_value(i, 100));
+  }
+  const uint64_t digests = args.quick ? 20'000 : 100'000;
+  report("digest_scan50", digests, [&] {
+    uint64_t h = kv::kFnvOffsetBasis;
+    for (uint64_t i = 0; i < digests; ++i) h = kv::digest_rows(h, scan_rows);
+    g_sink = h;
   });
 }
 

@@ -37,10 +37,7 @@ uint64_t state_digest(kv::Dictionary& dict) {
   while (true) {
     const std::vector<std::pair<std::string, std::string>> rows =
         dict.range_scan(lo, kChunk);
-    for (const auto& [k, v] : rows) {
-      kv::fnv_mix(&h, k);
-      kv::fnv_mix(&h, v);
-    }
+    h = kv::digest_rows(h, rows);
     if (rows.size() < kChunk) break;
     // The shortest key strictly greater than the last one seen.
     lo = rows.back().first;

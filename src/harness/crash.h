@@ -64,8 +64,8 @@ struct CrashCycleReport {
   wal::RecoveryReport recovery;     // the first recovery's report
 };
 
-/// FNV-1a over every (key, value) pair of the dictionary's full contents,
-/// read in key order via chunked range scans. Equal digests == equal state.
+/// kv::digest_rows over the dictionary's full contents, read in key order
+/// via chunked range scans. Equal digests == equal state.
 uint64_t state_digest(kv::Dictionary& dict);
 
 /// The uncrashed reference: same engine factory on a pristine device (no

@@ -43,7 +43,7 @@ struct WorkloadRunOptions {
 
 /// run()'s per-type op counters (kv::ApplyCounters), digest and time.
 struct WorkloadRunResult : kv::ApplyCounters {
-  /// FNV-1a over every observed read result (get presence + value bytes,
+  /// Hash of every observed read result (get presence + value bytes,
   /// scan pairs). Two engines given the same spec and op count agree on
   /// this digest iff they returned identical data.
   uint64_t digest = kv::kFnvOffsetBasis;

@@ -51,13 +51,4 @@ uint64_t parse_bytes(std::string_view text) {
   }
 }
 
-uint64_t fnv1a(std::span<const uint8_t> data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace damkit

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -66,8 +65,5 @@ constexpr uint64_t align_up(uint64_t v, uint64_t alignment) {
 
 /// Integer ceiling division.
 constexpr uint64_t ceil_div(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
-
-/// FNV-1a over a byte span; used for cheap content checksums in node images.
-uint64_t fnv1a(std::span<const uint8_t> data);
 
 }  // namespace damkit

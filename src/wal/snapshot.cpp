@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/bytes.h"
+#include "util/hash.h"
 
 namespace damkit::wal {
 
@@ -72,9 +73,9 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
   store_u64(header.data() + 12, meta.last_lsn);
   store_u64(header.data() + 20, meta.entries);
   store_u64(header.data() + 28, meta.payload_bytes);
-  store_u64(header.data() + 36, fnv1a(payload));
+  store_u64(header.data() + 36, hash_bytes(payload));
   store_u64(header.data() + kHeaderPayload,
-            fnv1a({header.data(), kHeaderPayload}));
+            hash_bytes({header.data(), kHeaderPayload}));
   DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
       *io_, retry_, &counters_, /*retry_corruption=*/true,
       [&] { return io_->write_checked(slot, header); }));
@@ -98,7 +99,7 @@ StatusOr<bool> SnapshotStore::load_slot(int slot, SnapshotMeta* meta,
     if (magic != 0) ++invalid_slots_;
     return false;
   }
-  if (fnv1a({header.data(), kHeaderPayload}) !=
+  if (hash_bytes({header.data(), kHeaderPayload}) !=
       load_u64(header.data() + kHeaderPayload)) {
     ++invalid_slots_;
     return false;
@@ -123,7 +124,7 @@ StatusOr<bool> SnapshotStore::load_slot(int slot, SnapshotMeta* meta,
                                    std::span<uint8_t>(body.data() + off, len));
         }));
   }
-  if (fnv1a(body) != payload_check) {
+  if (hash_bytes(body) != payload_check) {
     // The interrupted-checkpoint signature: a stale header over a payload
     // that was being overwritten when the crash hit.
     ++invalid_slots_;

@@ -3,10 +3,10 @@
 // A checkpoint serializes the dictionary's full sorted contents into a
 // payload and writes it to one of two alternating slots: payload blocks
 // first, the header block last. The header carries the sequence number,
-// the last LSN the snapshot covers, and FNV-1a checksums over both itself
-// and the payload — so a crash at ANY point mid-checkpoint leaves that
-// slot unverifiable and load() falls back to the other slot's older but
-// complete snapshot. This is what makes a crash *during* checkpoint
+// the last LSN the snapshot covers, and 8-byte checks (util/hash.h) over
+// both itself and the payload — so a crash at ANY point mid-checkpoint
+// leaves that slot unverifiable and load() falls back to the other slot's
+// older but complete snapshot. This is what makes a crash *during* checkpoint
 // recoverable: the WAL is only truncated after the new slot is durable.
 #pragma once
 

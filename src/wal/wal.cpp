@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/bytes.h"
+#include "util/hash.h"
 
 namespace damkit::wal {
 
@@ -75,9 +76,8 @@ Status WriteAheadLog::append(RecordType type, std::string_view key,
   store_u32(p + 17, static_cast<uint32_t>(value.size()));
   std::copy(key.begin(), key.end(), p + kHeaderBytes);
   std::copy(value.begin(), value.end(), p + kHeaderBytes + key.size());
-  const uint64_t check =
-      fnv1a({p, static_cast<size_t>(rec - kCheckBytes)});
-  store_u64(p + rec - kCheckBytes, check);
+  store_u64(p + rec - kCheckBytes,
+            hash_bytes({p, static_cast<size_t>(rec - kCheckBytes)}));
 
   ++next_lsn_;
   ++records_appended_;
@@ -207,7 +207,7 @@ StatusOr<WriteAheadLog::ReplayResult> WriteAheadLog::recover_scan(
     DAMKIT_RETURN_IF_ERROR(ensure(pos + total));
     const uint8_t* rec = data.data() + pos;
     const uint64_t check = load_u64(rec + total - kCheckBytes);
-    if (fnv1a({rec, static_cast<size_t>(total - kCheckBytes)}) != check) {
+    if (hash_bytes({rec, static_cast<size_t>(total - kCheckBytes)}) != check) {
       result.torn_tail = true;
       break;
     }

@@ -1,10 +1,11 @@
 // Write-ahead log over a simulated device region.
 //
-// Records are framed with a magic, a monotone LSN, and a trailing FNV-1a
-// checksum, appended to an in-memory group buffer and made durable by
-// group commit: commit() rewrites the partial tail block plus any new
-// full blocks as ONE submit_batch — the SQ/CQ path — so a commit pays the
-// slowest block write, not the sum. Rewriting the tail block is safe
+// Records are framed with a magic, a monotone LSN, and a trailing 8-byte
+// check (util/hash.h) over the rest of the record, appended to an
+// in-memory group buffer and made durable by group commit: commit()
+// rewrites the partial tail block plus any new full blocks as ONE
+// submit_batch — the SQ/CQ path — so a commit pays the slowest block
+// write, not the sum. Rewriting the tail block is safe
 // under torn writes because the already-durable prefix bytes of that
 // block are bit-identical in the new image: a tear either lands past
 // them (new records lost, old intact) or within them (the old image's

@@ -47,6 +47,36 @@ SnapshotMeta make_meta(uint64_t seq, const std::vector<uint8_t>& payload) {
   return meta;
 }
 
+void flip_bit(sim::Device& dev, uint64_t offset, int bit) {
+  std::vector<uint8_t> byte(1);
+  dev.read_bytes(offset, byte);
+  byte[0] ^= static_cast<uint8_t>(1u << bit);
+  dev.write_bytes(offset, byte);
+}
+
+// Flips one bit of each byte in [first, first + count) in turn, loads, and
+// expects the slot rejected and counted after reading at most `max_read`
+// bytes; the flip is undone before the next byte.
+void expect_every_byte_checked(sim::Device& dev, SnapshotStore& store,
+                               uint64_t first, uint64_t count,
+                               uint64_t max_read) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const int bit = static_cast<int>(i % 8);
+    flip_bit(dev, first + i, bit);
+    SnapshotMeta got;
+    std::vector<uint8_t> got_payload;
+    const uint64_t read_before = dev.stats().bytes_read;
+    StatusOr<bool> r = store.load(&got, &got_payload);
+    ASSERT_TRUE(r.ok()) << "byte " << i;
+    EXPECT_FALSE(*r) << "byte " << i;
+    EXPECT_LE(dev.stats().bytes_read - read_before, max_read) << "byte " << i;
+    stats::MetricsRegistry reg;
+    store.export_metrics(reg, "s.");
+    EXPECT_EQ(reg.counter("s.snapshot.invalid_slots"), i + 1) << "byte " << i;
+    flip_bit(dev, first + i, bit);
+  }
+}
+
 TEST(SnapshotTest, FreshStoreLoadsNothing) {
   SsdDevice dev(sim::testbed_ssd_profile());
   IoContext io(dev);
@@ -203,6 +233,40 @@ TEST(SnapshotTest, PayloadCorruptionDemotesSlotLoudly) {
   stats::MetricsRegistry reg;
   store.export_metrics(reg, "s.");
   EXPECT_EQ(reg.counter("s.snapshot.invalid_slots"), 1u);
+}
+
+// Seq 3 lives in slot 1. Every byte the header check covers, and the check
+// itself, demotes the slot when one bit flips, before any payload is read:
+// the header check alone catches it, even in the payload check's bytes.
+TEST(SnapshotTest, EveryHeaderByteIsChecked) {
+  SsdDevice dev(sim::testbed_ssd_profile());
+  IoContext io(dev);
+  SnapshotStore store(dev, io, small_snapshot());
+  const std::vector<uint8_t> payload = make_payload(3, 1'003);
+  ASSERT_TRUE(store.write(make_meta(3, payload), payload).ok());
+  // magic + seq + last_lsn + entries + payload_bytes + payload check,
+  // then the header check.
+  expect_every_byte_checked(dev, store, 1 * kMiB, 4 + 5 * 8 + 8,
+                            /*max_read=*/2 * 4096);
+}
+
+TEST(SnapshotTest, EveryPayloadByteIsChecked) {
+  SsdDevice dev(sim::testbed_ssd_profile());
+  IoContext io(dev);
+  SnapshotStore store(dev, io, small_snapshot());
+  const std::vector<uint8_t> payload = make_payload(3, 1'003);
+  ASSERT_NE(payload.size() % 8, 0u) << "no partial last word";
+  ASSERT_TRUE(store.write(make_meta(3, payload), payload).ok());
+  expect_every_byte_checked(dev, store, 1 * kMiB + 4096, payload.size(),
+                            /*max_read=*/2 * 4096 + payload.size());
+
+  // Every flip was undone: the slot loads again.
+  SnapshotMeta got;
+  std::vector<uint8_t> got_payload;
+  StatusOr<bool> r = store.load(&got, &got_payload);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(*r);
+  EXPECT_EQ(got_payload, payload);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ using sim::IoContext;
 using sim::SsdDevice;
 
 constexpr uint64_t kBlock = 4096;
-// Serialized record framing: magic4 + lsn8 + type1 + klen4 + vlen4 + crc8.
+// Serialized record framing: magic4 + lsn8 + type1 + klen4 + vlen4 + check8.
 constexpr uint64_t kFrameOverhead = 29;
 
 WalConfig small_wal(uint64_t region_bytes = 1 * kMiB, uint64_t group_ops = 1) {
@@ -236,6 +236,40 @@ TEST(WalTest, CrcCorruptMidLogStopsAtLastValidPrefix) {
   expect_replayed(r->records, records, 1);
   EXPECT_TRUE(r->torn_tail);
   EXPECT_EQ(reader.next_lsn(), 2u);
+}
+
+// Every byte of a record is covered: a one-bit flip anywhere in the
+// header, key, value, the partial last word the check covers, or the check
+// itself stops replay before that record.
+TEST(WalTest, EveryByteOfARecordIsChecked) {
+  std::vector<Record> records;
+  for (uint64_t lsn = 1; lsn <= 3; ++lsn) {
+    records.push_back(make_record(lsn, /*value_bytes=*/13));
+  }
+  const uint64_t victim_at =
+      kFrameOverhead + records[0].key.size() + records[0].value.size();
+  const uint64_t victim_bytes =
+      kFrameOverhead + records[1].key.size() + records[1].value.size();
+  ASSERT_NE((victim_bytes - 8) % 8, 0u) << "no partial last word";
+
+  for (uint64_t i = 0; i < victim_bytes; ++i) {
+    SsdDevice dev(sim::testbed_ssd_profile());
+    IoContext io(dev);
+    WriteAheadLog log(dev, io, small_wal());
+    ASSERT_TRUE(log.reset(1).ok());
+    append_all(log, records);
+    ASSERT_TRUE(log.commit().ok());
+    std::vector<uint8_t> byte(1);
+    dev.read_bytes(victim_at + i, byte);
+    byte[0] ^= static_cast<uint8_t>(1u << (i % 8));
+    dev.write_bytes(victim_at + i, byte);
+
+    WriteAheadLog reader(dev, io, small_wal());
+    StatusOr<WriteAheadLog::ReplayResult> r = reader.recover_scan(1);
+    ASSERT_TRUE(r.ok()) << "byte " << i;
+    expect_replayed(r->records, records, 1);
+    EXPECT_TRUE(r->torn_tail) << "byte " << i;
+  }
 }
 
 TEST(WalTest, StaleFramesAfterLostTruncateAreRejected) {
