@@ -7,12 +7,12 @@
 // and is also the prerequisite for the Theorem-9 optimization (a query
 // needs only the one segment for the child it descends into).
 //
-// Storage is zero-copy: leaf entries and pivots live in node::SlottedPage
-// containers in wire format, and each child's buffer is a packed
-// MsgSegment of wire-format message records (arrival order, append-only),
-// so serialize/deserialize move bytes without per-entry allocations and
-// buffer(i) yields MessageView borrows. The wire image and all byte-size
-// accounting are bit-identical to the pre-slotted layout.
+// Storage is zero-copy: leaf entries live in a node::KvPage and pivots in
+// a node::PivotPage (node/sorted_page.h), in wire format, and each child's
+// buffer is a packed MsgSegment of node::TaggedRecord messages (arrival
+// order, append-only), so serialize/deserialize move bytes without
+// per-entry allocations and buffer(i) yields MessageView borrows. All
+// byte-size accounting follows the record formats in node/record.h.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +25,8 @@
 
 #include "betree/message.h"
 #include "kv/slice.h"
-#include "node/slotted_page.h"
+#include "node/sorted_page.h"
+#include "util/status.h"
 
 namespace damkit::betree {
 
@@ -38,9 +39,9 @@ class BeTreeNode {
 
   bool is_leaf() const { return is_leaf_; }
   uint64_t byte_size() const {
-    if (is_leaf_) return header_bytes() + page_.live_bytes();
+    // A leaf has no children, buffers or pivots; an internal node no entries.
     return header_bytes() + child_bytes() * children_.size() +
-           total_buffer_bytes_ + pivots_.live_bytes();
+           total_buffer_bytes_ + entries_.live_bytes() + pivots_.live_bytes();
   }
 
   /// IO accounting for partial (sub-node) reads — used only by OptBeTree
@@ -61,28 +62,33 @@ class BeTreeNode {
   Residency residency;
 
   // --- Leaf interface (views are invalidated by any mutation) ---
-  size_t entry_count() const { return page_.count(); }
-  kv::Slice key(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6, rec_klen(rec));
+  size_t entry_count() const { return entries_.count(); }
+  kv::Slice key(size_t i) const { return entries_.key(i); }
+  kv::Slice value(size_t i) const { return entries_.value(i); }
+  size_t lower_bound(std::string_view key) const {
+    return entries_.lower_bound(key);
   }
-  kv::Slice value(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6 + rec_klen(rec));
+  bool key_equals(size_t i, std::string_view key) const {
+    return entries_.key_equals(i, key);
   }
-  size_t lower_bound(std::string_view key) const;
-  bool key_equals(size_t i, std::string_view key) const;
   /// Apply a message to the leaf's entries (put/tombstone/upsert).
   void leaf_apply(const Message& msg);
-  void leaf_append(std::string_view key, std::string_view value);  // bulk load
+  /// Append an entry known to sort after all existing ones (bulk load).
+  void leaf_append(std::string_view key, std::string_view value) {
+    DAMKIT_CHECK(is_leaf_);
+    entries_.append(key, value);
+  }
 
   // --- Internal interface ---
   size_t child_count() const { return children_.size(); }
   uint64_t child(size_t i) const { return children_[i]; }
   std::span<const uint64_t> children() const { return children_; }
   size_t pivot_count() const { return pivots_.count(); }
-  kv::Slice pivot(size_t i) const { return pivots_.record(i).substr(2); }
-  size_t child_index(std::string_view key) const;
+  kv::Slice pivot(size_t i) const { return pivots_.key(i); }
+  size_t child_index(std::string_view key) const {
+    DAMKIT_CHECK(!is_leaf_);
+    return pivots_.upper_bound(key);
+  }
 
   void internal_init(uint64_t first_child);
   /// Insert (pivot, right_child) after child `child_idx` with an empty
@@ -92,7 +98,6 @@ class BeTreeNode {
   /// Remove pivot i and child i+1, folding child i+1's buffer into child
   /// i's (key ranges are disjoint so per-key order is preserved).
   void internal_remove_child(size_t pivot_idx);
-  void internal_set_child(size_t i, uint64_t id) { children_[i] = id; }
 
   // --- Buffers ---
   uint64_t buffer_bytes(size_t child_idx) const {
@@ -134,22 +139,16 @@ class BeTreeNode {
   void serialize(std::vector<uint8_t>& out) const;
   static std::shared_ptr<BeTreeNode> deserialize(
       std::span<const uint8_t> image);
+  /// byte_size() from the records' own length fields (a cross-check).
   uint64_t recomputed_byte_size() const;
 
+  /// magic u32 + flags u8 + count u32.
   static uint64_t header_bytes() { return 4 + 1 + 4; }
-  static uint64_t leaf_entry_bytes(size_t klen, size_t vlen) {
-    return 2 + 4 + klen + vlen;
-  }
-  static uint64_t pivot_bytes(size_t klen) { return 2 + klen; }
   /// Per-child fixed cost: child id (8) + buffer count (4).
   static uint64_t child_bytes() { return 12; }
 
  private:
   BeTreeNode() = default;
-
-  static uint16_t rec_klen(std::string_view rec) {
-    return load_u16(reinterpret_cast<const uint8_t*>(rec.data()));
-  }
 
   /// One child's pending messages, packed in wire format (append-only;
   /// the serialized image embeds the bytes verbatim).
@@ -159,8 +158,8 @@ class BeTreeNode {
   };
 
   bool is_leaf_ = true;
-  node::SlottedPage page_;    // leaf [u16 klen][u32 vlen][key][value] records
-  node::SlottedPage pivots_;  // internal [u16 klen][key] records
+  node::KvPage entries_;    // leaf only
+  node::PivotPage pivots_;  // internal only: child_count - 1
   std::vector<uint64_t> children_;
   std::vector<MsgSegment> segments_;  // parallel to children_
   uint64_t total_buffer_bytes_ = 0;

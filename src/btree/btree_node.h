@@ -3,13 +3,13 @@
 // A node is either a leaf (sorted key/value entries, chained to the next
 // leaf B+-tree style) or an internal node (n-1 pivots, n child ids).
 //
-// Records live in a node::SlottedPage in wire format, so deserialize is
-// one bulk copy plus a header walk (no per-entry string allocations),
-// serialize of an untouched node is one memcpy, and key()/value()/pivot()
-// are zero-copy kv::Slice views into the page. The wire image is
-// byte-identical to the pre-slotted layout, and byte_size() is derived
-// from the page's live bytes, so sizes (and therefore every split/merge
-// decision and sim-time gauge) are unchanged by construction.
+// Leaf entries live in a node::KvPage and pivots in a node::PivotPage
+// (node/sorted_page.h), in wire format, so deserialize is one bulk copy
+// plus a header walk (no per-entry string allocations), serialize of an
+// untouched node is one memcpy, and key()/value()/pivot() are zero-copy
+// kv::Slice views into the page. byte_size() is derived from the pages'
+// live bytes, so sizes (and therefore every split/merge decision and
+// sim-time gauge) follow the record formats in node/record.h.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "kv/slice.h"
-#include "node/slotted_page.h"
-#include "util/bytes.h"
+#include "node/sorted_page.h"
+#include "util/status.h"
 
 namespace damkit::btree {
 
@@ -34,43 +34,54 @@ class BTreeNode {
 
   bool is_leaf() const { return is_leaf_; }
   uint64_t byte_size() const {
+    // One of the two pages is always empty.
     return header_bytes() + child_bytes() * children_.size() +
-           page_.live_bytes();
+           entries_.live_bytes() + pivots_.live_bytes();
   }
 
   // --- Leaf accessors (views are invalidated by any mutation) ---
-  size_t entry_count() const { return page_.count(); }
-  kv::Slice key(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6, rec_klen(rec));
-  }
-  kv::Slice value(size_t i) const {
-    const kv::Slice rec = page_.record(i);
-    return rec.substr(6 + rec_klen(rec));
-  }
+  size_t entry_count() const { return entries_.count(); }
+  kv::Slice key(size_t i) const { return entries_.key(i); }
+  kv::Slice value(size_t i) const { return entries_.value(i); }
   uint64_t next_leaf() const { return next_leaf_; }
   void set_next_leaf(uint64_t id) { next_leaf_ = id; }
 
   /// Index of the first entry with key >= `key` (leaf binary search).
-  size_t lower_bound(std::string_view key) const;
+  size_t lower_bound(std::string_view key) const {
+    return entries_.lower_bound(key);
+  }
   /// True if entry `i` exists and equals `key`.
-  bool key_equals(size_t i, std::string_view key) const;
+  bool key_equals(size_t i, std::string_view key) const {
+    return entries_.key_equals(i, key);
+  }
 
   /// Insert or overwrite; returns true if a new entry was created.
-  bool leaf_put(std::string_view key, std::string_view value);
+  bool leaf_put(std::string_view key, std::string_view value) {
+    DAMKIT_CHECK(is_leaf_);
+    return entries_.put(key, value);
+  }
   /// Remove `key` if present; returns true if removed.
-  bool leaf_erase(std::string_view key);
+  bool leaf_erase(std::string_view key) {
+    DAMKIT_CHECK(is_leaf_);
+    return entries_.erase(key);
+  }
   /// Append an entry known to sort after all existing ones (bulk load).
-  void leaf_append(std::string_view key, std::string_view value);
+  void leaf_append(std::string_view key, std::string_view value) {
+    DAMKIT_CHECK(is_leaf_);
+    entries_.append(key, value);
+  }
 
   // --- Internal accessors ---
   size_t child_count() const { return children_.size(); }
   uint64_t child(size_t i) const { return children_[i]; }
-  size_t pivot_count() const { return page_.count(); }
-  kv::Slice pivot(size_t i) const { return page_.record(i).substr(2); }
+  size_t pivot_count() const { return pivots_.count(); }
+  kv::Slice pivot(size_t i) const { return pivots_.key(i); }
 
   /// Index of the child covering `key`: first pivot > key.
-  size_t child_index(std::string_view key) const;
+  size_t child_index(std::string_view key) const {
+    DAMKIT_CHECK(!is_leaf_);
+    return pivots_.upper_bound(key);
+  }
 
   /// Seed an internal node with its first child (no pivot yet).
   void internal_init(uint64_t first_child);
@@ -106,31 +117,22 @@ class BTreeNode {
   static std::shared_ptr<BTreeNode> deserialize(
       std::span<const uint8_t> image);
 
-  /// Recompute byte_size_ from scratch (used by tests to cross-check the
-  /// record length fields against the encoded key/value lengths).
-  uint64_t recomputed_byte_size() const;
+  /// byte_size() from the records' own length fields (a cross-check).
+  uint64_t recomputed_byte_size() const {
+    return header_bytes() + child_bytes() * children_.size() +
+           entries_.recomputed_bytes() + pivots_.recomputed_bytes();
+  }
 
-  static uint64_t header_bytes();
-  static uint64_t leaf_entry_bytes(size_t klen, size_t vlen);
-  static uint64_t pivot_bytes(size_t klen);
+  /// magic u32 + flags u8 + count u32 + next_leaf u64.
+  static uint64_t header_bytes() { return 4 + 1 + 4 + 8; }
   static uint64_t child_bytes() { return 8; }
 
  private:
   BTreeNode() = default;
 
-  static uint16_t rec_klen(std::string_view rec) {
-    return load_u16(reinterpret_cast<const uint8_t*>(rec.data()));
-  }
-  /// Encode a leaf record [u16 klen][u32 vlen][key][value] at `p`.
-  static void encode_leaf_record(uint8_t* p, std::string_view key,
-                                 std::string_view value);
-  /// Encode a pivot record [u16 klen][key] at `p`.
-  static void encode_pivot_record(uint8_t* p, std::string_view key);
-
   bool is_leaf_ = true;
-  // Leaf: [u16 klen][u32 vlen][key][value] records. Internal: [u16
-  // klen][key] pivot records (child_count-1 of them).
-  node::SlottedPage page_;
+  node::KvPage entries_;               // leaf only
+  node::PivotPage pivots_;             // internal only: child_count - 1
   std::vector<uint64_t> children_;     // internal only
   uint64_t next_leaf_ = kInvalidNode;  // leaf only
 };

@@ -9,6 +9,7 @@
 #include "kv/engine.h"
 #include "kv/slice.h"
 #include "kv/workload.h"
+#include "node/record.h"
 #include "sim/closed_loop.h"
 #include "sim/mq_ssd.h"
 #include "util/bytes.h"
@@ -139,7 +140,7 @@ SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
   spec.value_bytes = config.value_bytes;
 
   const uint64_t entry_bytes =
-      config.key_bytes + config.value_bytes + 6;  // leaf framing
+      node::KvRecord::encoded_size(config.key_bytes, config.value_bytes);
   const uint64_t data_bytes = config.items * entry_bytes;
   const auto cache_bytes = static_cast<uint64_t>(
       config.cache_ratio * static_cast<double>(data_bytes));
@@ -270,7 +271,8 @@ std::vector<WriteAmpPoint> run_write_amp_experiment(const sim::HddConfig& hdd,
   spec.key_space = config.items;
   spec.key_bytes = config.key_bytes;
   spec.value_bytes = config.value_bytes;
-  const uint64_t entry_bytes = config.key_bytes + config.value_bytes + 6;
+  const uint64_t entry_bytes =
+      node::KvRecord::encoded_size(config.key_bytes, config.value_bytes);
   const auto cache_bytes = static_cast<uint64_t>(
       config.cache_ratio * static_cast<double>(config.items * entry_bytes));
   const uint64_t logical =

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "kv/slice.h"
+#include "node/record.h"
 
 namespace damkit::lsm {
 
@@ -31,6 +32,7 @@ const kv::Capabilities& LsmTree::capabilities() const {
 }
 
 Status LsmTree::try_put(std::string_view key, std::string_view value) {
+  DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
   ++stats_.puts;
   stats_.logical_bytes_written += key.size() + value.size();
   mem_.put(key, value);
@@ -42,6 +44,7 @@ Status LsmTree::try_put(std::string_view key, std::string_view value) {
 }
 
 Status LsmTree::try_erase(std::string_view key) {
+  DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
   ++stats_.erases;
   stats_.logical_bytes_written += key.size();
   mem_.erase(key);
@@ -53,6 +56,7 @@ Status LsmTree::try_erase(std::string_view key) {
 }
 
 Status LsmTree::try_upsert(std::string_view key, int64_t delta) {
+  DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
   StatusOr<std::optional<std::string>> current = try_get(key);
   DAMKIT_RETURN_IF_ERROR(current.status());
   return try_put(key, kv::add_to_counter(*current, delta));

@@ -183,10 +183,9 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, DictionaryContractTest,
 // The infallible forms are written once, in kv::Dictionary, over each
 // engine's try_* surface. Once the device has crashed, every engine and
 // both wrappers must abort through them, printing the try_* status.
-std::unique_ptr<kv::Dictionary> make_stack(const std::string& stack,
-                                           sim::Device& dev,
-                                           sim::IoContext& io) {
-  const kv::EngineConfig cfg = small_config();
+std::unique_ptr<kv::Dictionary> make_stack(
+    const std::string& stack, sim::Device& dev, sim::IoContext& io,
+    const kv::EngineConfig& cfg = small_config()) {
   if (stack == "sharded") {
     kv::ShardedConfig two;
     two.shards = 2;
@@ -241,6 +240,90 @@ TEST_P(CrashedDictionaryDeathTest, InfallibleFormsAbortWithTheTryStatus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, CrashedDictionaryDeathTest,
+                         testing::ValuesIn(all_stacks()), stack_test_name);
+
+// Every stored record carries a u16 key length, so keys are at most
+// 65,535 bytes. A longer key is rejected before anything is logged or
+// stored, and the dictionary is left unchanged; a key at the limit
+// survives a checkpoint. 1 MiB nodes leave room for entries of that size.
+constexpr size_t kKeyLimit = 65535;
+
+kv::EngineConfig large_node_config() {
+  kv::EngineConfig cfg = small_config();
+  cfg.btree.node_bytes = kMiB;
+  cfg.btree.cache_bytes = 8 * kMiB;
+  cfg.betree.node_bytes = kMiB;
+  cfg.betree.cache_bytes = 8 * kMiB;
+  return cfg;
+}
+
+std::pair<std::string, std::string> numbered_row(uint64_t i) {
+  return std::make_pair(kv::encode_key(i), kv::make_value(i, 40));
+}
+
+class KeyLimitTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(KeyLimitTest, LongerKeysAreRejectedAndChangeNothing) {
+  sim::SsdDevice dev(sim::testbed_ssd_profile());
+  sim::IoContext io(dev);
+  const auto dict = make_stack(GetParam(), dev, io, large_node_config());
+  for (uint64_t i = 0; i < 300; ++i) {
+    const auto [key, value] = numbered_row(i);
+    dict->put(key, value);
+  }
+  const auto before = dict->range_scan("", 1000);
+  ASSERT_EQ(before.size(), 300u);
+
+  const std::string key(kKeyLimit + 1, 'k');
+  EXPECT_EQ(dict->try_put(key, "v").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dict->try_erase(key).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dict->try_upsert(key, 1).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(dict->checkpoint().ok());
+  EXPECT_EQ(dict->range_scan("", 1000), before);
+  EXPECT_FALSE(dict->get(key).has_value());
+  dict->check_invariants();
+}
+
+TEST_P(KeyLimitTest, KeyAtTheLimitSurvivesACheckpoint) {
+  sim::SsdDevice dev(sim::testbed_ssd_profile());
+  sim::IoContext io(dev);
+  const auto dict = make_stack(GetParam(), dev, io, large_node_config());
+  const std::string key(kKeyLimit, 'k');
+  dict->put(kv::encode_key(1), "before");
+  ASSERT_TRUE(dict->try_put(key, "at-the-limit").ok());
+  dict->put(std::string(kKeyLimit, 'z'), "after");
+  ASSERT_TRUE(dict->checkpoint().ok());
+
+  EXPECT_EQ(dict->get(key), "at-the-limit");
+  const auto rows = dict->range_scan("", 10);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].second, "before");
+  EXPECT_EQ(rows[1].first, key);
+  EXPECT_EQ(rows[1].second, "at-the-limit");
+  EXPECT_EQ(rows[2].first.size(), kKeyLimit);
+  dict->check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, KeyLimitTest,
+                         testing::ValuesIn(all_stacks()), stack_test_name);
+
+class KeyLimitDeathTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(KeyLimitDeathTest, BulkLoadChecksTheLimit) {
+  sim::SsdDevice dev(sim::testbed_ssd_profile());
+  sim::IoContext io(dev);
+  const auto dict = make_stack(GetParam(), dev, io, large_node_config());
+  const auto rows = [](uint64_t i) {
+    if (i == 0) return numbered_row(0);
+    return std::make_pair(std::string(kKeyLimit + 1, 'k'), std::string("v"));
+  };
+  // The encoders' CHECK, or the try_put status for an engine that loads
+  // through puts.
+  EXPECT_DEATH(dict->bulk_load(2, rows),
+               "kMaxKeyBytes|65535-byte record key limit");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, KeyLimitDeathTest,
                          testing::ValuesIn(all_stacks()), stack_test_name);
 
 }  // namespace
