@@ -11,10 +11,11 @@
 //
 // Recovery (static recover()) needs only the device bytes: load the
 // newest verifiable snapshot, bulk_load a fresh inner engine from it,
-// replay the WAL's valid prefix on top, and fence the log. It writes
-// nothing else, so recovering twice yields bit-identical state. The
-// durability contract: after a crash, exactly the mutations whose WAL
-// records committed (a prefix, by LSN) survive.
+// replay the WAL's valid prefix on top (skipping records the inner engine
+// rejected live), and fence the log. It writes nothing else, so
+// recovering twice yields bit-identical state. The durability contract:
+// after a crash, exactly the mutations whose WAL records committed (a
+// prefix, by LSN) survive.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +46,7 @@ struct RecoveryReport {
   uint64_t snapshot_entries = 0;
   uint64_t snapshot_lsn = 0;       // last LSN the snapshot covers
   uint64_t replayed_records = 0;   // WAL records applied on top
+  uint64_t rejected_records = 0;   // of those, rejected as they were live
   uint64_t durable_lsn = 0;        // mutations that survived the crash
   bool torn_tail = false;          // log ended in a torn record
   uint64_t stale_records = 0;      // pre-truncation frames at the frontier

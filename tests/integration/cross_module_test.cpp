@@ -146,23 +146,35 @@ TEST(CrossModuleTest, TwoTreesShareOneDevice) {
 
 TEST(CrossModuleDeathTest, OversizedEntriesRejectedUpFront) {
   // Entries too large for the node size would make splits spin forever;
-  // both trees must reject them loudly instead.
+  // both trees must reject them instead: try_put with kInvalidArgument and
+  // the tree unchanged, the infallible put loudly.
   sim::HddDevice dev(sim::testbed_hdd_profile(), 1);
   sim::IoContext io(dev);
+  const auto check_rejects = [](kv::Dictionary& tree) {
+    tree.put("k", std::string(1900, 'x'));  // within node/2: fine
+    tree.put("m", "small");
+    const auto before = tree.range_scan("", 10);
+    EXPECT_EQ(tree.try_put("k", std::string(4000, 'x')).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(tree.try_put("l", std::string(4000, 'x')).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(tree.range_scan("", 10), before);
+    EXPECT_EQ(tree.get("k"), std::string(1900, 'x'));
+    EXPECT_EQ(tree.get("l"), std::nullopt);
+    EXPECT_DEATH(tree.put("k", std::string(4000, 'x')), "too large");
+    tree.check_invariants();
+    tree.flush();
+  };
   kv::EngineConfig bcfg;
   bcfg.btree.node_bytes = 4096;
   bcfg.btree.cache_bytes = 64 * 1024;
-  const auto bt = kv::make_engine(kv::EngineKind::kBTree, dev, io, bcfg);
-  EXPECT_DEATH(bt->put("k", std::string(4000, 'x')), "too large");
-  bt->put("k", std::string(1900, 'x'));  // within node/2: fine
+  check_rejects(*kv::make_engine(kv::EngineKind::kBTree, dev, io, bcfg));
 
   kv::EngineConfig ecfg;
   ecfg.betree.node_bytes = 4096;
   ecfg.betree.cache_bytes = 64 * 1024;
-  const auto bet = kv::make_engine(kv::EngineKind::kBeTree, dev, io, ecfg);
-  EXPECT_DEATH(bet->put("k", std::string(4000, 'x')), "too large");
-  bet->put("k", std::string(1900, 'x'));
-  bet->flush();
+  kv::set_base_offset(ecfg, 100ULL * kGiB);
+  check_rejects(*kv::make_engine(kv::EngineKind::kBeTree, dev, io, ecfg));
 }
 
 TEST(CrossModuleDeathTest, CorruptNodeImagesCaughtOnDeserialize) {
