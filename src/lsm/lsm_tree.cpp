@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "kv/slice.h"
 #include "node/record.h"
@@ -9,10 +11,7 @@
 namespace damkit::lsm {
 
 LsmTree::LsmTree(sim::Device& dev, sim::IoContext& io, LsmConfig config)
-    : dev_(&dev),
-      io_(&io),
-      config_(config),
-      arena_(dev, config.base_offset) {
+    : dev_(&dev), io_(&io), config_(config), arena_(dev, config.base_offset) {
   const blockdev::CodecKind resolved =
       blockdev::resolve_codec_kind(config_.codec);
   if (resolved != blockdev::CodecKind::kIdentity) {
@@ -82,7 +81,7 @@ Status LsmTree::flush_memtable() {
   SSTableBuilder builder(*dev_, *io_, arena_, config_.block_bytes,
                          next_sequence_++, codec_.get());
   for (const auto& [key, slot] : mem_.entries()) {
-    builder.add(Entry{key, slot.value, slot.tombstone});
+    builder.add(EntryView{key, slot.value, slot.tombstone});
   }
   // On give-up nothing was installed (the builder freed its extent) and
   // the memtable stays authoritative; the next threshold crossing retries.
@@ -154,27 +153,183 @@ Status LsmTree::maybe_compact() {
   return Status();
 }
 
+namespace {
+
+// A key-sorted run's tables from the first whose max_key reaches `lo`.
+std::span<const SSTableRef> reaching(std::span<const SSTableRef> run,
+                                     std::string_view lo) {
+  size_t skip = 0;
+  while (skip < run.size() && kv::compare(run[skip]->max_key(), lo) < 0) {
+    ++skip;
+  }
+  return run.subspan(skip);
+}
+
+// A key-sorted run's tables that overlap [lo, hi]: a contiguous span.
+std::span<const SSTableRef> overlapping(std::span<const SSTableRef> run,
+                                        std::string_view lo,
+                                        std::string_view hi) {
+  const std::span<const SSTableRef> from = reaching(run, lo);
+  size_t n = 0;
+  while (n < from.size() && kv::compare(from[n]->min_key(), hi) <= 0) ++n;
+  return from.first(n);
+}
+
+}  // namespace
+
+// The newest version of each key from `lo` on, in key order, across the
+// memtable (newest) and `runs` (newest first). The current entry borrows
+// from the newest source holding the smallest key; next() steps every
+// source holding that key past it, newest first. A run's cursor opens its
+// first table that reaches `lo`, and each later table when the one before
+// runs out.
+class LsmTree::MergeCursor {
+ public:
+  MergeCursor(LsmTree& tree, const MemTable::Map* mem,
+              std::span<const Run> runs, std::string_view lo, bool charge_io)
+      : tree_(&tree), lo_(lo), charge_io_(charge_io) {
+    if (mem != nullptr) {
+      mem_ = mem->lower_bound(lo);
+      mem_end_ = mem->end();
+    }
+    sources_.reserve(runs.size());
+    for (const Run& run : runs) {
+      const Run tables = reaching(run, lo);
+      if (tables.empty()) continue;
+      Source s{tables, open(*tables.front()), false};
+      status_ = s.it.status();
+      if (!status_.ok()) return;
+      if (s.it.valid()) sources_.push_back(std::move(s));
+    }
+    settle();
+  }
+
+  bool valid() const { return valid_; }
+  const EntryView& entry() const { return entry_; }
+  /// Non-OK when a source stopped on a failed read; valid() is then false.
+  const Status& status() const { return status_; }
+
+  void next() {
+    // Mark before moving anything: entry_ borrows from the newest source.
+    const bool mem_at = mem_ != mem_end_ && mem_->first == entry_.key;
+    for (Source& s : sources_) {
+      s.at_key = s.it.valid() && kv::compare(s.it.entry().key, entry_.key) == 0;
+    }
+    if (mem_at) ++mem_;
+    for (Source& s : sources_) {
+      if (s.at_key && !advance(s)) return;
+    }
+    settle();
+  }
+
+ private:
+  struct Source {
+    Run tables;  // the open table, then the run's later ones
+    SSTable::Iterator it;
+    bool at_key;  // holds the key next() steps past
+  };
+
+  SSTable::Iterator open(const SSTable& table) const {
+    return table.seek(lo_, *tree_->io_, tree_->retry_, &tree_->retry_counters_,
+                      kScanReadaheadBlocks, charge_io_);
+  }
+
+  // Step `s` past its entry, into its run's next table when the open one
+  // runs out. A failed read stops the merge.
+  bool advance(Source& s) {
+    s.it.next();
+    while (!s.it.valid() && s.it.status().ok() && s.tables.size() > 1) {
+      s.tables = s.tables.subspan(1);
+      s.it = open(*s.tables.front());
+    }
+    if (s.it.status().ok()) return true;
+    status_ = s.it.status();
+    valid_ = false;
+    return false;
+  }
+
+  // Borrow the smallest key's newest version.
+  void settle() {
+    valid_ = mem_ != mem_end_;
+    if (valid_) {
+      entry_ = {mem_->first, mem_->second.value, mem_->second.tombstone};
+    }
+    for (const Source& s : sources_) {
+      if (s.it.valid() &&
+          (!valid_ || kv::compare(s.it.entry().key, entry_.key) < 0)) {
+        entry_ = s.it.entry();
+        valid_ = true;
+      }
+    }
+  }
+
+  LsmTree* tree_;
+  std::string_view lo_;
+  bool charge_io_;
+  MemTable::Map::const_iterator mem_{}, mem_end_{};  // equal: no memtable
+  std::vector<Source> sources_;
+  EntryView entry_;
+  bool valid_ = false;
+  Status status_;
+};
+
+void LsmTree::append_runs(size_t level, std::vector<Run>* out) const {
+  const Level& lv = levels_[level];
+  if (level >= 1 && config_.style == CompactionStyle::kLeveled) {
+    if (!lv.empty()) out->push_back(lv);
+    return;
+  }
+  for (const SSTableRef& t : lv) out->push_back(Run(&t, 1));
+}
+
+std::vector<LsmTree::Run> LsmTree::runs() const {
+  std::vector<Run> out;
+  for (size_t i = 0; i < levels_.size(); ++i) append_runs(i, &out);
+  return out;
+}
+
+bool LsmTree::nothing_below(size_t level) const {
+  for (size_t i = level + 1; i < levels_.size(); ++i) {
+    if (!levels_[i].empty()) return false;
+  }
+  return true;
+}
+
+Status LsmTree::compact_level0() {
+  // All of L0 plus every overlapping L1 table.
+  std::vector<Run> inputs;
+  append_runs(0, &inputs);
+  std::string_view lo = levels_[0].front()->min_key();
+  std::string_view hi = levels_[0].front()->max_key();
+  for (const auto& t : levels_[0]) {
+    if (kv::compare(t->min_key(), lo) < 0) lo = t->min_key();
+    if (kv::compare(t->max_key(), hi) > 0) hi = t->max_key();
+  }
+  inputs.push_back(overlapping(levels_[1], lo, hi));
+  // Remaining (non-overlapped) L1 tables also shadow deeper data; only
+  // drop tombstones if L1 is the lowest level.
+  return merge_into(0, inputs, nothing_below(1));
+}
+
+Status LsmTree::compact_level(size_t level) {
+  DAMKIT_CHECK(level >= 1);
+  if (level + 1 >= levels_.size()) levels_.resize(level + 2);
+  const Level& lv = levels_[level];
+  DAMKIT_CHECK(!lv.empty());
+  const SSTableRef& victim = lv[compact_cursor_++ % lv.size()];
+  const std::string& lo = victim->min_key();
+  const std::string& hi = victim->max_key();
+  std::vector<Run> inputs = {Run(&victim, 1)};
+  inputs.push_back(overlapping(levels_[level + 1], lo, hi));
+  return merge_into(level, inputs, nothing_below(level + 1));
+}
+
 Status LsmTree::compact_tier(size_t level) {
   if (level + 1 >= levels_.size()) levels_.resize(level + 2);
-  // Merge the whole tier; newest-first order is already maintained.
-  std::vector<SSTableRef> inputs = levels_[level];
-  bool bottom = true;
-  for (size_t i = level + 1; i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) bottom = false;
-  }
-  // One output table per merge: in tiered compaction a run must stay a
-  // single unit, or run counting (and with it termination) breaks.
-  StatusOr<std::vector<SSTableRef>> outputs_or =
-      merge_tables(inputs, bottom, level, /*split_output=*/false);
-  DAMKIT_RETURN_IF_ERROR(outputs_or.status());
-  std::vector<SSTableRef> outputs = *std::move(outputs_or);
-  for (const auto& t : levels_[level]) t->release();
-  levels_[level].clear();
-  // The merged run lands at the *front* of the next tier (it is newer
-  // than everything already there).
-  levels_[level + 1].insert(levels_[level + 1].begin(), outputs.begin(),
-                            outputs.end());
-  return Status();
+  // The whole tier, newest run first.
+  std::vector<Run> inputs;
+  append_runs(level, &inputs);
+  return merge_into(level, inputs, nothing_below(level));
 }
 
 Status LsmTree::charge_compaction_batches(
@@ -193,282 +348,137 @@ Status LsmTree::charge_compaction_batches(
   return Status();
 }
 
-StatusOr<std::vector<SSTableRef>> LsmTree::merge_tables(
-    const std::vector<SSTableRef>& inputs, bool bottom, size_t source_level,
-    bool split_output) {
+Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
+                           bool bottom) {
   ++stats_.compactions;
-  if (source_level >= compactions_by_level_.size()) {
-    compactions_by_level_.resize(source_level + 1);
+  if (level >= compactions_by_level_.size()) {
+    compactions_by_level_.resize(level + 1);
   }
-  ++compactions_by_level_[source_level];
+  ++compactions_by_level_[level];
+  std::vector<SSTableRef> tables;  // every input table, in run order
+  for (const Run& run : inputs) {
+    tables.insert(tables.end(), run.begin(), run.end());
+  }
   uint64_t bytes_in = 0;
-  for (const auto& t : inputs) bytes_in += t->total_bytes();
+  for (const auto& t : tables) bytes_in += t->total_bytes();
   stats_.compaction_bytes_in += bytes_in;
 
   // Precharge the input reads through the batch path: the inputs are
   // immutable, so every run IO of the merge is known upfront. Interleave
   // them round-robin across tables and submit kCompactionBatchIos per
   // device batch — an SSD serves each batch across its dies in parallel
-  // instead of one run per merge stall. The cursors below then consume
-  // payload without further timing charges.
-  std::vector<std::vector<sim::IoRequest>> per_input;
+  // instead of one run per merge stall. The cursors then consume payload
+  // without further timing charges. A single run IO (one table of at most
+  // kScanReadaheadBlocks blocks) is left to the cursor's seek.
+  std::vector<std::vector<sim::IoRequest>> per_table;
   size_t total = 0;
-  per_input.reserve(inputs.size());
-  for (const auto& t : inputs) {
-    per_input.push_back(t->run_requests(kScanReadaheadBlocks));
-    total += per_input.back().size();
+  per_table.reserve(tables.size());
+  for (const auto& t : tables) {
+    per_table.push_back(t->run_requests(kScanReadaheadBlocks));
+    total += per_table.back().size();
   }
   const bool precharged = total > 1;
   if (precharged) {
     std::vector<sim::IoRequest> interleaved;
     interleaved.reserve(total);
     for (size_t round = 0; interleaved.size() < total; ++round) {
-      for (const auto& runs : per_input) {
-        if (round < runs.size()) interleaved.push_back(runs[round]);
+      for (const auto& reqs : per_table) {
+        if (round < reqs.size()) interleaved.push_back(reqs[round]);
       }
     }
     DAMKIT_RETURN_IF_ERROR(charge_compaction_batches(interleaved));
   }
 
-  // K-way merge, recency = input order (lower index shadows higher).
-  struct Cursor {
-    SSTable::Iterator it;
-    size_t priority;
-  };
-  std::vector<Cursor> cursors;
+  // Leveled output splits at the target size; a tier's run stays one
+  // table, or run counting (and with it termination) breaks.
+  const bool split = config_.style == CompactionStyle::kLeveled;
   std::vector<SSTableRef> outputs;
-  // Transactional failure: on a non-OK status, release every output
-  // written so far and leave the inputs untouched, so the pre-merge tree
-  // state stays authoritative. Passes OK through untouched.
-  const auto abort_merge = [&](const Status& s) {
-    if (!s.ok()) {
-      for (const auto& t : outputs) t->release();
-      outputs.clear();
-    }
-    return s;
-  };
-
-  cursors.reserve(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    SSTable::Iterator it = inputs[i]->seek("", *io_, retry_, &retry_counters_,
-                                           kScanReadaheadBlocks,
-                                           /*charge_io=*/!precharged);
-    if (!it.valid()) DAMKIT_RETURN_IF_ERROR(abort_merge(it.status()));
-    if (it.valid()) cursors.push_back({std::move(it), i});
-  }
-
-  std::unique_ptr<SSTableBuilder> builder;
-  auto emit = [&](Entry e) -> Status {
-    if (bottom && e.tombstone) return Status();  // tombstones die at bottom
-    if (!builder) {
-      builder = std::make_unique<SSTableBuilder>(
-          *dev_, *io_, arena_, config_.block_bytes, next_sequence_++,
-          codec_.get());
-    }
-    builder->add(std::move(e));
-    if (split_output &&
-        builder->data_bytes() >= config_.sstable_target_bytes) {
-      StatusOr<SSTableRef> table = builder->try_finish(retry_, &retry_counters_);
-      DAMKIT_RETURN_IF_ERROR(table.status());
-      outputs.push_back(*std::move(table));
-      builder.reset();
-    }
+  std::optional<SSTableBuilder> builder;
+  const auto finish = [&]() -> Status {
+    StatusOr<SSTableRef> table = builder->try_finish(retry_, &retry_counters_);
+    builder.reset();
+    DAMKIT_RETURN_IF_ERROR(table.status());
+    if (*table != nullptr) outputs.push_back(*std::move(table));
     return Status();
   };
-
-  while (!cursors.empty()) {
-    // Find the smallest key; among equals, the lowest priority (newest).
-    size_t best = 0;
-    for (size_t i = 1; i < cursors.size(); ++i) {
-      const int c = kv::compare(cursors[i].it.entry().key,
-                                cursors[best].it.entry().key);
-      if (c < 0 || (c == 0 && cursors[i].priority < cursors[best].priority)) {
-        best = i;
+  const auto merge = [&]() -> Status {
+    MergeCursor m(*this, nullptr, inputs, "", /*charge_io=*/!precharged);
+    for (; m.valid(); m.next()) {
+      if (bottom && m.entry().tombstone) continue;  // dies at the bottom
+      if (!builder) {
+        builder.emplace(*dev_, *io_, arena_, config_.block_bytes,
+                        next_sequence_++, codec_.get());
+      }
+      builder->add(m.entry());
+      if (split && builder->data_bytes() >= config_.sstable_target_bytes) {
+        DAMKIT_RETURN_IF_ERROR(finish());
       }
     }
-    Entry winner = cursors[best].it.entry().to_entry();
-    // Advance every cursor positioned at this key (shadowed versions).
-    for (size_t i = 0; i < cursors.size();) {
-      if (kv::compare(cursors[i].it.entry().key, winner.key) == 0) {
-        cursors[i].it.next();
-        if (!cursors[i].it.valid()) {
-          // An exhausted cursor is fine; one that stopped on a read
-          // give-up aborts the merge (silently dropping its remaining
-          // entries would lose data).
-          DAMKIT_RETURN_IF_ERROR(abort_merge(cursors[i].it.status()));
-          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(i));
-          continue;
-        }
-      }
-      ++i;
-    }
-    const Status emitted = emit(std::move(winner));
-    DAMKIT_RETURN_IF_ERROR(abort_merge(emitted));
-  }
-  if (builder) {
-    StatusOr<SSTableRef> last = builder->try_finish(retry_, &retry_counters_);
-    DAMKIT_RETURN_IF_ERROR(abort_merge(last.status()));
-    if (*last != nullptr) outputs.push_back(*std::move(last));
+    DAMKIT_RETURN_IF_ERROR(m.status());
+    return builder ? finish() : Status();
+  };
+  if (const Status merged = merge(); !merged.ok()) {
+    // Transactional: drop what was written; the inputs stay installed.
+    for (const auto& t : outputs) t->release();
+    return merged;
   }
   uint64_t bytes_out = 0;
   for (const auto& t : outputs) bytes_out += t->total_bytes();
   stats_.compaction_bytes_out += bytes_out;
   DAMKIT_STATS_ONLY(if (events_ != nullptr && stats::collecting()) {
-    events_->emit({io_->now(), "lsm", "compaction", source_level, bytes_in,
+    events_->emit({io_->now(), "lsm", "compaction", level, bytes_in,
                    bytes_out});
   });
-  return outputs;
-}
 
-void LsmTree::install_level1plus(size_t level, std::vector<SSTableRef> added,
-                                 const std::vector<SSTableRef>& removed) {
-  Level& lv = levels_[level];
-  for (const auto& dead : removed) {
-    const auto it = std::find(lv.begin(), lv.end(), dead);
-    if (it != lv.end()) lv.erase(it);
+  for (const auto& t : tables) t->release();
+  for (const size_t i : {level, level + 1}) {
+    std::erase_if(levels_[i], [&](const SSTableRef& t) {
+      return std::find(tables.begin(), tables.end(), t) != tables.end();
+    });
   }
-  for (auto& t : added) lv.push_back(std::move(t));
-  std::sort(lv.begin(), lv.end(), [](const SSTableRef& a, const SSTableRef& b) {
-    return kv::compare(a->min_key(), b->min_key()) < 0;
-  });
-}
-
-Status LsmTree::compact_level0() {
-  // All of L0 plus every overlapping L1 table.
-  std::vector<SSTableRef> inputs = levels_[0];  // newest first already
-  std::string lo = inputs.front()->min_key();
-  std::string hi = inputs.front()->max_key();
-  for (const auto& t : inputs) {
-    if (kv::compare(t->min_key(), lo) < 0) lo = t->min_key();
-    if (kv::compare(t->max_key(), hi) > 0) hi = t->max_key();
+  Level& into = levels_[level + 1];
+  if (split) {
+    into.insert(into.end(), outputs.begin(), outputs.end());
+    std::sort(into.begin(), into.end(),
+              [](const SSTableRef& a, const SSTableRef& b) {
+                return kv::compare(a->min_key(), b->min_key()) < 0;
+              });
+  } else {
+    // The merged run is newer than every run already in the next tier.
+    into.insert(into.begin(), outputs.begin(), outputs.end());
   }
-  std::vector<SSTableRef> overlapped;
-  for (const auto& t : levels_[1]) {
-    if (t->overlaps(lo, hi)) overlapped.push_back(t);
-  }
-  inputs.insert(inputs.end(), overlapped.begin(), overlapped.end());
-
-  bool bottom = true;
-  for (size_t i = 2; i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) bottom = false;
-  }
-  // Remaining (non-overlapped) L1 tables also shadow deeper data; only
-  // drop tombstones if L1 is the lowest level, which `bottom` captures.
-  StatusOr<std::vector<SSTableRef>> outputs_or =
-      merge_tables(inputs, bottom, /*source_level=*/0);
-  DAMKIT_RETURN_IF_ERROR(outputs_or.status());
-
-  for (const auto& t : levels_[0]) t->release();
-  levels_[0].clear();
-  for (const auto& t : overlapped) t->release();
-  install_level1plus(1, *std::move(outputs_or), overlapped);
-  return Status();
-}
-
-Status LsmTree::compact_level(size_t level) {
-  DAMKIT_CHECK(level >= 1);
-  if (level + 1 >= levels_.size()) levels_.resize(level + 2);
-  Level& lv = levels_[level];
-  DAMKIT_CHECK(!lv.empty());
-  const SSTableRef victim = lv[compact_cursor_ % lv.size()];
-  ++compact_cursor_;
-
-  std::vector<SSTableRef> overlapped;
-  for (const auto& t : levels_[level + 1]) {
-    if (t->overlaps(victim->min_key(), victim->max_key())) {
-      overlapped.push_back(t);
-    }
-  }
-  std::vector<SSTableRef> inputs{victim};
-  inputs.insert(inputs.end(), overlapped.begin(), overlapped.end());
-
-  bool bottom = true;
-  for (size_t i = level + 2; i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) bottom = false;
-  }
-  StatusOr<std::vector<SSTableRef>> outputs_or =
-      merge_tables(inputs, bottom, level);
-  DAMKIT_RETURN_IF_ERROR(outputs_or.status());
-
-  const auto it = std::find(lv.begin(), lv.end(), victim);
-  DAMKIT_CHECK(it != lv.end());
-  lv.erase(it);
-  victim->release();
-  for (const auto& t : overlapped) t->release();
-  install_level1plus(level + 1, *std::move(outputs_or), overlapped);
   return Status();
 }
 
 StatusOr<std::optional<std::string>> LsmTree::try_get(std::string_view key) {
   ++stats_.gets;
-  if (const auto hit = mem_.get(key)) {
+  if (const std::optional<EntryView> hit = mem_.get(key)) {
     if (hit->tombstone) return std::optional<std::string>();
     return std::optional<std::string>(hit->value);
   }
-  // Probe one table: returns the resolved value (or deletion) if found.
-  enum class Probe { kMiss, kFound, kDeleted };
-  std::string found;
-  const auto probe = [&](const SSTableRef& t) -> StatusOr<Probe> {
-    if (!t->overlaps(key, key)) return Probe::kMiss;
-    ++stats_.table_probes;
-    if (!t->may_contain(key)) {
-      ++stats_.bloom_negative;
-      return Probe::kMiss;
-    }
-    StatusOr<std::optional<Entry>> hit =
-        t->try_get(key, *io_, retry_, &retry_counters_);
-    DAMKIT_RETURN_IF_ERROR(hit.status());
-    if (!hit->has_value()) return Probe::kMiss;
-    if ((*hit)->tombstone) return Probe::kDeleted;
-    found = (*hit)->value;
-    return Probe::kFound;
-  };
-  const std::optional<std::string> miss;
-
-  if (config_.style == CompactionStyle::kTiered) {
-    // Every tier may hold overlapping runs: probe all, newest first.
-    for (const auto& level : levels_) {
-      for (const auto& t : level) {
-        StatusOr<Probe> p = probe(t);
-        DAMKIT_RETURN_IF_ERROR(p.status());
-        switch (*p) {
-          case Probe::kFound: return std::optional<std::string>(found);
-          case Probe::kDeleted: return miss;
-          case Probe::kMiss: break;
-        }
-      }
-    }
-    return miss;
-  }
-
-  // L0: newest first, may overlap.
-  for (const auto& t : levels_[0]) {
-    StatusOr<Probe> p = probe(t);
-    DAMKIT_RETURN_IF_ERROR(p.status());
-    switch (*p) {
-      case Probe::kFound: return std::optional<std::string>(found);
-      case Probe::kDeleted: return miss;
-      case Probe::kMiss: break;
-    }
-  }
-  // L1+: at most one candidate table per level.
-  for (size_t i = 1; i < levels_.size(); ++i) {
-    const Level& lv = levels_[i];
-    const auto it = std::upper_bound(
-        lv.begin(), lv.end(), key,
+  for (const Run& run : runs()) {
+    // Only the run's last table starting at or before key can hold it.
+    const auto after = std::upper_bound(
+        run.begin(), run.end(), key,
         [](std::string_view k, const SSTableRef& t) {
           return kv::compare(k, t->min_key()) < 0;
         });
-    if (it == lv.begin()) continue;
-    StatusOr<Probe> p = probe(*(it - 1));
-    DAMKIT_RETURN_IF_ERROR(p.status());
-    switch (*p) {
-      case Probe::kFound: return std::optional<std::string>(found);
-      case Probe::kDeleted: return miss;
-      case Probe::kMiss: break;
+    if (after == run.begin()) continue;
+    const SSTable& table = **(after - 1);
+    if (!table.overlaps(key, key)) continue;
+    ++stats_.table_probes;
+    if (!table.may_contain(key)) {
+      ++stats_.bloom_negative;
+      continue;
     }
+    StatusOr<std::optional<Entry>> hit =
+        table.try_get(key, *io_, retry_, &retry_counters_);
+    DAMKIT_RETURN_IF_ERROR(hit.status());
+    if (!hit->has_value()) continue;
+    if ((*hit)->tombstone) return std::optional<std::string>();
+    return std::optional<std::string>(std::move((*hit)->value));
   }
-  return miss;
+  return std::optional<std::string>();
 }
 
 StatusOr<std::vector<std::pair<std::string, std::string>>>
@@ -476,122 +486,14 @@ LsmTree::try_range_scan(std::string_view lo, size_t limit) {
   ++stats_.scans;
   std::vector<std::pair<std::string, std::string>> out;
   if (limit == 0) return out;
-
-  // A cursor per source; priority orders recency (lower = newer).
-  struct Source {
-    // Either a memtable iterator...
-    const MemTable::Map* mem = nullptr;
-    MemTable::Map::const_iterator mem_it;
-    // ...or a level run (sequence of tables + an open table iterator).
-    const Level* level = nullptr;
-    size_t table_idx = 0;
-    std::unique_ptr<SSTable::Iterator> it;
-    size_t priority = 0;
-
-    bool valid() const {
-      return mem != nullptr ? mem_it != mem->end()
-                            : (it != nullptr && it->valid());
-    }
-    std::string_view key() const {
-      return mem != nullptr ? std::string_view(mem_it->first)
-                            : std::string_view(it->entry().key);
-    }
-  };
-
-  std::vector<Source> sources;
-  size_t priority = 0;
-  {
-    Source s;
-    s.mem = &mem_.entries();
-    s.mem_it = mem_.entries().lower_bound(lo);
-    s.priority = priority++;
-    if (s.valid()) sources.push_back(std::move(s));
-  }
-  const size_t overlapping_levels =
-      (config_.style == CompactionStyle::kTiered) ? levels_.size() : 1;
-  for (size_t i = 0; i < overlapping_levels; ++i) {
-    for (const auto& t : levels_[i]) {
-      Source s;
-      s.priority = priority++;
-      if (kv::compare(t->max_key(), lo) >= 0) {
-        s.it = std::make_unique<SSTable::Iterator>(t->seek(
-            lo, *io_, retry_, &retry_counters_, kScanReadaheadBlocks));
-        DAMKIT_RETURN_IF_ERROR(s.it->status());
-        if (s.it->valid()) sources.push_back(std::move(s));
-      }
+  const std::vector<Run> all = runs();
+  MergeCursor m(*this, &mem_.entries(), all, lo, /*charge_io=*/true);
+  for (; m.valid() && out.size() < limit; m.next()) {
+    if (!m.entry().tombstone) {
+      out.emplace_back(m.entry().key, m.entry().value);
     }
   }
-  for (size_t i = overlapping_levels; i < levels_.size(); ++i) {
-    const Level& lv = levels_[i];
-    Source s;
-    s.level = &lv;
-    s.priority = priority++;
-    // First table whose max_key >= lo.
-    size_t idx = 0;
-    while (idx < lv.size() && kv::compare(lv[idx]->max_key(), lo) < 0) ++idx;
-    if (idx == lv.size()) continue;
-    s.table_idx = idx;
-    s.it = std::make_unique<SSTable::Iterator>(lv[idx]->seek(
-        lo, *io_, retry_, &retry_counters_, kScanReadaheadBlocks));
-    DAMKIT_RETURN_IF_ERROR(s.it->status());
-    if (s.it->valid()) sources.push_back(std::move(s));
-  }
-
-  auto advance = [&](Source& s) -> Status {
-    if (s.mem != nullptr) {
-      ++s.mem_it;
-      return Status();
-    }
-    s.it->next();
-    DAMKIT_RETURN_IF_ERROR(s.it->status());
-    // A level run continues into the next table.
-    while (s.level != nullptr && !s.it->valid() &&
-           s.table_idx + 1 < s.level->size()) {
-      ++s.table_idx;
-      s.it = std::make_unique<SSTable::Iterator>(
-          (*s.level)[s.table_idx]->seek(lo, *io_, retry_, &retry_counters_,
-                                        kScanReadaheadBlocks));
-      DAMKIT_RETURN_IF_ERROR(s.it->status());
-    }
-    return Status();
-  };
-
-  while (out.size() < limit) {
-    // Smallest key; ties resolved by recency.
-    int best = -1;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i].valid()) continue;
-      if (best < 0) {
-        best = static_cast<int>(i);
-        continue;
-      }
-      const int c = kv::compare(sources[i].key(),
-                                sources[static_cast<size_t>(best)].key());
-      if (c < 0 || (c == 0 && sources[i].priority <
-                                  sources[static_cast<size_t>(best)].priority)) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    Source& winner = sources[static_cast<size_t>(best)];
-    const std::string key(winner.key());
-    std::string value;
-    bool tombstone;
-    if (winner.mem != nullptr) {
-      value = winner.mem_it->second.value;
-      tombstone = winner.mem_it->second.tombstone;
-    } else {
-      value = winner.it->entry().value;
-      tombstone = winner.it->entry().tombstone;
-    }
-    // Skip every shadowed version of this key.
-    for (auto& s : sources) {
-      while (s.valid() && kv::compare(s.key(), key) == 0) {
-        DAMKIT_RETURN_IF_ERROR(advance(s));
-      }
-    }
-    if (!tombstone) out.emplace_back(key, std::move(value));
-  }
+  DAMKIT_RETURN_IF_ERROR(m.status());
   return out;
 }
 
@@ -643,26 +545,28 @@ void LsmTree::export_metrics(stats::MetricsRegistry& reg,
 }
 
 void LsmTree::check_invariants() {
-  const bool tiered = config_.style == CompactionStyle::kTiered;
+  std::vector<Run> level_runs;
   for (size_t i = 0; i < levels_.size(); ++i) {
-    for (const auto& t : levels_[i]) {
-      DAMKIT_CHECK(kv::compare(t->min_key(), t->max_key()) <= 0);
-      DAMKIT_CHECK(t->entry_count() > 0);
-    }
-    if (!tiered && i >= 1) {
-      for (size_t j = 1; j < levels_[i].size(); ++j) {
-        // Leveled: each level is one sorted, non-overlapping run.
-        DAMKIT_CHECK_MSG(
-            kv::compare(levels_[i][j - 1]->max_key(),
-                        levels_[i][j]->min_key()) < 0,
-            "level " << i << " tables overlap");
+    level_runs.clear();
+    append_runs(i, &level_runs);
+    // A level's runs are newest first: every table of a run is older than
+    // every table of the runs before it.
+    uint64_t older_than = std::numeric_limits<uint64_t>::max();
+    for (const Run& run : level_runs) {
+      uint64_t oldest = older_than;
+      for (size_t j = 0; j < run.size(); ++j) {
+        const SSTable& t = *run[j];
+        DAMKIT_CHECK(kv::compare(t.min_key(), t.max_key()) <= 0);
+        DAMKIT_CHECK(t.entry_count() > 0);
+        DAMKIT_CHECK_MSG(t.sequence() < older_than,
+                         "level " << i << " runs out of recency order");
+        if (j > 0) {
+          DAMKIT_CHECK_MSG(kv::compare(run[j - 1]->max_key(), t.min_key()) < 0,
+                           "level " << i << " run tables overlap");
+        }
+        oldest = std::min(oldest, t.sequence());
       }
-    }
-  }
-  if (!tiered) {
-    // L0 recency: sequences strictly decreasing (newest first).
-    for (size_t j = 1; j < levels_[0].size(); ++j) {
-      DAMKIT_CHECK(levels_[0][j - 1]->sequence() > levels_[0][j]->sequence());
+      older_than = oldest;
     }
   }
 }

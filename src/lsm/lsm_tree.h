@@ -9,6 +9,11 @@
 // overlapping tables of level i+1, splitting output at the SSTable
 // target size — the tuning knob this module exists to study under the
 // affine model.
+//
+// Reads see the tree as runs, newest first: a run is key-sorted,
+// non-overlapping tables (each L0 or tier table alone, each leveled L1+
+// level whole). A point read probes at most one table per run; scans and
+// compactions share one merge cursor over the memtable and runs.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +55,12 @@ struct LsmConfig {
   uint64_t memtable_bytes = 4 * 1024 * 1024;
   /// Compaction output split size — LevelDB's 2 MiB knob.
   uint64_t sstable_target_bytes = 2 * 1024 * 1024;
-  uint64_t block_bytes = 4096;      // point-read granularity
-  size_t level0_limit = 4;          // flushes before L0→L1 compaction
+  uint64_t block_bytes = 4096;  // point-read granularity
+  size_t level0_limit = 4;      // flushes before L0→L1 compaction
   uint64_t level1_bytes = 10 * 1024 * 1024;
-  double size_ratio = 10.0;         // level i+1 / level i capacity
+  double size_ratio = 10.0;  // level i+1 / level i capacity
   CompactionStyle style = CompactionStyle::kLeveled;
-  uint64_t base_offset = 0;         // device offset of the table arena
+  uint64_t base_offset = 0;  // device offset of the table arena
   /// Block codec for stored SSTable data blocks. Each block is framed
   /// individually, so point reads stay one-block IOs; saved bytes shrink
   /// the transfer term of every read, write, and compaction.
@@ -71,8 +76,8 @@ struct LsmStats {
   uint64_t compactions = 0;
   uint64_t compaction_bytes_in = 0;
   uint64_t compaction_bytes_out = 0;
-  uint64_t bloom_negative = 0;  // table probes skipped by the filter
-  uint64_t table_probes = 0;    // tables consulted by point queries
+  uint64_t bloom_negative = 0;          // table probes skipped by the filter
+  uint64_t table_probes = 0;            // tables consulted by point queries
   uint64_t compaction_batches = 0;      // device batches merges submitted
   uint64_t compaction_batched_ios = 0;  // run IOs inside those batches
   uint64_t flush_bytes_out = 0;         // L0 table bytes memtable flushes wrote
@@ -106,9 +111,10 @@ class LsmTree final : public kv::Dictionary {
 
   /// Emulated (Capabilities::native_bulk_load = false): the ascending
   /// stream is ingested through the memtable, CHECK-aborting on failure.
-  void bulk_load(uint64_t count,
-                 const std::function<std::pair<std::string, std::string>(
-                     uint64_t)>& item) override;
+  void bulk_load(
+      uint64_t count,
+      const std::function<std::pair<std::string, std::string>(uint64_t)>& item)
+      override;
 
   /// Force the memtable to disk (and any due compactions).
   Status checkpoint() override;
@@ -133,8 +139,8 @@ class LsmTree final : public kv::Dictionary {
   const LsmConfig& config() const { return config_; }
   sim::IoContext& io() { return *io_; }
 
-  /// Invariants: levels 1+ sorted and non-overlapping; L0 ordered by
-  /// recency; all tables alive; per-table keys within [min,max].
+  /// Invariants: every run key-sorted and non-overlapping; every level's
+  /// runs newest first; every table non-empty with min_key <= max_key.
   void check_invariants() override;
 
   /// Compaction counts by source level ([0] = L0→L1). Tiered merges are
@@ -156,29 +162,37 @@ class LsmTree final : public kv::Dictionary {
                       std::string_view prefix) const override;
 
  private:
-  using Level = std::vector<SSTableRef>;  // L0: newest first; L1+: by key
+  /// L0 and tiers: newest first; leveled L1+: by key.
+  using Level = std::vector<SSTableRef>;
+  /// Key-sorted, non-overlapping tables, read as one sequence.
+  using Run = std::span<const SSTableRef>;
+  class MergeCursor;
 
   Status flush_memtable();
   Status maybe_compact();
+  /// All of L0 plus the L1 tables it overlaps.
   Status compact_level0();
+  /// The round-robin victim of `level` plus the level+1 tables it overlaps.
   Status compact_level(size_t level);
-  /// Tiered: merge every run of `level` into level+1 wholesale.
+  /// Tiered: every run of `level`, into level+1 wholesale.
   Status compact_tier(size_t level);
-  /// Merge `inputs` (newest first) into new tables, splitting at the
-  /// target size when `split_output` (leveled) or producing one table per
-  /// merge (tiered: a run is one table). `bottom` drops tombstones.
-  /// `source_level` attributes the compaction for per-level counts.
-  /// Transactional: on a non-OK return every output written so far has
-  /// been released and the inputs are untouched.
-  StatusOr<std::vector<SSTableRef>> merge_tables(
-      const std::vector<SSTableRef>& inputs, bool bottom, size_t source_level,
-      bool split_output = true);
+  /// Merge `inputs` (runs of `level` and level+1, newest first) into new
+  /// tables, dropping tombstones when `bottom`; then release the inputs
+  /// and install the outputs in level+1. Transactional: on a non-OK
+  /// return every output written so far has been released and the inputs
+  /// are untouched.
+  Status merge_into(size_t level, const std::vector<Run>& inputs, bool bottom);
   /// Charge `reqs` as device batches of kCompactionBatchIos, retrying
   /// failed requests under the retry policy.
   Status charge_compaction_batches(std::span<const sim::IoRequest> reqs);
+  /// Append `level`'s runs, newest first: a leveled L1+ level is one run;
+  /// an L0 or tier table is a run alone.
+  void append_runs(size_t level, std::vector<Run>* out) const;
+  /// Every run of the tree, newest first.
+  std::vector<Run> runs() const;
+  /// True if no level below `level` holds a table.
+  bool nothing_below(size_t level) const;
   uint64_t level_capacity(size_t level) const;
-  void install_level1plus(size_t level, std::vector<SSTableRef> added,
-                          const std::vector<SSTableRef>& removed);
 
   sim::Device* dev_;
   sim::IoContext* io_;

@@ -19,12 +19,12 @@ class MemTable {
   }
   void erase(std::string_view key) { upsert_entry(key, "", true); }
 
-  /// nullopt = unknown here (consult tables); Entry with tombstone=true =
-  /// known-deleted.
-  std::optional<Entry> get(std::string_view key) const {
+  /// nullopt = unknown here (consult tables); tombstone=true =
+  /// known-deleted. Borrows from the table until its next change.
+  std::optional<EntryView> get(std::string_view key) const {
     const auto it = entries_.find(key);  // transparent comparator: no copy
     if (it == entries_.end()) return std::nullopt;
-    return Entry{it->first, it->second.value, it->second.tombstone};
+    return EntryView{it->first, it->second.value, it->second.tombstone};
   }
 
   uint64_t approximate_bytes() const { return bytes_; }

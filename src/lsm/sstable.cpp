@@ -8,8 +8,8 @@
 namespace damkit::lsm {
 
 SSTableBuilder::SSTableBuilder(sim::Device& dev, sim::IoContext& io,
-                               blockdev::ByteArena& arena,
-                               uint64_t block_bytes, uint64_t sequence,
+                               blockdev::ByteArena& arena, uint64_t block_bytes,
+                               uint64_t sequence,
                                const blockdev::BlockCodec* codec)
     : dev_(&dev),
       io_(&io),
@@ -25,7 +25,7 @@ SSTableBuilder::SSTableBuilder(sim::Device& dev, sim::IoContext& io,
 
 SSTableBuilder::~SSTableBuilder() = default;
 
-void SSTableBuilder::add(Entry entry) {
+void SSTableBuilder::add(const EntryView& entry) {
   DAMKIT_CHECK(!finished_);
   DAMKIT_CHECK_MSG(count_ == 0 || kv::compare(last_key_, entry.key) < 0,
                    "SSTable keys must be strictly ascending");
@@ -33,8 +33,7 @@ void SSTableBuilder::add(Entry entry) {
   last_key_ = entry.key;
 
   if (block_.empty()) {
-    index_.push_back(
-        {entry.key, data_.size(), 0, 0});
+    index_.push_back({std::string(entry.key), data_.size(), 0, 0});
   }
   const size_t at = block_.size();
   block_.resize(at + node::TaggedRecord::encoded_size(entry.key.size(),
@@ -42,7 +41,7 @@ void SSTableBuilder::add(Entry entry) {
   node::TaggedRecord::encode(block_.data() + at, entry.tombstone ? 1 : 0,
                              entry.key, entry.value);
   ++index_.back().entries;
-  keys_seen_.push_back(std::move(entry.key));
+  keys_seen_.emplace_back(entry.key);
   ++count_;
   if (block_.size() >= block_bytes_) flush_block();
 }
@@ -125,28 +124,42 @@ bool SSTable::overlaps(std::string_view lo, std::string_view hi) const {
   return kv::compare(max_key_, lo) >= 0 && kv::compare(min_key_, hi) <= 0;
 }
 
-Status SSTable::try_fetch_block_raw(size_t block_idx, sim::IoContext& io,
-                                    const blockdev::RetryPolicy& policy,
-                                    blockdev::RetryCounters* counters,
-                                    std::vector<uint8_t>* raw) const {
-  DAMKIT_CHECK(block_idx < index_.size());
+Status SSTable::try_read_blocks(size_t first, size_t end, sim::IoContext& io,
+                                const blockdev::RetryPolicy& policy,
+                                blockdev::RetryCounters* counters,
+                                bool charge_io,
+                                std::vector<uint8_t>* run) const {
+  DAMKIT_CHECK(first < end && end <= index_.size());
   DAMKIT_CHECK_MSG(!released_, "read from released SSTable");
-  const BlockIndexEntry& ie = index_[block_idx];
-  if (codec_ == nullptr) {
-    raw->resize(ie.length);
-    return blockdev::with_retries(
-        io, policy, counters, /*retry_corruption=*/false, [&] {
-          return io.read_checked(device_offset_ + ie.offset, *raw);
-        });
+  const BlockIndexEntry& head = index_[first];
+  const BlockIndexEntry& tail = index_[end - 1];
+  const uint64_t offset = device_offset_ + head.offset;
+  // Uncompressed blocks are already wire-format records back to back and
+  // land in `*run` directly; codec frames are staged for decoding.
+  std::vector<uint8_t> stored;
+  std::vector<uint8_t>& buf = codec_ == nullptr ? *run : stored;
+  buf.resize(tail.offset + tail.length - head.offset);
+  if (charge_io) {
+    DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
+        io, policy, counters, /*retry_corruption=*/false,
+        [&] { return io.read_checked(offset, buf); }));
+  } else {
+    dev_->read_bytes(offset, buf);
   }
-  std::vector<uint8_t> buf(ie.length);
-  DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-      io, policy, counters, /*retry_corruption=*/false, [&] {
-        return io.read_checked(device_offset_ + ie.offset, buf);
-      }));
-  if (!codec_->decode(buf, *raw)) {
-    return Status::corruption("SSTable block " + std::to_string(block_idx) +
-                              ": stored codec frame failed to decode");
+  if (codec_ == nullptr) return Status();
+  // Each block is its own codec frame: decode them one by one and splice
+  // the raw blocks back into one contiguous run.
+  run->clear();
+  std::vector<uint8_t> raw;
+  for (size_t b = first; b < end; ++b) {
+    const BlockIndexEntry& ie = index_[b];
+    const auto frame = std::span<const uint8_t>(stored).subspan(
+        ie.offset - head.offset, ie.length);
+    if (!codec_->decode(frame, raw)) {
+      return Status::corruption("SSTable block " + std::to_string(b) +
+                                ": stored codec frame failed to decode");
+    }
+    run->insert(run->end(), raw.begin(), raw.end());
   }
   return Status();
 }
@@ -173,16 +186,17 @@ StatusOr<std::optional<Entry>> SSTable::try_get(
   if (through == 0) return std::optional<Entry>();
   const size_t block_idx = through - 1;
   std::vector<uint8_t> raw;
-  DAMKIT_RETURN_IF_ERROR(
-      try_fetch_block_raw(block_idx, io, policy, counters, &raw));
+  DAMKIT_RETURN_IF_ERROR(try_read_blocks(block_idx, through, io, policy,
+                                         counters, /*charge_io=*/true, &raw));
   // Index the block in place and binary-search it without materializing
   // entries; only a hit is copied out.
   node::TaggedPage page;
   page.parse(raw.data(), raw.size(), index_[block_idx].entries);
   const std::optional<size_t> pos = page.find(key);
   if (!pos.has_value()) return std::optional<Entry>();
-  return std::optional<Entry>(EntryView::of(node::TaggedRecord::view(
-      node::detail::bytes_of(page.record(*pos)))).to_entry());
+  const node::TaggedRecord::View rec =
+      node::TaggedRecord::view(node::detail::bytes_of(page.record(*pos)));
+  return std::optional<Entry>(Entry{std::string(rec.value()), rec.tag != 0});
 }
 
 SSTable::Iterator::Iterator(const SSTable* table, sim::IoContext* io,
@@ -207,65 +221,40 @@ void SSTable::Iterator::load_blocks(size_t first_block) {
     valid_ = false;
     return;
   }
-  DAMKIT_CHECK_MSG(!table_->released_, "read from released SSTable");
-  const size_t end =
-      std::min(first_block + readahead_, table_->index_.size());
+  const size_t end = std::min(first_block + readahead_, table_->index_.size());
   // Blocks are contiguous in the image: one IO covers the whole run.
-  const BlockIndexEntry& first = table_->index_[first_block];
-  const BlockIndexEntry& last = table_->index_[end - 1];
-  const uint64_t run_bytes = last.offset + last.length - first.offset;
-  std::vector<uint8_t> buf(run_bytes);
-  if (charge_io_) {
-    const uint64_t off = table_->device_offset_ + first.offset;
-    const Status s = blockdev::with_retries(
-        *io_, *policy_, counters_, /*retry_corruption=*/false,
-        [&] { return io_->read_checked(off, buf); });
-    if (!s.ok()) {
-      // The cursor stops here; the failure is reported via status() and
-      // valid() goes false so merge loops terminate cleanly.
-      status_ = s;
-      valid_ = false;
-      return;
-    }
-  } else {
-    // Timing was precharged by the caller (batched run requests); only
-    // the payload is needed here.
-    table_->dev_->read_bytes(table_->device_offset_ + first.offset, buf);
+  status_ = table_->try_read_blocks(first_block, end, *io_, *policy_,
+                                    counters_, charge_io_, &run_);
+  if (!status_.ok()) {
+    // The cursor stops here; the failure is reported via status() and
+    // valid() goes false so merge loops terminate cleanly.
+    valid_ = false;
+    return;
   }
-
-  size_t run_entries = 0;
+  run_remaining_ = 0;
   for (size_t b = first_block; b < end; ++b) {
-    run_entries += table_->index_[b].entries;
+    run_remaining_ += table_->index_[b].entries;
   }
-  if (table_->codec_ != nullptr) {
-    // The run is a concatenation of per-block frames: slice each block
-    // out of the physical buffer via the index, decode it, and splice the
-    // raw blocks back into one contiguous run.
-    run_.clear();
-    std::vector<uint8_t> raw;
-    for (size_t b = first_block; b < end; ++b) {
-      const BlockIndexEntry& ie = table_->index_[b];
-      const std::span<const uint8_t> frame(buf.data() +
-                                               (ie.offset - first.offset),
-                                           ie.length);
-      if (!table_->codec_->decode(frame, raw)) {
-        status_ = Status::corruption(
-            "SSTable block " + std::to_string(b) +
-            ": stored codec frame failed to decode");
-        valid_ = false;
-        return;
-      }
-      run_.insert(run_.end(), raw.begin(), raw.end());
-    }
-  } else {
-    // Uncompressed blocks are already wire-format records back to back.
-    run_ = std::move(buf);
-  }
+  DAMKIT_CHECK(run_remaining_ > 0);
   next_block_ = end;
   run_pos_ = 0;
-  run_remaining_ = run_entries;
-  DAMKIT_CHECK(run_remaining_ > 0);
-  current_ = EntryView::of(node::TaggedRecord::view(run_.data()));
+  view_record();
+}
+
+void SSTable::Iterator::view_record() {
+  // The record count comes from the resident index, but the lengths come
+  // from device bytes: check each record fits before borrowing it.
+  const uint8_t* p = run_.data() + run_pos_;
+  const size_t left = run_.size() - run_pos_;
+  if (left < node::TaggedRecord::kHeaderBytes ||
+      node::TaggedRecord::length(p) > left) {
+    status_ = Status::corruption("SSTable record at run byte " +
+                                 std::to_string(run_pos_) +
+                                 " overruns its decoded blocks");
+    valid_ = false;
+    return;
+  }
+  current_ = EntryView::of(node::TaggedRecord::view(p));
   valid_ = true;
 }
 
@@ -274,7 +263,7 @@ void SSTable::Iterator::next() {
   if (run_remaining_ > 1) {
     run_pos_ += node::TaggedRecord::length(run_.data() + run_pos_);
     --run_remaining_;
-    current_ = EntryView::of(node::TaggedRecord::view(run_.data() + run_pos_));
+    view_record();
     return;
   }
   load_blocks(next_block_);
@@ -283,10 +272,8 @@ void SSTable::Iterator::next() {
 SSTable::Iterator SSTable::seek(std::string_view lo, sim::IoContext& io,
                                 const blockdev::RetryPolicy& policy,
                                 blockdev::RetryCounters* counters,
-                                size_t readahead_blocks,
-                                bool charge_io) const {
-  return Iterator(this, &io, lo, policy, counters, readahead_blocks,
-                  charge_io);
+                                size_t readahead_blocks, bool charge_io) const {
+  return Iterator(this, &io, lo, policy, counters, readahead_blocks, charge_io);
 }
 
 std::vector<sim::IoRequest> SSTable::run_requests(

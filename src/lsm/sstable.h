@@ -31,15 +31,15 @@
 
 namespace damkit::lsm {
 
-/// A key/value pair or a deletion marker inside a table.
+/// A point read's result: the key's stored value or its deletion marker.
 struct Entry {
-  std::string key;
   std::string value;
   bool tombstone = false;
 };
 
-/// Zero-copy view of one entry inside a decoded block; valid until the
-/// backing buffer is refilled (e.g. the iterator loads its next run).
+/// A borrowed key/value pair or deletion marker: a builder's input, and a
+/// cursor's or the memtable's entry, valid until its backing buffer
+/// changes (e.g. the cursor loads its next run).
 struct EntryView {
   std::string_view key;
   std::string_view value;
@@ -48,10 +48,6 @@ struct EntryView {
   /// A block record's entry (a node::TaggedRecord; its tag is the flag).
   static EntryView of(const node::TaggedRecord::View& rec) {
     return EntryView{rec.key(), rec.value(), rec.tag != 0};
-  }
-
-  Entry to_entry() const {
-    return Entry{std::string(key), std::string(value), tombstone};
   }
 };
 
@@ -82,8 +78,8 @@ class SSTableBuilder {
                  const blockdev::BlockCodec* codec = nullptr);
   ~SSTableBuilder();
 
-  /// Keys must arrive in strictly ascending order.
-  void add(Entry entry);
+  /// Keys must arrive in strictly ascending order. Copies the bytes.
+  void add(const EntryView& entry);
 
   uint64_t entry_count() const { return count_; }
   uint64_t data_bytes() const { return data_.size() + block_.size(); }
@@ -106,9 +102,9 @@ class SSTableBuilder {
   uint64_t sequence_;
   const blockdev::BlockCodec* codec_;
 
-  std::vector<uint8_t> data_;    // completed (possibly compressed) blocks
-  std::vector<uint8_t> block_;   // current block under construction (raw)
-  std::vector<uint8_t> enc_;     // codec frame staging
+  std::vector<uint8_t> data_;   // completed (possibly compressed) blocks
+  std::vector<uint8_t> block_;  // current block under construction (raw)
+  std::vector<uint8_t> enc_;    // codec frame staging
   std::vector<BlockIndexEntry> index_;
   std::vector<std::string> keys_seen_;  // for the bloom filter
   std::string first_key_, last_key_;
@@ -161,8 +157,10 @@ class SSTable {
     const EntryView& entry() const { return current_; }
     void next();
     /// Non-OK when the cursor stopped because a block read gave up after
-    /// retries (valid() is then false). Callers that treat an invalid
-    /// cursor as end-of-table MUST consult this or they silently truncate.
+    /// retries, a codec frame failed to decode, or a record's header or
+    /// length ran past its decoded run (kCorruption); valid() is then
+    /// false. Callers that treat an invalid cursor as end-of-table MUST
+    /// consult this or they silently truncate.
     const Status& status() const { return status_; }
 
    private:
@@ -172,6 +170,9 @@ class SSTable {
              blockdev::RetryCounters* counters, size_t readahead_blocks,
              bool charge_io);
     void load_blocks(size_t first_block);
+    /// View the record at run_pos_, or stop with kCorruption if it does
+    /// not fit in what remains of the run.
+    void view_record();
 
     const SSTable* table_ = nullptr;
     sim::IoContext* io_ = nullptr;
@@ -180,17 +181,17 @@ class SSTable {
     const blockdev::RetryPolicy* policy_;  // never null
     blockdev::RetryCounters* counters_ = nullptr;
     Status status_;
-    size_t next_block_ = 0;        // first block not yet fetched
-    std::vector<uint8_t> run_;     // decoded current run, wire format
-    size_t run_pos_ = 0;           // byte offset of the current record
-    size_t run_remaining_ = 0;     // records left in run_ (incl. current)
-    EntryView current_;            // borrows from run_
+    size_t next_block_ = 0;     // first block not yet fetched
+    std::vector<uint8_t> run_;  // decoded current run, wire format
+    size_t run_pos_ = 0;        // byte offset of the current record
+    size_t run_remaining_ = 0;  // records left in run_ (incl. current)
+    EntryView current_;         // borrows from run_
     bool valid_ = false;
   };
   Iterator seek(std::string_view lo, sim::IoContext& io,
                 const blockdev::RetryPolicy& policy,
-                blockdev::RetryCounters* counters,
-                size_t readahead_blocks = 1, bool charge_io = true) const;
+                blockdev::RetryCounters* counters, size_t readahead_blocks = 1,
+                bool charge_io = true) const;
 
   /// The device reads a full sequential pass at `readahead_blocks` issues:
   /// one request per run of contiguous blocks. Used to precharge a
@@ -210,12 +211,14 @@ class SSTable {
   /// Number of blocks whose first key is <= `key`.
   size_t blocks_through(std::string_view key) const;
 
-  /// Read one data block (one device IO) and leave its decoded (raw,
-  /// post-codec) wire-format bytes in `*raw`.
-  Status try_fetch_block_raw(size_t block_idx, sim::IoContext& io,
-                             const blockdev::RetryPolicy& policy,
-                             blockdev::RetryCounters* counters,
-                             std::vector<uint8_t>* raw) const;
+  /// Read blocks [first, end), contiguous in the image, as one IO of
+  /// their stored bytes (retried under `policy`; payload only when
+  /// `!charge_io`, its timing precharged by the caller) and leave their
+  /// decoded wire-format records back to back in `*run`.
+  Status try_read_blocks(size_t first, size_t end, sim::IoContext& io,
+                         const blockdev::RetryPolicy& policy,
+                         blockdev::RetryCounters* counters, bool charge_io,
+                         std::vector<uint8_t>* run) const;
 
   sim::Device* dev_ = nullptr;
   blockdev::ByteArena* arena_ = nullptr;

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "kv/slice.h"
+#include "node/record.h"
 #include "sim/hdd.h"
 #include "util/bytes.h"
 
@@ -55,8 +57,7 @@ TEST_F(LsmTreeTest, MemtableOnlyPutGet) {
 TEST_F(LsmTreeTest, FlushAndCompactAcrossLevels) {
   constexpr uint64_t kN = 20000;
   for (uint64_t i = 0; i < kN; ++i) {
-    tree_->put(kv::encode_key(i * 2654435761 % 100000),
-               kv::make_value(i, 40));
+    tree_->put(kv::encode_key(i * 2654435761 % 100000), kv::make_value(i, 40));
   }
   tree_->flush();
   EXPECT_GT(tree_->stats().memtable_flushes, 5u);
@@ -75,9 +76,7 @@ TEST_F(LsmTreeTest, NewestVersionWinsAfterCompactions) {
   tree_->flush();
   tree_->check_invariants();
   for (uint64_t i = 0; i < 500; i += 17) {
-    EXPECT_EQ(tree_->get(kv::encode_key(i)),
-              "r5-" + std::to_string(i))
-        << i;
+    EXPECT_EQ(tree_->get(kv::encode_key(i)), "r5-" + std::to_string(i)) << i;
   }
 }
 
@@ -154,8 +153,7 @@ TEST_F(LsmTreeTest, WriteAmplificationBounded) {
   }
   tree_->flush();
   const double logical = static_cast<double>(kN) * 56.0;
-  const double amp =
-      static_cast<double>(dev_->stats().bytes_written) / logical;
+  const double amp = static_cast<double>(dev_->stats().bytes_written) / logical;
   // Leveled compaction write amp ~ size_ratio × depth; far below a
   // B-tree's node_size/entry_size.
   EXPECT_LT(amp, 40.0);
@@ -197,8 +195,7 @@ TEST_F(LsmTreeTest, TieredCompactionCorrectAndCheaperToWrite) {
     LsmTree tree(dev, io, lc);
     constexpr uint64_t kN = 20000;
     for (uint64_t i = 0; i < kN; ++i) {
-      tree.put(kv::encode_key(i * 2654435761 % 50000),
-               kv::make_value(i, 40));
+      tree.put(kv::encode_key(i * 2654435761 % 50000), kv::make_value(i, 40));
     }
     tree.flush();
     tree.check_invariants();
@@ -276,6 +273,61 @@ TEST_F(LsmTreeTest, HostMemoryReclaimedByCompaction) {
   // Live data is ~2000 × 56 B; resident host bytes should be within a
   // small multiple, not 10 rounds' worth.
   EXPECT_LT(dev_->resident_host_bytes(), 4ULL * kMiB);
+}
+
+// A tree whose first table holds keys 0..199 (16 B keys, 100 B values,
+// 4 KiB blocks, written at the arena's base), with record 1's u32 value
+// length then overwritten on the device to claim 16 MiB.
+class LsmCorruptTableTest : public testing::Test {
+ protected:
+  LsmCorruptTableTest() : dev_(make_config()), io_(dev_) {
+    LsmConfig lc;
+    lc.memtable_bytes = 1 << 20;  // only checkpoint() flushes
+    lc.block_bytes = 4096;
+    lc.level0_limit = 1;
+    tree_ = std::make_unique<LsmTree>(dev_, io_, lc);
+    put_range(0, 200);
+    EXPECT_TRUE(tree_->checkpoint().ok());
+    const uint8_t vlen[] = {0xFF, 0xFF, 0xFF, 0x00};
+    dev_.write_bytes(node::TaggedRecord::encoded_size(16, 100) + 3, vlen);
+  }
+
+  static sim::HddConfig make_config() {
+    sim::HddConfig cfg;
+    cfg.capacity_bytes = 8ULL * kGiB;
+    return cfg;
+  }
+
+  void put_range(uint64_t first, uint64_t end) {
+    for (uint64_t i = first; i < end; ++i) {
+      ASSERT_TRUE(
+          tree_->try_put(kv::encode_key(i, 16), kv::make_value(i, 100)).ok());
+    }
+  }
+
+  sim::HddDevice dev_;
+  sim::IoContext io_;
+  std::unique_ptr<LsmTree> tree_;
+};
+
+TEST_F(LsmCorruptTableTest, ScanReportsCorruption) {
+  const auto out = tree_->try_range_scan("", 1000);
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption)
+      << out.status().to_string();
+}
+
+TEST_F(LsmCorruptTableTest, CompactionReportsCorruptionAndKeepsItsInputs) {
+  // A second L0 table pushes L0 over its limit: the L0→L1 merge reads the
+  // corrupt table and must give up without installing anything.
+  put_range(200, 400);
+  const Status s = tree_->checkpoint();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.to_string();
+  EXPECT_EQ(tree_->level_table_counts(), (std::vector<size_t>{2, 0}));
+  tree_->check_invariants();
+  // Keys outside the corrupt block still read back (block 0 holds 0..33).
+  for (const uint64_t i : {34u, 150u, 199u, 200u, 399u}) {
+    EXPECT_EQ(tree_->get(kv::encode_key(i, 16)), kv::make_value(i, 100)) << i;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "kv/slice.h"
+#include "node/record.h"
 #include "sim/hdd.h"
 #include "util/bytes.h"
 
@@ -15,8 +16,7 @@ namespace {
 
 class SSTableTest : public testing::Test {
  protected:
-  SSTableTest()
-      : dev_(make_config()), io_(dev_), arena_(dev_, 0) {}
+  SSTableTest() : dev_(make_config()), io_(dev_), arena_(dev_, 0) {}
 
   static sim::HddConfig make_config() {
     sim::HddConfig cfg;
@@ -28,7 +28,8 @@ class SSTableTest : public testing::Test {
                    uint64_t block_bytes = 1024) {
     SSTableBuilder b(dev_, io_, arena_, block_bytes, 1);
     for (uint64_t i = 0; i < count; ++i) {
-      b.add(Entry{kv::encode_key(i * stride), kv::make_value(i, 40), false});
+      b.add(EntryView{kv::encode_key(i * stride), kv::make_value(i, 40),
+                      false});
     }
     return finish(b);
   }
@@ -86,8 +87,8 @@ TEST_F(SSTableTest, GetMissesBetweenAndOutside) {
 
 TEST_F(SSTableTest, TombstonesSurfaceAsEntries) {
   SSTableBuilder b(dev_, io_, arena_, 1024, 1);
-  b.add(Entry{kv::encode_key(1), "v", false});
-  b.add(Entry{kv::encode_key(2), "", true});
+  b.add(EntryView{kv::encode_key(1), "v", false});
+  b.add(EntryView{kv::encode_key(2), "", true});
   SSTableRef t = finish(b);
   const auto hit = get(t, kv::encode_key(2));
   ASSERT_TRUE(hit.has_value());
@@ -155,6 +156,26 @@ TEST_F(SSTableTest, ReleaseReturnsArenaBytes) {
   EXPECT_LT(arena_.live_bytes(), live_before);
 }
 
+TEST_F(SSTableTest, CorruptRecordLengthStopsTheCursor) {
+  // 200 entries (16 B keys, 100 B values) in 4 KiB blocks at offset 0.
+  SSTableBuilder b(dev_, io_, arena_, 4096, 1);
+  for (uint64_t i = 0; i < 200; ++i) {
+    b.add(EntryView{kv::encode_key(i, 16), kv::make_value(i, 100), false});
+  }
+  SSTableRef t = finish(b);
+  ASSERT_NE(t, nullptr);
+  // Record 1's u32 value length claims 16 MiB.
+  const uint8_t vlen[] = {0xFF, 0xFF, 0xFF, 0x00};
+  dev_.write_bytes(node::TaggedRecord::encoded_size(16, 100) + 3, vlen);
+  auto it = t->seek("", io_, policy_, nullptr);
+  ASSERT_TRUE(it.valid()) << it.status().to_string();
+  EXPECT_EQ(it.entry().key, kv::encode_key(0, 16));
+  it.next();
+  EXPECT_FALSE(it.valid());
+  EXPECT_EQ(it.status().code(), StatusCode::kCorruption)
+      << it.status().to_string();
+}
+
 TEST_F(SSTableTest, WriteIsSingleSequentialIo) {
   dev_.clear_stats();
   SSTableRef t = build(5000);
@@ -166,8 +187,8 @@ using SSTableDeathTest = SSTableTest;
 
 TEST_F(SSTableDeathTest, OutOfOrderKeysAbort) {
   SSTableBuilder b(dev_, io_, arena_, 1024, 1);
-  b.add(Entry{kv::encode_key(10), "v", false});
-  EXPECT_DEATH(b.add(Entry{kv::encode_key(5), "v", false}),
+  b.add(EntryView{kv::encode_key(10), "v", false});
+  EXPECT_DEATH(b.add(EntryView{kv::encode_key(5), "v", false}),
                "strictly ascending");
 }
 

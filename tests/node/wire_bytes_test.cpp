@@ -117,9 +117,9 @@ TEST(WireBytesTest, SSTableBlockReadBackFromTheDevice) {
   blockdev::ByteArena arena(dev, 0);  // the first table lands at offset 0
   lsm::SSTableBuilder builder(dev, io, arena, /*block_bytes=*/256,
                               /*sequence=*/1, /*codec=*/nullptr);
-  builder.add(lsm::Entry{"a", "1", false});
-  builder.add(lsm::Entry{"bb", "", true});
-  builder.add(lsm::Entry{"c", "xyz", false});
+  builder.add(lsm::EntryView{"a", "1", false});
+  builder.add(lsm::EntryView{"bb", "", true});
+  builder.add(lsm::EntryView{"c", "xyz", false});
   StatusOr<lsm::SSTableRef> table =
       builder.try_finish(blockdev::RetryPolicy{}, nullptr);
   ASSERT_TRUE(table.ok()) << table.status().to_string();
