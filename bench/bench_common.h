@@ -27,7 +27,7 @@ struct BenchArgs {
   /// When non-empty, benches that collect a MetricsRegistry write its JSON
   /// snapshot here (CI's regression gate consumes it).
   std::string metrics_json;
-  /// Block codec for benches that build engines through EngineFactory.
+  /// Block codec for benches that build engines through kv::make_engine.
   /// kDefault keeps the factory's resolution (DAMKIT_CODEC env, else
   /// identity); --codec identity|prefix|lz overrides it.
   blockdev::CodecKind codec = blockdev::CodecKind::kDefault;

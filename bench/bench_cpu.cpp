@@ -1,36 +1,27 @@
-// Wall-clock CPU tier (ROADMAP item 5): host-time microsections over the
-// node layer plus an end-to-end ops/sec section per engine. Every other
-// bench gates *simulated* time; this one gates the constant factors the
-// simulator cannot see — exactly the gap Didona et al. measure between
-// modeled and observed tree performance on fast devices (PAPERS.md).
+// Wall-clock CPU tier: host time of the work the simulator does not price,
+// the gap Didona et al. measure between modeled and observed tree
+// performance on fast devices (PAPERS.md). Every other bench reports
+// *simulated* time.
 //
 // Sections
-//   cpu.search.*    interior-node search: legacy vector<string> binary
-//                   search vs branchless search on the slotted image.
-//   cpu.insert.*    leaf insert into a slotted page vs legacy vectors.
-//   cpu.roundtrip.* serialize + deserialize of a full leaf: legacy
-//                   per-entry parse/alloc vs memcpy + one header walk.
-//   cpu.e2e.*       WorkloadRunner ops/sec per engine on a small-cache
-//                   config (heavy node (de)serialization traffic).
-//   cpu.micro.*     host cost of the core primitives (rng, Zipfian draw,
-//                   HDD/SSD timing-model submit, bloom probe, vEB layout
-//                   build, 50-row scan of a cached Bε-tree with buffered
-//                   messages, read digest over a 50-row scan result) in ns
-//                   per op, min of N repetitions. Reported, not gated: the
-//                   `.ns_per_op` suffix is outside the wall-clock gate's
-//                   suffixes.
+//   cpu.e2e.*    WorkloadRunner ops/sec per engine on a small-cache config
+//                (heavy node (de)serialization traffic), median of N
+//                repetitions.
+//   cpu.micro.*  host ns per op, min of N repetitions, of the node pages
+//                every engine runs (PivotPage search, KvPage put, KvPage
+//                parse + write_to) and of the core primitives (rng, Zipfian
+//                draw, HDD/SSD timing-model submit, bloom probe, vEB layout
+//                build, 50-row scan of a cached Bε-tree with buffered
+//                messages, read digest over a 50-row scan result).
 //
-// The e2e gauges are medians of N repetitions on steady_clock. The legacy
-// reference implementations live in this file on purpose: the speedup
-// gates are same-binary, same-machine ratios, so they hold anywhere,
-// unlike absolute nanoseconds. The e2e section is additionally compared
-// against the pre-refactor ops/sec captured in
-// bench/baselines/BENCH_cpu_baseline.json by check_bench_regression.py's
-// wall-clock mode (hard locally, advisory in CI: DAMKIT_CPU_GATE).
+// Nothing here gates, since wall clock varies across hosts.
+// check_bench_regression.py --wallclock compares the e2e gauges with
+// bench/baselines/BENCH_cpu_baseline.json, and the node tests
+// (tests/node/) pin the page layout's work: key reads per search and heap
+// allocations per parse.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +32,7 @@
 #include "kv/engine.h"
 #include "kv/op_apply.h"
 #include "kv/slice.h"
-#include "node/slotted_page.h"
+#include "node/sorted_page.h"
 #include "pdam_tree/veb_layout.h"
 #include "sim/hdd.h"
 #include "sim/profiles.h"
@@ -50,7 +41,6 @@
 #include "util/bloom.h"
 #include "util/bytes.h"
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/table.h"
 
 namespace damkit {
@@ -97,305 +87,6 @@ double min_wall_ns(int reps, Fn&& fn) {
 volatile uint64_t g_sink = 0;
 
 // ---------------------------------------------------------------------------
-// Legacy reference node: the pre-refactor in-memory layout (one owned
-// std::string per key/value, parsed entry-by-entry), kept verbatim here so
-// the micro sections measure slotted-vs-legacy in the same binary.
-// ---------------------------------------------------------------------------
-
-struct LegacyLeaf {
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
-};
-
-/// Pre-refactor deserialize: per-entry header decode + two heap strings.
-LegacyLeaf legacy_parse(const std::vector<uint8_t>& image, uint32_t count) {
-  LegacyLeaf node;
-  node.keys.reserve(count);
-  node.values.reserve(count);
-  const uint8_t* p = image.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    uint16_t klen;
-    uint32_t vlen;
-    std::memcpy(&klen, p, sizeof klen);
-    std::memcpy(&vlen, p + 2, sizeof vlen);
-    p += 6;
-    node.keys.emplace_back(reinterpret_cast<const char*>(p), klen);
-    p += klen;
-    node.values.emplace_back(reinterpret_cast<const char*>(p), vlen);
-    p += vlen;
-  }
-  return node;
-}
-
-/// Pre-refactor serialize: re-encode every entry into a fresh buffer.
-void legacy_serialize(const LegacyLeaf& node, std::vector<uint8_t>* out) {
-  out->clear();
-  for (size_t i = 0; i < node.keys.size(); ++i) {
-    const uint16_t klen = static_cast<uint16_t>(node.keys[i].size());
-    const uint32_t vlen = static_cast<uint32_t>(node.values[i].size());
-    const size_t at = out->size();
-    out->resize(at + 6 + klen + vlen);
-    std::memcpy(out->data() + at, &klen, sizeof klen);
-    std::memcpy(out->data() + at + 2, &vlen, sizeof vlen);
-    std::memcpy(out->data() + at + 6, node.keys[i].data(), klen);
-    std::memcpy(out->data() + at + 6 + klen, node.values[i].data(), vlen);
-  }
-}
-
-/// The pre-refactor kv::compare, verbatim: out-of-line (it lived in
-/// slice.cpp) and memcmp-based. The legacy reference must pay exactly the
-/// comparison cost the old binary paid.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-int legacy_compare(std::string_view a, std::string_view b) {
-  const size_t n = std::min(a.size(), b.size());
-  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
-  if (c != 0) return c;
-  if (a.size() == b.size()) return 0;
-  return a.size() < b.size() ? -1 : 1;
-}
-
-size_t legacy_lower_bound(const std::vector<std::string>& keys,
-                          std::string_view key) {
-  return static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), key,
-                       [](const std::string& a, std::string_view b) {
-                         return legacy_compare(a, b) < 0;
-                       }) -
-      keys.begin());
-}
-
-/// A leaf image with `count` entries in the on-disk record format, plus
-/// the probe keys the search sections use.
-struct LeafFixture {
-  std::vector<uint8_t> image;
-  uint32_t count = 0;
-  std::vector<std::string> probes;
-};
-
-LeafFixture make_leaf_fixture(uint32_t count, size_t key_bytes,
-                              size_t value_bytes, uint64_t seed) {
-  LeafFixture fx;
-  fx.count = count;
-  Rng rng(seed);
-  for (uint32_t i = 0; i < count; ++i) {
-    // Spread ids so probe misses land between entries.
-    const std::string key = kv::encode_key(i * 3 + 1, key_bytes);
-    const std::string value = kv::make_value(i, value_bytes);
-    const uint16_t klen = static_cast<uint16_t>(key.size());
-    const uint32_t vlen = static_cast<uint32_t>(value.size());
-    const size_t at = fx.image.size();
-    fx.image.resize(at + 6 + klen + vlen);
-    std::memcpy(fx.image.data() + at, &klen, sizeof klen);
-    std::memcpy(fx.image.data() + at + 2, &vlen, sizeof vlen);
-    std::memcpy(fx.image.data() + at + 6, key.data(), klen);
-    std::memcpy(fx.image.data() + at + 6 + klen, value.data(), vlen);
-  }
-  for (int i = 0; i < 4096; ++i) {
-    fx.probes.push_back(
-        kv::encode_key(rng.uniform(static_cast<uint64_t>(count) * 3 + 2),
-                       key_bytes));
-  }
-  return fx;
-}
-
-node::SlottedPage slotted_from_fixture(const LeafFixture& fx) {
-  node::SlottedPage page;
-  page.build_from_image(fx.image.data(), fx.image.size(), fx.count,
-                        /*header_bytes=*/6, [](const uint8_t* p) {
-                          uint16_t klen;
-                          uint32_t vlen;
-                          std::memcpy(&klen, p, sizeof klen);
-                          std::memcpy(&vlen, p + 2, sizeof vlen);
-                          return size_t{6} + klen + vlen;
-                        });
-  return page;
-}
-
-std::string_view slotted_key(const node::SlottedPage& page, size_t i) {
-  const std::string_view rec = page.record(i);
-  uint16_t klen;
-  std::memcpy(&klen, rec.data(), sizeof klen);
-  return rec.substr(6, klen);
-}
-
-// ---------------------------------------------------------------------------
-// cpu.search — interior-node search, legacy vs slotted.
-// ---------------------------------------------------------------------------
-
-void section_search(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
-  // Interior-node search the way a tree descent sees it: a cache-resident
-  // *set* of interior nodes probed in random order. The legacy layout pays
-  // two cache lines per comparison (string object + heap chars) over a 2x
-  // footprint; the slotted page keeps each node's pivots contiguous and
-  // reads the key straight out of the slot (record length implies key
-  // length — no header decode on the compare path).
-  //
-  // The fixture size is the same in quick and full mode on purpose: this
-  // is the gated ratio, and the fixture models the *cached* interior
-  // level (the scenario node caching exists for). Full mode buys a
-  // tighter estimator — more iterations and reps — not a different
-  // working set, whose cache residency would change what is measured.
-  const uint32_t nodes = 48;
-  const uint32_t pivots = 512;  // a 16KiB node's worth of 16-byte pivots
-  std::vector<std::vector<std::string>> legacy(nodes);
-  std::vector<node::SlottedPage> slotted(nodes);
-  for (uint32_t n = 0; n < nodes; ++n) {
-    std::vector<uint8_t> image;
-    for (uint32_t i = 0; i < pivots; ++i) {
-      const std::string key =
-          kv::encode_key((uint64_t{n} * pivots + i) * 3 + 1, 16);
-      legacy[n].push_back(key);
-      const uint16_t klen = static_cast<uint16_t>(key.size());
-      const size_t at = image.size();
-      image.resize(at + 2 + key.size());
-      std::memcpy(image.data() + at, &klen, sizeof klen);
-      std::memcpy(image.data() + at + 2, key.data(), key.size());
-    }
-    slotted[n].build_from_image(image.data(), image.size(), pivots,
-                                /*header_bytes=*/2, [](const uint8_t* p) {
-                                  uint16_t klen;
-                                  std::memcpy(&klen, p, sizeof klen);
-                                  return size_t{2} + klen;
-                                });
-  }
-  const auto pivot_key = [](std::string_view rec) { return rec.substr(2); };
-
-  Rng rng(args.seed);
-  struct Probe {
-    uint32_t node;
-    std::string key;
-  };
-  std::vector<Probe> probes;
-  for (int i = 0; i < 8192; ++i) {
-    probes.push_back(
-        {static_cast<uint32_t>(rng.uniform(nodes)),
-         kv::encode_key(rng.uniform(uint64_t{nodes} * pivots * 3 + 2), 16)});
-  }
-
-  // More reps than the other microsections: this is the gated ratio, and
-  // min-of-reps tightens monotonically with rep count.
-  const int iters = args.quick ? 100 : 300;
-  const int reps = args.quick ? 11 : 15;
-
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    uint64_t acc = 0;
-    for (int it = 0; it < iters; ++it) {
-      for (const Probe& probe : probes) {
-        acc += legacy_lower_bound(legacy[probe.node], probe.key);
-      }
-    }
-    g_sink += acc;
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    uint64_t acc = 0;
-    for (int it = 0; it < iters; ++it) {
-      for (const Probe& probe : probes) {
-        acc += slotted[probe.node].lower_bound(probe.key, pivot_key);
-      }
-    }
-    g_sink += acc;
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.search.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.search.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.search.speedup_ratio", speedup);
-  std::printf("cpu.search: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-              legacy_ns, slotted_ns, speedup);
-}
-
-// ---------------------------------------------------------------------------
-// cpu.insert — leaf insert at random positions, legacy vs slotted.
-// ---------------------------------------------------------------------------
-
-void section_insert(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
-  const uint32_t count = 256;
-  const LeafFixture fx = make_leaf_fixture(count, 16, 100, args.seed + 1);
-  const int iters = args.quick ? 50 : 200;
-  const int reps = args.quick ? 5 : 9;
-  const std::string key = kv::encode_key(1, 16);
-  const std::string value = kv::make_value(99, 100);
-
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    for (int it = 0; it < iters; ++it) {
-      LegacyLeaf node = legacy_parse(fx.image, fx.count);
-      Rng rng(args.seed + static_cast<uint64_t>(it));
-      for (int i = 0; i < 64; ++i) {
-        const size_t pos = rng.uniform(node.keys.size() + 1);
-        node.keys.insert(node.keys.begin() + static_cast<long>(pos), key);
-        node.values.insert(node.values.begin() + static_cast<long>(pos),
-                           value);
-      }
-      g_sink += node.keys.size();
-    }
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    for (int it = 0; it < iters; ++it) {
-      node::SlottedPage page = slotted_from_fixture(fx);
-      Rng rng(args.seed + static_cast<uint64_t>(it));
-      for (int i = 0; i < 64; ++i) {
-        const size_t pos = rng.uniform(page.count() + 1);
-        uint8_t* rec = page.insert_alloc(pos, 6 + key.size() + value.size());
-        const uint16_t klen = static_cast<uint16_t>(key.size());
-        const uint32_t vlen = static_cast<uint32_t>(value.size());
-        std::memcpy(rec, &klen, sizeof klen);
-        std::memcpy(rec + 2, &vlen, sizeof vlen);
-        std::memcpy(rec + 6, key.data(), key.size());
-        std::memcpy(rec + 6 + key.size(), value.data(), value.size());
-      }
-      g_sink += page.count();
-    }
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.insert.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.insert.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.insert.speedup_ratio", speedup);
-  std::printf("cpu.insert: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-              legacy_ns, slotted_ns, speedup);
-}
-
-// ---------------------------------------------------------------------------
-// cpu.roundtrip — full-leaf serialize + deserialize, legacy vs slotted.
-// ---------------------------------------------------------------------------
-
-void section_roundtrip(const bench::BenchArgs& args,
-                       stats::MetricsRegistry* reg) {
-  const uint32_t count = 256;
-  const LeafFixture fx = make_leaf_fixture(count, 16, 100, args.seed + 2);
-  const int iters = args.quick ? 200 : 1000;
-  const int reps = args.quick ? 5 : 9;
-
-  const double legacy_ns = min_wall_ns(reps, [&] {
-    std::vector<uint8_t> out;
-    for (int it = 0; it < iters; ++it) {
-      const LegacyLeaf node = legacy_parse(fx.image, fx.count);
-      legacy_serialize(node, &out);
-      g_sink += out.size();
-    }
-  });
-  const double slotted_ns = min_wall_ns(reps, [&] {
-    std::vector<uint8_t> out;
-    for (int it = 0; it < iters; ++it) {
-      const node::SlottedPage page = slotted_from_fixture(fx);
-      out.clear();
-      page.write_to(&out);
-      g_sink += out.size();
-    }
-  });
-
-  const double speedup = legacy_ns / std::max(slotted_ns, 1.0);
-  reg->set("cpu.roundtrip.legacy_wall_ns", legacy_ns);
-  reg->set("cpu.roundtrip.slotted_wall_ns", slotted_ns);
-  reg->set("cpu.roundtrip.speedup_ratio", speedup);
-  std::printf(
-      "cpu.roundtrip: legacy %.0f ns, slotted %.0f ns, speedup %.2fx\n",
-      legacy_ns, slotted_ns, speedup);
-}
-
-// ---------------------------------------------------------------------------
 // cpu.e2e — WorkloadRunner ops/sec per engine.
 // ---------------------------------------------------------------------------
 
@@ -425,29 +116,14 @@ kv::WorkloadSpec e2e_spec(uint64_t seed) {
   return spec;
 }
 
-/// Pre-refactor ops/sec (median of 5, Release, this repo's CI-class host)
-/// captured at commit 9d91982, immediately before the slotted-layout port.
-/// The in-binary gate uses these only when DAMKIT_CPU_GATE=hard; the
-/// checked-in BENCH_cpu_baseline.json is the portable regression surface.
-struct E2eBaseline {
-  const char* engine;
-  double ops_per_sec;
-};
-constexpr E2eBaseline kPreRefactorOpsPerSec[] = {
-    {"btree", 85638.0},  {"betree", 69910.0}, {"opt-betree", 87529.0},
-    {"lsm", 78006.0},    {"pdam", 322001.0},
-};
-
-void section_e2e(const bench::BenchArgs& args, stats::MetricsRegistry* reg,
-                 bool* any_e2e_gate_pass) {
+void section_e2e(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
   const uint64_t ops = args.quick ? 8000 : 40000;
   const uint64_t load = args.quick ? 4000 : 10000;
   const int reps = args.quick ? 3 : 5;
   kv::WorkloadSpec spec = e2e_spec(args.seed);
   if (args.workload_spec.has_value()) {
     // --workload swaps in a named scenario (YCSB A-F / shift / olap) at
-    // the e2e section's scale. The pre-refactor baselines were captured
-    // on the default mix, so the uplift gate is skipped for presets.
+    // the e2e section's scale.
     spec = *args.workload_spec;
     spec.key_space = 20000;
     spec.value_bytes = 100;
@@ -468,27 +144,19 @@ void section_e2e(const bench::BenchArgs& args, stats::MetricsRegistry* reg,
       const harness::WorkloadRunResult result = runner.run(spec, ops);
       digest = result.digest;
     });
-    const double ops_per_sec =
-        static_cast<double>(ops) / (wall_ns / 1e9);
+    const double ops_per_sec = static_cast<double>(ops) / (wall_ns / 1e9);
     const std::string name(kv::engine_kind_name(kind));
     reg->set("cpu.e2e." + name + ".wall_ns", wall_ns);
     reg->set("cpu.e2e." + name + ".ops_per_sec", ops_per_sec);
-    std::printf("cpu.e2e.%s: %.0f ops/sec (median wall %.1f ms, digest %llu)\n",
-                name.c_str(), ops_per_sec, wall_ns / 1e6,
-                static_cast<unsigned long long>(digest));
-    if (!args.workload_spec.has_value()) {
-      for (const E2eBaseline& base : kPreRefactorOpsPerSec) {
-        if (name == base.engine && base.ops_per_sec > 0.0 &&
-            ops_per_sec >= 1.2 * base.ops_per_sec) {
-          *any_e2e_gate_pass = true;
-        }
-      }
-    }
+    std::printf(
+        "cpu.e2e.%s: %.0f ops/sec (median wall %.1f ms, digest %llu)\n",
+        name.c_str(), ops_per_sec, wall_ns / 1e6,
+        static_cast<unsigned long long>(digest));
   }
 }
 
 // ---------------------------------------------------------------------------
-// cpu.micro — host ns per op of the core primitives (reported, ungated).
+// cpu.micro — host ns per op of the node pages and the core primitives.
 // ---------------------------------------------------------------------------
 
 void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
@@ -496,24 +164,100 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
   const uint64_t draws = args.quick ? 200'000 : 1'000'000;
   const uint64_t ios = draws / 10;
   // Min over reps of one timed loop of `ops` ops, divided out.
-  const auto report = [&](const std::string& name, uint64_t ops,
-                          auto&& loop) {
+  const auto report = [&](const std::string& name, uint64_t ops, auto&& loop) {
     const double ns = min_wall_ns(reps, loop) / static_cast<double>(ops);
     reg->set("cpu.micro." + name + ".ns_per_op", ns);
     std::printf("cpu.micro.%s: %.1f ns/op\n", name.c_str(), ns);
   };
 
+  // The node pages (node/sorted_page.h). The fixtures are the same in
+  // quick and full mode, so both measure the same cache residency; full
+  // mode only runs more iterations.
+  //
+  // One op = one PivotPage::lower_bound: a random probe into one of 48
+  // cached interior pages of 512 16-byte pivots (a 16 KiB node's worth).
+  constexpr uint64_t kPages = 48;
+  constexpr uint64_t kPivots = 512;
+  std::vector<node::PivotPage> pivots(kPages);
+  for (uint64_t n = 0; n < kPages; ++n) {
+    for (uint64_t i = 0; i < kPivots; ++i) {
+      pivots[n].append(kv::encode_key((n * kPivots + i) * 3 + 1, 16));
+    }
+  }
+  Rng page_rng(args.seed);
+  struct Probe {
+    uint64_t page;
+    std::string key;
+  };
+  std::vector<Probe> probes(8192);
+  for (Probe& probe : probes) {
+    probe.page = page_rng.uniform(kPages);
+    probe.key = kv::encode_key(page_rng.uniform(kPages * kPivots * 3 + 2), 16);
+  }
+  const uint64_t passes = args.quick ? 100 : 300;
+  report("slotted_search", passes * probes.size(), [&] {
+    uint64_t acc = 0;
+    for (uint64_t pass = 0; pass < passes; ++pass) {
+      for (const Probe& probe : probes) {
+        acc += pivots[probe.page].lower_bound(probe.key);
+      }
+    }
+    g_sink = g_sink + acc;
+  });
+
+  // A 256-entry leaf of 16-byte keys and 100-byte values, as its image.
+  constexpr uint64_t kLeafEntries = 256;
+  std::vector<uint8_t> leaf_image;
+  {
+    node::KvPage leaf;
+    for (uint64_t i = 0; i < kLeafEntries; ++i) {
+      leaf.append(kv::encode_key(i * 3 + 1, 16), kv::make_value(i, 100));
+    }
+    leaf.write_to(&leaf_image);
+  }
+  // One op = one KvPage::put (an insert, or a replace when the random key
+  // is already there) into a freshly parsed leaf, 64 puts per parse.
+  constexpr uint64_t kPutsPerParse = 64;
+  const uint64_t parses = args.quick ? 50 : 200;
+  std::vector<std::string> put_keys(parses * kPutsPerParse);
+  for (std::string& key : put_keys) {
+    key = kv::encode_key(page_rng.uniform(kLeafEntries * 3 + 2), 16);
+  }
+  const std::string put_value = kv::make_value(99, 100);
+  report("slotted_insert", put_keys.size(), [&] {
+    for (uint64_t p = 0; p < parses; ++p) {
+      node::KvPage page;
+      page.parse(leaf_image.data(), leaf_image.size(), kLeafEntries);
+      for (uint64_t i = 0; i < kPutsPerParse; ++i) {
+        page.put(put_keys[p * kPutsPerParse + i], put_value);
+      }
+      g_sink = g_sink + page.count();
+    }
+  });
+  // One op = one KvPage::parse of that leaf plus its write_to.
+  const uint64_t roundtrips = args.quick ? 200 : 1000;
+  report("slotted_roundtrip", roundtrips, [&] {
+    std::vector<uint8_t> out;
+    for (uint64_t i = 0; i < roundtrips; ++i) {
+      node::KvPage page;
+      page.parse(leaf_image.data(), leaf_image.size(), kLeafEntries);
+      out.clear();
+      page.write_to(&out);
+      g_sink = g_sink + out.size();
+    }
+  });
+
   Rng rng(args.seed + 3);
   report("rng_next", draws, [&] {
     uint64_t acc = 0;
     for (uint64_t i = 0; i < draws; ++i) acc += rng.next();
-    g_sink += acc;
+    g_sink = g_sink + acc;
   });
   Zipfian zipf(1'000'000, 0.99);
   report("zipf_sample", draws, [&] {
     uint64_t acc = 0;
     for (uint64_t i = 0; i < draws; ++i) acc += zipf.sample(rng);
-    g_sink += acc;
+    g_sink = g_sink + acc;
   });
 
   // Random reads issued back to back; the device clock carries across
@@ -545,7 +289,7 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       kv::encode_key_to(rng.next(), 16, &probe);
       hits += bloom.may_contain(probe) ? 1 : 0;
     }
-    g_sink += hits;
+    g_sink = g_sink + hits;
   });
 
   // One op = one full layout build of a tree of the given height.
@@ -553,7 +297,7 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
     const uint64_t builds = uint64_t{1} << (20 - height);
     report(strfmt("veb_layout_h%d", height), builds, [&] {
       for (uint64_t i = 0; i < builds; ++i) {
-        g_sink += pdam_tree::veb_positions(height).size();
+        g_sink = g_sink + pdam_tree::veb_positions(height).size();
       }
     });
   }
@@ -613,42 +357,11 @@ int main(int argc, char** argv) {
                 "host-overhead refinement; Didona et al., PAPERS.md");
 
   stats::MetricsRegistry reg;
-  section_search(args, &reg);
-  section_insert(args, &reg);
-  section_roundtrip(args, &reg);
-  bool any_e2e_gate_pass = false;
-  section_e2e(args, &reg, &any_e2e_gate_pass);
+  section_e2e(args, &reg);
   section_micro(args, &reg);
 
   if (!args.metrics_json.empty()) {
     if (!bench::write_metrics_json(reg, args.metrics_json)) return 1;
   }
-
-#ifdef NDEBUG
-  // Same-binary ratio gates: machine-independent, hard in Release.
-  const double search_speedup = reg.gauge("cpu.search.speedup_ratio");
-  if (search_speedup < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: interior-node search speedup %.2fx < 1.5x gate\n",
-                 search_speedup);
-    return 1;
-  }
-  const double roundtrip_speedup = reg.gauge("cpu.roundtrip.speedup_ratio");
-  if (roundtrip_speedup < 1.2) {
-    std::fprintf(stderr, "FAIL: roundtrip speedup %.2fx < 1.2x gate\n",
-                 roundtrip_speedup);
-    return 1;
-  }
-  // Absolute e2e uplift vs the pre-refactor capture: same-machine numbers,
-  // so only hard when explicitly requested (CI runs advisory).
-  const char* gate_mode = std::getenv("DAMKIT_CPU_GATE");
-  if (gate_mode != nullptr && std::strcmp(gate_mode, "hard") == 0 &&
-      args.workload.empty() && !any_e2e_gate_pass) {
-    std::fprintf(stderr,
-                 "FAIL: no engine reached 1.2x pre-refactor ops/sec\n");
-    return 1;
-  }
-#endif
-  std::printf("bench_cpu: all wall-clock gates passed\n");
   return 0;
 }

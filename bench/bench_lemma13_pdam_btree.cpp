@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "optimum, P clients get the small-node optimum, and intermediate k "
       "degrades gracefully — no re-tuning.\n");
   std::printf("geometry: H=%d pivot levels, node height %d, %llu blocks/node\n",
-              veb.global_height, veb.node_height,
-              static_cast<unsigned long long>(veb.node_blocks));
+              veb.geometry.global_height, veb.geometry.node_height,
+              static_cast<unsigned long long>(veb.geometry.node_blocks));
   return 0;
 }

@@ -38,9 +38,9 @@ int main() {
 
   std::printf("index: %llu keys, global height %d, PB-node height %d, "
               "%llu blocks per node, P = %d\n\n",
-              static_cast<unsigned long long>(veb.keys), veb.global_height,
-              veb.node_height,
-              static_cast<unsigned long long>(veb.node_blocks),
+              static_cast<unsigned long long>(veb.keys),
+              veb.geometry.global_height, veb.geometry.node_height,
+              static_cast<unsigned long long>(veb.geometry.node_blocks),
               cfg.parallelism);
 
   std::printf("%8s %14s %14s %10s\n", "clients", "vEB q/step", "BFS q/step",

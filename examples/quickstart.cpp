@@ -18,7 +18,7 @@ int main() {
   sim::HddDevice disk(sim::testbed_hdd_profile());
   sim::IoContext io(disk);  // tracks one client's simulated clock
 
-  // 2. A dictionary on the device, built through the EngineFactory: node
+  // 2. A dictionary on the device, built through kv::make_engine: node
   // size B, fanout F ≈ √B, and a RAM budget (the cache is the M of the
   // external-memory models). Swap the EngineKind and the same program
   // runs on any of the five trees.

@@ -42,7 +42,7 @@
 
 namespace damkit::blockdev {
 
-/// kDefault is a factory-level sentinel, not a codec: EngineFactory
+/// kDefault is a factory-level sentinel, not a codec: kv::make_engine
 /// resolves it via the DAMKIT_CODEC environment variable (falling back to
 /// identity) so a CI leg can flip every factory-built engine's codec
 /// without touching per-test configuration.

@@ -325,9 +325,7 @@ PdamQueryRun run_pdam_tree_queries(const std::vector<uint64_t>& sorted_keys,
                                    uint64_t seed) {
   const pdam_tree::PdamBTree tree(sorted_keys, config);
   PdamQueryRun run;
-  run.global_height = tree.global_height();
-  run.node_height = tree.node_height();
-  run.node_blocks = tree.node_blocks();
+  run.geometry = tree.geometry();
   run.keys = sorted_keys.size();
   for (const int k : client_counts) {
     PdamQueryPoint point;

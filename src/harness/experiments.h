@@ -163,9 +163,7 @@ struct PdamQueryPoint {
 
 struct PdamQueryRun {
   std::vector<PdamQueryPoint> points;  // one per requested client count
-  int global_height = 0;
-  int node_height = 0;
-  uint64_t node_blocks = 0;
+  pdam_tree::PdamGeometry geometry;
   uint64_t keys = 0;
   /// Step-driven clients answer lower_bound exactly (checked against
   /// std::lower_bound on random probes).

@@ -1,6 +1,6 @@
 // WorkloadRunner: the one generic workload driver. Benches, the CLI,
 // integration tests, and examples all drive any kv::Dictionary — a bare
-// tree from EngineFactory or a ShardedEngine composition — through these
+// tree from kv::make_engine or a ShardedEngine composition — through these
 // loops instead of carrying per-tree copies of setup/drive/teardown code.
 //
 // Two entry points, by what the caller needs reproduced:

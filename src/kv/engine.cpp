@@ -1,8 +1,9 @@
 #include "kv/engine.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <map>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -21,11 +22,11 @@ namespace {
 // The §8 structure is a *static* index; the adapter makes it a dictionary
 // the LSM way: an in-memory write buffer (mutations + tombstones) over a
 // sorted base run. Merging the buffer rewrites the base sequentially and
-// rebuilds a PdamBTree over the new ranks; the rebuilt tree supplies the
-// IO geometry (global height, PB-node height, blocks per node) that point
-// descents charge against the device. Offsets are a deterministic hash of
-// (level, node index) into a bounded device window — the index is a cost
-// model, not a byte store, exactly like the PdamBTree itself.
+// recomputes the PdamBTree geometry over the new base (global height,
+// PB-node height, blocks per node), which point descents charge against
+// the device. Offsets are a deterministic hash of (level, node index) into
+// a bounded device window — the index is a cost model, not a byte store,
+// exactly like the PdamBTree itself.
 class PdamEngine final : public Dictionary {
  public:
   PdamEngine(sim::IoContext& io, const PdamEngineConfig& config)
@@ -62,9 +63,12 @@ class PdamEngine final : public Dictionary {
 
   StatusOr<std::vector<std::pair<std::string, std::string>>> try_range_scan(
       std::string_view lo, size_t limit) override {
-    uint64_t base_consumed = 0;
-    auto out = merged_scan(lo, limit, &base_consumed);
-    DAMKIT_RETURN_IF_ERROR(charge_scan(lo, base_consumed));
+    ++scans_;
+    std::vector<std::pair<std::string, std::string>> out;
+    const auto emit = [&out](std::string_view key, std::string_view value) {
+      out.emplace_back(key, value);
+    };
+    DAMKIT_RETURN_IF_ERROR(charge_scan(lo, merge_walk(lo, limit, emit)));
     return out;
   }
 
@@ -78,7 +82,7 @@ class PdamEngine final : public Dictionary {
       const std::pair<std::string, std::string> kv = item(i);
       base_.append(kv.first, kv.second);  // CHECKs strictly ascending keys
     }
-    rebuild_index();
+    update_geometry();
     DAMKIT_CHECK_OK(charge_base_write(base_.live_bytes()));
   }
 
@@ -98,7 +102,6 @@ class PdamEngine final : public Dictionary {
     for (size_t i = 1; i < base_.count(); ++i) {
       DAMKIT_CHECK(compare(base_.key(i - 1), base_.key(i)) < 0);
     }
-    DAMKIT_CHECK(index_ == nullptr || base_.count() > 0);
   }
   void export_metrics(stats::MetricsRegistry& reg,
                       std::string_view prefix) const override {
@@ -126,16 +129,15 @@ class PdamEngine final : public Dictionary {
                        std::optional<std::string> value) {
     const uint64_t bytes = node::KvRecord::encoded_size(
         key.size(), value.has_value() ? value->size() : 0);
-    auto [it, inserted] = buffer_.insert_or_assign(std::string(key),
-                                                   std::move(value));
-    (void)it;
-    if (inserted) buffer_bytes_ += bytes;
+    if (buffer_.insert_or_assign(std::string(key), std::move(value)).second) {
+      buffer_bytes_ += bytes;
+    }
     if (buffer_bytes_ > cfg_.buffer_bytes) return merge_buffer();
     return Status();
   }
 
   StatusOr<std::optional<std::string>> lookup(std::string_view key) {
-    const auto hit = buffer_.find(std::string(key));
+    const auto hit = buffer_.find(key);
     if (hit != buffer_.end()) return hit->second;  // value or tombstone
     const size_t rank = base_.lower_bound(key);
     if (!base_.empty()) {
@@ -146,20 +148,20 @@ class PdamEngine final : public Dictionary {
   }
 
   int descent_levels() const {
-    if (index_ == nullptr || base_.empty()) return 0;
-    const int node_h = std::max(1, index_->node_height());
-    return std::max(1, (index_->global_height() + node_h - 1) / node_h);
+    if (base_.empty()) return 0;
+    const int node_h = std::max(1, geometry_.node_height);
+    return std::max(1, (geometry_.global_height + node_h - 1) / node_h);
   }
 
   uint64_t node_bytes() const {
-    return index_->node_blocks() * cfg_.tree.block_bytes;
+    return geometry_.node_blocks * cfg_.tree.block_bytes;
   }
 
   // Deterministic device offset for the PB-node at (level, rank path).
   uint64_t node_offset(int level, uint64_t rank) const {
-    const int node_h = std::max(1, index_->node_height());
-    const int depth = std::min(index_->global_height(), (level + 1) * node_h);
-    const int shift = index_->global_height() - depth;
+    const int node_h = std::max(1, geometry_.node_height);
+    const int depth = std::min(geometry_.global_height, (level + 1) * node_h);
+    const int shift = geometry_.global_height - depth;
     const uint64_t node_index = shift >= 64 ? 0 : rank >> shift;
     const uint64_t nb = node_bytes();
     const uint64_t slots = std::max<uint64_t>(1, cfg_.region_bytes / nb);
@@ -181,31 +183,36 @@ class PdamEngine final : public Dictionary {
     return Status();
   }
 
-  std::vector<std::pair<std::string, std::string>> merged_scan(
-      std::string_view lo, size_t limit, uint64_t* base_consumed) {
-    ++scans_;
-    std::vector<std::pair<std::string, std::string>> out;
+  // The one walk of the buffer over the base, in key order from `lo`: the
+  // first `limit` live entries go to emit(key, value). A buffered entry
+  // shadows the base record with its key, and a tombstone emits nothing.
+  // Returns the base records passed, shadowed ones included.
+  template <typename Emit>
+  uint64_t merge_walk(std::string_view lo, size_t limit, Emit&& emit) const {
+    uint64_t base_passed = 0;
+    size_t emitted = 0;
     size_t bi = base_.lower_bound(lo);
-    auto di = buffer_.lower_bound(std::string(lo));
-    while (out.size() < limit &&
-           (bi < base_.count() || di != buffer_.end())) {
-      const bool take_base =
-          di == buffer_.end() ||
-          (bi < base_.count() && compare(base_.key(bi), di->first) < 0);
-      if (take_base) {
-        out.emplace_back(base_.key(bi), base_.value(bi));
+    auto di = buffer_.lower_bound(lo);
+    while (emitted < limit && (bi < base_.count() || di != buffer_.end())) {
+      if (di == buffer_.end() ||
+          (bi < base_.count() && compare(base_.key(bi), di->first) < 0)) {
+        emit(base_.key(bi), base_.value(bi));
+        ++emitted;
         ++bi;
-        ++*base_consumed;
-      } else {
-        if (base_.key_equals(bi, di->first)) {
-          ++bi;  // buffer shadows the base entry
-          ++*base_consumed;
-        }
-        if (di->second.has_value()) out.emplace_back(di->first, *di->second);
-        ++di;
+        ++base_passed;
+        continue;
       }
+      if (base_.key_equals(bi, di->first)) {
+        ++bi;
+        ++base_passed;
+      }
+      if (di->second.has_value()) {
+        emit(di->first, *di->second);
+        ++emitted;
+      }
+      ++di;
     }
-    return out;
+    return base_passed;
   }
 
   uint64_t scan_run_bytes(uint64_t base_entries) const {
@@ -229,35 +236,19 @@ class PdamEngine final : public Dictionary {
         });
   }
 
-  node::KvPage merge_entries() const {
-    node::KvPage merged;
-    size_t bi = 0;
-    auto di = buffer_.begin();
-    while (bi < base_.count() || di != buffer_.end()) {
-      const bool take_base =
-          di == buffer_.end() ||
-          (bi < base_.count() && compare(base_.key(bi), di->first) < 0);
-      if (take_base) {
-        merged.append_range(base_, bi, bi + 1);
-        ++bi;
-      } else {
-        if (base_.key_equals(bi, di->first)) ++bi;
-        if (di->second.has_value()) merged.append(di->first, *di->second);
-        ++di;
-      }
-    }
-    return merged;
-  }
-
   // A failed base write leaves the buffer and the old base in place.
   Status merge_buffer() {
-    node::KvPage merged = merge_entries();
+    node::KvPage merged;
+    const auto emit = [&merged](std::string_view key, std::string_view value) {
+      merged.append(key, value);
+    };
+    merge_walk("", SIZE_MAX, emit);
     DAMKIT_RETURN_IF_ERROR(charge_base_write(merged.live_bytes()));
     base_ = std::move(merged);
     buffer_.clear();
     buffer_bytes_ = 0;
     ++buffer_merges_;
-    rebuild_index();
+    update_geometry();
     return Status();
   }
 
@@ -275,24 +266,21 @@ class PdamEngine final : public Dictionary {
     return Status();
   }
 
-  void rebuild_index() {
-    if (base_.empty()) {
-      index_.reset();
-      return;
+  // Charges read the geometry only while the base is non-empty.
+  void update_geometry() {
+    if (!base_.empty()) {
+      geometry_ = pdam_tree::pdam_geometry(base_.count(), cfg_.tree);
     }
-    std::vector<uint64_t> ranks(base_.count());
-    std::iota(ranks.begin(), ranks.end(), 0);
-    index_ = std::make_unique<pdam_tree::PdamBTree>(std::move(ranks),
-                                                    cfg_.tree);
   }
 
   sim::IoContext* io_;
   PdamEngineConfig cfg_;
 
   node::KvPage base_;  // sorted base run; live_bytes() is its byte total
-  std::map<std::string, std::optional<std::string>> buffer_;  // nullopt = del
+  // nullopt = tombstone.
+  std::map<std::string, std::optional<std::string>, std::less<>> buffer_;
   uint64_t buffer_bytes_ = 0;
-  std::unique_ptr<pdam_tree::PdamBTree> index_;
+  pdam_tree::PdamGeometry geometry_;  // of the base, while non-empty
 
   blockdev::RetryPolicy retry_;
   blockdev::RetryCounters counters_;
@@ -333,9 +321,9 @@ void set_base_offset(EngineConfig& config, uint64_t offset) {
   config.pdam.base_offset = offset;
 }
 
-std::unique_ptr<Dictionary> EngineFactory::make_engine(
-    EngineKind kind, sim::Device& dev, sim::IoContext& io,
-    const EngineConfig& config) {
+std::unique_ptr<Dictionary> make_engine(EngineKind kind, sim::Device& dev,
+                                        sim::IoContext& io,
+                                        const EngineConfig& config) {
   // Resolve the factory-level codec once (kDefault consults DAMKIT_CODEC)
   // and push it into the per-tree sub-configs so the built tree is
   // indistinguishable from a hand-built one with that codec.

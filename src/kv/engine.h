@@ -1,12 +1,12 @@
-// EngineFactory: construct any of the five dictionaries behind one
+// make_engine: construct any of the five dictionaries behind one
 // kv::Dictionary interface. The B-tree, both Bε-trees, and the LSM-tree
-// implement kv::Dictionary themselves, so the factory returns the tree
+// implement kv::Dictionary themselves, so make_engine returns the tree
 // itself — a factory-built engine is a hand-built one.
 //
 // The PDAM B-tree is a static structure with no device of its own; its
 // engine is the one adapter: an in-memory write buffer (mutations +
 // tombstones) over a sorted base run that charges device IO from the
-// rebuilt PdamBTree's geometry — see PdamEngineConfig.
+// PdamBTree geometry of the base — see PdamEngineConfig.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ inline constexpr EngineKind kAllEngineKinds[] = {
     EngineKind::kBTree, EngineKind::kBeTree, EngineKind::kOptBeTree,
     EngineKind::kLsm, EngineKind::kPdam};
 
-/// PDAM engine knobs. `tree` shapes the rebuilt index (P, B, layout);
+/// PDAM engine knobs. `tree` sets the index geometry (P, B, slot size);
 /// the write buffer absorbs mutations in memory (the memtable analog)
 /// and is merged into the base run — one sequential device write — when
 /// it exceeds `buffer_bytes` or on flush/checkpoint. Point descents
@@ -72,19 +72,8 @@ struct EngineConfig {
 void set_base_offset(EngineConfig& config, uint64_t offset);
 
 /// Builds the requested engine on `dev`/`io`.
-class EngineFactory {
- public:
-  static std::unique_ptr<Dictionary> make_engine(EngineKind kind,
-                                                 sim::Device& dev,
-                                                 sim::IoContext& io,
-                                                 const EngineConfig& config);
-};
-
-inline std::unique_ptr<Dictionary> make_engine(EngineKind kind,
-                                               sim::Device& dev,
-                                               sim::IoContext& io,
-                                               const EngineConfig& config) {
-  return EngineFactory::make_engine(kind, dev, io, config);
-}
+std::unique_ptr<Dictionary> make_engine(EngineKind kind, sim::Device& dev,
+                                        sim::IoContext& io,
+                                        const EngineConfig& config);
 
 }  // namespace damkit::kv

@@ -8,29 +8,43 @@
 
 namespace damkit::pdam_tree {
 
-PdamBTree::PdamBTree(std::vector<uint64_t> sorted_keys, PdamTreeConfig config)
-    : keys_(std::move(sorted_keys)), config_(config) {
-  DAMKIT_CHECK(!keys_.empty());
-  DAMKIT_CHECK(std::is_sorted(keys_.begin(), keys_.end()));
-  DAMKIT_CHECK(config_.parallelism >= 1);
-  DAMKIT_CHECK(config_.block_bytes >= config_.slot_bytes);
+namespace {
 
-  global_height_ = 1;
-  while ((1ULL << global_height_) < keys_.size()) ++global_height_;
+/// Blocks that hold a complete pivot tree of height `h`.
+uint64_t blocks_for_height(int h, uint64_t slots_per_block) {
+  return ((1ULL << h) - 1 + slots_per_block - 1) / slots_per_block;
+}
 
-  slots_per_block_ = config_.block_bytes / config_.slot_bytes;
+}  // namespace
+
+PdamGeometry pdam_geometry(uint64_t keys, const PdamTreeConfig& config) {
+  DAMKIT_CHECK(keys >= 1);
+  DAMKIT_CHECK(config.parallelism >= 1);
+  DAMKIT_CHECK(config.block_bytes >= config.slot_bytes);
+  PdamGeometry g;
+  g.global_height = 1;
+  while ((1ULL << g.global_height) < keys) ++g.global_height;
+
+  const uint64_t slots_per_block = config.block_bytes / config.slot_bytes;
   const uint64_t node_slots =
-      static_cast<uint64_t>(config_.parallelism) * slots_per_block_;
+      static_cast<uint64_t>(config.parallelism) * slots_per_block;
   // Largest complete pivot tree fitting in a PB node: 2^h - 1 <= node_slots.
-  node_height_ = 63 - std::countl_zero(node_slots + 1);
-  node_height_ = std::max(node_height_, 1);
-  node_height_ = std::min(node_height_, global_height_);
-  node_blocks_ =
-      ((1ULL << node_height_) - 1 + slots_per_block_ - 1) / slots_per_block_;
+  g.node_height = std::clamp(63 - std::countl_zero(node_slots + 1), 1,
+                             g.global_height);
+  g.node_blocks = blocks_for_height(g.node_height, slots_per_block);
+  return g;
+}
+
+PdamBTree::PdamBTree(std::vector<uint64_t> sorted_keys, PdamTreeConfig config)
+    : keys_(std::move(sorted_keys)),
+      config_(config),
+      geometry_(pdam_geometry(keys_.size(), config_)),
+      slots_per_block_(config_.block_bytes / config_.slot_bytes) {
+  DAMKIT_CHECK(std::is_sorted(keys_.begin(), keys_.end()));
 
   // Precompute layout tables for every node height that occurs: the full
   // height and, if H is not a multiple of h, the bottom remainder.
-  layout_by_height_.resize(static_cast<size_t>(node_height_) + 1);
+  layout_by_height_.resize(static_cast<size_t>(geometry_.node_height) + 1);
   auto build = [&](int h) {
     if (h >= 1 && layout_by_height_[static_cast<size_t>(h)].empty()) {
       layout_by_height_[static_cast<size_t>(h)] =
@@ -38,24 +52,24 @@ PdamBTree::PdamBTree(std::vector<uint64_t> sorted_keys, PdamTreeConfig config)
                                                : bfs_positions(h);
     }
   };
-  build(node_height_);
-  const int rem = global_height_ % node_height_;
+  build(geometry_.node_height);
+  const int rem = geometry_.global_height % geometry_.node_height;
   if (rem != 0) build(rem);
 }
 
 uint64_t PdamBTree::pivot(uint64_t g, int d) const {
   // Node g at depth d covers padded leaves [(g - 2^d)·2^(H-d), +2^(H-d)).
-  const uint64_t span = 1ULL << (global_height_ - d);
+  const uint64_t span = 1ULL << (geometry_.global_height - d);
   const uint64_t start = (g - (1ULL << d)) * span;
   return key_at(start + span / 2 - 1);
 }
 
 uint64_t PdamBTree::lower_bound(uint64_t key) const {
   uint64_t g = 1;
-  for (int d = 0; d < global_height_; ++d) {
+  for (int d = 0; d < geometry_.global_height; ++d) {
     g = (key <= pivot(g, d)) ? 2 * g : 2 * g + 1;
   }
-  return g - (1ULL << global_height_);
+  return g - (1ULL << geometry_.global_height);
 }
 
 uint64_t PdamBTree::block_of_local(uint64_t l, int h) const {
@@ -114,9 +128,9 @@ PdamBTree::RunResult PdamBTree::run_queries(int k, uint64_t queries_per_client,
     Rng rng{0};
   };
 
-  const int full_h = node_height_;
+  const int full_h = geometry_.node_height;
   auto node_height_at = [&](int depth) {
-    return std::min(full_h, global_height_ - depth);
+    return std::min(full_h, geometry_.global_height - depth);
   };
 
   std::vector<Client> clients(static_cast<size_t>(k));
@@ -124,7 +138,7 @@ PdamBTree::RunResult PdamBTree::run_queries(int k, uint64_t queries_per_client,
     auto& c = clients[static_cast<size_t>(i)];
     c.remaining = queries_per_client;
     c.rng.reseed(seed + static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
-    c.fetched.assign(node_blocks_, false);
+    c.fetched.assign(geometry_.node_blocks, false);
   }
 
   RunResult result;
@@ -158,7 +172,7 @@ PdamBTree::RunResult PdamBTree::run_queries(int k, uint64_t queries_per_client,
       bool fetched_this_step = false;
 
       for (;;) {
-        if (c.depth == global_height_) {
+        if (c.depth == geometry_.global_height) {
           // Query answered; immediately start the next one (closed loop),
           // but its first block waits for a future step.
           ++result.queries;
@@ -172,8 +186,7 @@ PdamBTree::RunResult PdamBTree::run_queries(int k, uint64_t queries_per_client,
           if (fetched_this_step || budget == 0) break;  // wait for next step
           // One contiguous read-ahead run per step: [b, b + budget).
           const uint64_t blocks_in_node =
-              ((1ULL << c.local_height) - 1 + slots_per_block_ - 1) /
-              slots_per_block_;
+              blocks_for_height(c.local_height, slots_per_block_);
           const uint64_t end =
               std::min(b + static_cast<uint64_t>(budget), blocks_in_node);
           for (uint64_t j = b; j < end; ++j) c.fetched[j] = true;

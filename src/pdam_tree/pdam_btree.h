@@ -25,6 +25,17 @@ struct PdamTreeConfig {
   NodeLayout layout = NodeLayout::kVeb;
 };
 
+/// The shape of a PdamBTree: all the PDAM engine (kv/engine.h) charges
+/// its IO from.
+struct PdamGeometry {
+  int global_height = 0;     // H: padded leaf count = 2^H
+  int node_height = 0;       // h: pivot levels per PB node
+  uint64_t node_blocks = 0;  // blocks per node (≈ P)
+};
+
+/// The geometry of a PdamBTree over `keys` (>= 1) keys under `config`.
+PdamGeometry pdam_geometry(uint64_t keys, const PdamTreeConfig& config);
+
 /// Static dictionary over sorted u64 keys.
 class PdamBTree {
  public:
@@ -35,12 +46,7 @@ class PdamBTree {
   /// the step-driven clients.
   uint64_t lower_bound(uint64_t key) const;
 
-  /// Height (levels of pivot comparisons) of the implicit global BST.
-  int global_height() const { return global_height_; }
-  /// Pivot-tree height inside one P·B node.
-  int node_height() const { return node_height_; }
-  /// Blocks per node (≈ P).
-  uint64_t node_blocks() const { return node_blocks_; }
+  const PdamGeometry& geometry() const { return geometry_; }
 
   struct RunResult {
     uint64_t steps = 0;
@@ -85,10 +91,8 @@ class PdamBTree {
 
   std::vector<uint64_t> keys_;
   PdamTreeConfig config_;
-  int global_height_ = 0;       // H: padded leaf count = 2^H
-  int node_height_ = 0;         // h: pivot levels per PB node
+  PdamGeometry geometry_;
   uint64_t slots_per_block_ = 0;
-  uint64_t node_blocks_ = 0;
   // Layout position tables per distinct node height (full and the bottom
   // remainder); index by height via a small map-like vector.
   std::vector<std::vector<uint32_t>> layout_by_height_;

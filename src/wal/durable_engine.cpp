@@ -58,8 +58,9 @@ DurableEngine::DurableEngine(RecoverTag, std::unique_ptr<kv::Dictionary> inner,
 
 DurableEngine::~DurableEngine() = default;
 
-// A key past the record limit is rejected before it takes an LSN; the
-// inner engine's own rejections are logged, and replay skips them.
+// A key past the record limit, or a record the WAL region cannot hold, is
+// rejected before it takes an LSN; the inner engine's own rejections are
+// logged, and replay skips them.
 Status DurableEngine::append_mutation(WriteAheadLog::RecordType type,
                                       std::string_view key,
                                       std::string_view value) {

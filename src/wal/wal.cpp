@@ -64,8 +64,11 @@ Status WriteAheadLog::append(RecordType type, std::string_view key,
   DAMKIT_CHECK_MSG(lsn == next_lsn_, "WAL append lsn " << lsn << " != next "
                                                        << next_lsn_);
   const uint64_t rec = record_bytes(key, value);
-  DAMKIT_CHECK_MSG(rec + 2 * cfg_.block_bytes <= cfg_.region_bytes,
-                   "record of " << rec << " bytes cannot fit the WAL region");
+  if (rec + 2 * cfg_.block_bytes > cfg_.region_bytes) {
+    return Status::invalid_argument(
+        "record of " + std::to_string(rec) + " bytes cannot fit the " +
+        std::to_string(cfg_.region_bytes) + "-byte WAL region");
+  }
   const size_t at = buffer_.size();
   buffer_.resize(at + rec);
   uint8_t* p = buffer_.data() + at;

@@ -73,8 +73,10 @@ class WriteAheadLog {
   Status reset(uint64_t next_lsn);
 
   /// Buffer one record; `lsn` must be exactly the next expected LSN.
-  /// Auto-commits per the group policy; a commit failure leaves the
-  /// buffer intact (the records are NOT durable) and surfaces here.
+  /// kInvalidArgument, with no LSN taken and nothing buffered, when the
+  /// record could never fit the region. Auto-commits per the group policy;
+  /// a commit failure leaves the buffer intact (the records are NOT
+  /// durable) and surfaces here.
   Status append(RecordType type, std::string_view key, std::string_view value,
                 uint64_t lsn);
 

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kv/slice.h"
@@ -159,35 +162,70 @@ TEST(SlottedPageTest, SearchPrefixEdges) {
 }
 
 // Branchless search must agree with std::lower_bound/upper_bound on
-// random sorted key sets, including duplicates and size-0/1/2 pages.
+// random sorted key sets (duplicates and size-0/1/2 pages included) and
+// read at most ceil(log2 n) + 1 keys per search, up to n = 4096: on compact
+// pages of equal-length keys (searched at computed offsets) and on pages
+// built by out-of-order inserts (searched through the slot array).
 TEST(SlottedPageTest, SearchMatchesStdOnRandomSets) {
   Rng rng(20260808);
-  for (int round = 0; round < 200; ++round) {
-    const size_t n = rng.uniform(33);  // 0..32 entries
-    std::vector<std::string> keys;
-    for (size_t i = 0; i < n; ++i) {
-      std::string k;
-      const size_t len = rng.uniform(6);  // includes empty keys
-      for (size_t j = 0; j < len; ++j) {
-        k.push_back(static_cast<char>('a' + rng.uniform(3)));
-      }
-      keys.push_back(std::move(k));
+  const auto random_key = [&rng](size_t len) {
+    std::string k;
+    for (size_t j = 0; j < len; ++j) {
+      k.push_back(static_cast<char>('a' + rng.uniform(3)));
     }
-    std::sort(keys.begin(), keys.end());
-    SlottedPage page;
-    for (const std::string& k : keys) page.append(rec_of(k));
-    for (int probe = 0; probe < 20; ++probe) {
-      std::string q;
-      const size_t len = rng.uniform(6);
-      for (size_t j = 0; j < len; ++j) {
-        q.push_back(static_cast<char>('a' + rng.uniform(3)));
+    return k;
+  };
+  size_t reads = 0;
+  const auto counted_key_of = [&reads](std::string_view rec) {
+    ++reads;
+    return key_of(rec);
+  };
+  std::vector<size_t> sizes = {63, 64, 65, 100, 511, 512, 513, 4095, 4096};
+  for (int round = 0; round < 200; ++round) sizes.push_back(rng.uniform(33));
+  for (const size_t n : sizes) {
+    for (const bool fixed : {true, false}) {
+      const auto key_len = [&] { return fixed ? 8 : rng.uniform(6); };
+      std::vector<std::string> keys;
+      for (size_t i = 0; i < n; ++i) keys.push_back(random_key(key_len()));
+      std::sort(keys.begin(), keys.end());
+      SlottedPage page;
+      if (fixed) {
+        for (const std::string& k : keys) page.append(rec_of(k));
+        ASSERT_TRUE(page.compact());
+      } else {
+        // Insert each key at its rank, in random order.
+        std::vector<size_t> order(n);
+        std::iota(order.begin(), order.end(), size_t{0});
+        for (size_t i = n; i > 1; --i) {
+          std::swap(order[i - 1], order[rng.uniform(i)]);
+        }
+        std::vector<size_t> placed;
+        for (const size_t index : order) {
+          const auto at = std::lower_bound(placed.begin(), placed.end(), index);
+          page.insert(static_cast<size_t>(at - placed.begin()),
+                      rec_of(keys[index]));
+          placed.insert(at, index);
+        }
+        if (n >= 64) {
+          ASSERT_FALSE(page.compact()) << "n=" << n;
+        }
       }
-      const size_t lb = static_cast<size_t>(
-          std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
-      const size_t ub = static_cast<size_t>(
-          std::upper_bound(keys.begin(), keys.end(), q) - keys.begin());
-      EXPECT_EQ(page.lower_bound(q, key_of), lb) << "n=" << n << " q=" << q;
-      EXPECT_EQ(page.upper_bound(q, key_of), ub) << "n=" << n << " q=" << q;
+      const size_t max_reads = n == 0 ? 0 : std::bit_width(n - 1) + 1;
+      for (int probe = 0; probe < 20; ++probe) {
+        const std::string q = random_key(key_len());
+        const size_t lb = static_cast<size_t>(
+            std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
+        const size_t ub = static_cast<size_t>(
+            std::upper_bound(keys.begin(), keys.end(), q) - keys.begin());
+        reads = 0;
+        EXPECT_EQ(page.lower_bound(q, counted_key_of), lb)
+            << "n=" << n << " q=" << q;
+        EXPECT_LE(reads, max_reads) << "n=" << n << " q=" << q;
+        reads = 0;
+        EXPECT_EQ(page.upper_bound(q, counted_key_of), ub)
+            << "n=" << n << " q=" << q;
+        EXPECT_LE(reads, max_reads) << "n=" << n << " q=" << q;
+      }
     }
   }
 }

@@ -50,9 +50,10 @@ TEST(PdamBTreeTest, GeometrySane) {
   const auto keys = make_keys(100000);
   PdamBTree tree(keys, config(8, 4096));
   // 8 × 4096/16 = 2048 slots → pivot tree height 11, blocks ≈ 8.
-  EXPECT_EQ(tree.node_height(), 11);
-  EXPECT_EQ(tree.node_blocks(), 8u);
-  EXPECT_GE(tree.global_height(), 17);
+  const PdamGeometry& g = tree.geometry();
+  EXPECT_EQ(g.node_height, 11);
+  EXPECT_EQ(g.node_blocks, 8u);
+  EXPECT_GE(g.global_height, 17);
 }
 
 TEST(PdamBTreeTest, RunCompletesAllQueries) {
@@ -70,8 +71,8 @@ TEST(PdamBTreeTest, SingleClientStepsMatchNodeLevels) {
   PdamBTree tree(keys, config(8));
   const auto r = tree.run_queries(1, 100, 7);
   const double levels =
-      std::ceil(static_cast<double>(tree.global_height()) /
-                static_cast<double>(tree.node_height()));
+      std::ceil(static_cast<double>(tree.geometry().global_height) /
+                static_cast<double>(tree.geometry().node_height));
   const double steps_per_query =
       static_cast<double>(r.steps) / static_cast<double>(r.queries);
   EXPECT_NEAR(steps_per_query, levels, levels * 0.25);

@@ -203,6 +203,41 @@ TEST(DurableEngineTest, LongKeysAreRejectedBeforeTheyAreLogged) {
   EXPECT_EQ(harness::state_digest(**recovered), live_digest);
 }
 
+TEST(DurableEngineTest, PutLargerThanTheWalRegionIsRejected) {
+  // The bare engines take a 40,000,000-byte value, but its record cannot
+  // fit the default 32 MiB WAL region. The put must fail as an argument
+  // error before the inner engine sees it, not abort.
+  SsdDevice dev(sim::testbed_ssd_profile());
+  IoContext io(dev);
+  const DurabilityConfig dcfg =
+      default_durability_config(dev.capacity_bytes());
+  const auto make_inner = [&] {
+    return kv::make_engine(kv::EngineKind::kLsm, dev, io, small_config());
+  };
+  auto eng = std::make_unique<DurableEngine>(make_inner(), dev, io, dcfg);
+  for (uint64_t i = 0; i < 20; ++i) eng->put(key_of(i), value_of(i));
+  const auto before = eng->range_scan("", 1000);
+
+  const std::string huge(40'000'000, 'v');
+  EXPECT_EQ(eng->try_put("k", huge).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(eng->durable_mutations(), 20u);
+  EXPECT_EQ(eng->range_scan("", 1000), before);
+
+  ASSERT_TRUE(eng->try_put(key_of(20), value_of(20)).ok());
+  EXPECT_EQ(eng->durable_mutations(), 21u);
+  eng->flush();
+  const uint64_t live_digest = harness::state_digest(*eng);
+  eng->abandon();
+  eng.reset();
+
+  RecoveryReport report;
+  StatusOr<std::unique_ptr<DurableEngine>> recovered =
+      DurableEngine::recover(make_inner, dev, io, dcfg, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_EQ(report.replayed_records, 21u);
+  EXPECT_EQ(harness::state_digest(**recovered), live_digest);
+}
+
 TEST(DurableEngineTest, InnerRejectionsAreSkippedOnReplay) {
   // The B-tree and Bε-tree reject an entry over node_bytes / 2 only after
   // its record is logged. Recovery must skip that record, as the live call

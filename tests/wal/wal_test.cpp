@@ -350,6 +350,35 @@ TEST(WalTest, RegionFullSurfacesResourceExhausted) {
   EXPECT_GT(log.buffered_records(), 0u);
 }
 
+TEST(WalTest, RecordLargerThanTheRegionIsRejected) {
+  // A record the region cannot hold is an argument error, not an abort:
+  // it takes no LSN and buffers no byte, and the log carries on.
+  SsdDevice dev(sim::testbed_ssd_profile());
+  IoContext io(dev);
+  const WalConfig cfg = small_wal(/*region_bytes=*/4 * kBlock, /*group_ops=*/8);
+  WriteAheadLog log(dev, io, cfg);
+  ASSERT_TRUE(log.reset(1).ok());
+  const Record first = make_record(1);
+  ASSERT_TRUE(log.append(first.type, first.key, first.value, 1).ok());
+  const uint64_t buffered = log.buffered_bytes();
+
+  const std::string huge(2 * kBlock, 'h');
+  const Status s = log.append(WriteAheadLog::RecordType::kPut, "k", huge, 2);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("WAL region"), std::string::npos) << s.message();
+  EXPECT_EQ(log.next_lsn(), 2u);
+  EXPECT_EQ(log.buffered_records(), 1u);
+  EXPECT_EQ(log.buffered_bytes(), buffered);
+
+  const Record second = make_record(2);
+  ASSERT_TRUE(log.append(second.type, second.key, second.value, 2).ok());
+  ASSERT_TRUE(log.commit().ok());
+  WriteAheadLog reader(dev, io, cfg);
+  StatusOr<WriteAheadLog::ReplayResult> replay = reader.recover_scan(1);
+  ASSERT_TRUE(replay.ok());
+  expect_replayed(replay->records, {first, second}, 2);
+}
+
 TEST(WalTest, CommitFailureKeepsBufferForRetry) {
   SsdDevice inner(sim::testbed_ssd_profile());
   FaultConfig faults;

@@ -261,7 +261,7 @@ std::unique_ptr<sim::Device> make_device(const std::string& spec,
 }
 
 // Canned demo workload: load any of the five engines (or a sharded
-// composition of them) through the EngineFactory, serve a mixed workload
+// composition of them) through kv::make_engine, serve a mixed workload
 // to k clients, and checkpoint, collecting metrics from every layer it
 // touched.
 // With --fault-seed the device is wrapped in a FaultInjectingDevice and
