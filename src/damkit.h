@@ -36,7 +36,6 @@
 #include "model/tree_costs.h"          // IWYU pragma: export
 #include "pdam_tree/pdam_btree.h"      // IWYU pragma: export
 #include "pdam_tree/veb_layout.h"      // IWYU pragma: export
-#include "serve/io_chain.h"            // IWYU pragma: export
 #include "serve/replay.h"              // IWYU pragma: export
 #include "sim/closed_loop.h"           // IWYU pragma: export
 #include "sim/device.h"                // IWYU pragma: export

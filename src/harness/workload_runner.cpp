@@ -18,29 +18,25 @@ void WorkloadRunner::bulk_load(uint64_t items, const kv::WorkloadSpec& spec) {
   });
 }
 
-WorkloadRunResult WorkloadRunner::apply_ops(
-    const kv::WorkloadSpec& spec, uint64_t ops, bool fallible,
-    std::vector<serve::OpIoChain>* chains) {
+WorkloadRunResult WorkloadRunner::apply_ops(const kv::WorkloadSpec& spec,
+                                            uint64_t ops, bool fallible,
+                                            sim::IoTrace* trace,
+                                            std::vector<size_t>* op_end) {
   WorkloadRunResult result;
   const sim::SimTime before = io_->now();
-  sim::IoTrace trace;
-  if (chains != nullptr) {
-    chains->reserve(ops);
-    io_->device().set_trace(&trace);
+  if (trace != nullptr) {
+    op_end->reserve(ops);
+    io_->device().set_trace(trace);
   }
   kv::OpGenerator gen(spec);
   const kv::ApplyOptions apply_options{fallible};
   kv::ApplyScratch scratch;  // key/value buffers reused across all ops
   for (uint64_t i = 0; i < ops; ++i) {
-    const size_t trace_begin = trace.size();
     kv::apply_op(*dict_, gen.next(), i, spec, apply_options, &result.digest,
                  &result, &scratch);
-    if (chains != nullptr) {
-      chains->push_back(
-          serve::build_io_chain(trace.records(), trace_begin, trace.size()));
-    }
+    if (trace != nullptr) op_end->push_back(trace->size());
   }
-  if (chains != nullptr) io_->device().set_trace(nullptr);
+  if (trace != nullptr) io_->device().set_trace(nullptr);
   result.sim_elapsed = io_->now() - before;
   return result;
 }
@@ -60,7 +56,8 @@ void WorkloadRunner::write_back(const WorkloadRunOptions& options,
 WorkloadRunResult WorkloadRunner::run(const kv::WorkloadSpec& spec,
                                       uint64_t ops,
                                       const WorkloadRunOptions& options) {
-  WorkloadRunResult result = apply_ops(spec, ops, options.fallible, nullptr);
+  WorkloadRunResult result =
+      apply_ops(spec, ops, options.fallible, nullptr, nullptr);
   write_back(options, &result);
   return result;
 }
@@ -70,15 +67,16 @@ ConcurrentRunResult WorkloadRunner::run_concurrent(
     const ConcurrentRunOptions& options) {
   ConcurrentRunResult result;
   const bool replayed = options.replay_device_factory != nullptr;
-  std::vector<serve::OpIoChain> chains;
-  result.base =
-      apply_ops(spec, ops, options.fallible, replayed ? &chains : nullptr);
+  sim::IoTrace trace;
+  std::vector<size_t> op_end;
+  result.base = apply_ops(spec, ops, options.fallible,
+                          replayed ? &trace : nullptr, &op_end);
   const sim::SimTime serial = result.base.sim_elapsed;
   write_back(options, &result.base);
 
   if (replayed) {
     static_cast<serve::ReplayTimeline&>(result) =
-        serve::replay(chains, options);
+        serve::replay(trace.records(), op_end, options);
   } else {
     result.concurrent_elapsed = serial;
   }

@@ -6,8 +6,8 @@
 // Two entry points, by what the caller needs reproduced:
 //   - run(): OpGenerator-driven mixed workload with a result digest, for
 //     cross-engine differential comparison and generic driving. Its
-//     k-client form, run_concurrent(), is the same op loop with each op's
-//     IOs recorded as a chain and re-timed by serve::replay.
+//     k-client form, run_concurrent(), is the same op loop with the
+//     device's IO trace recorded and re-timed by serve::replay.
 //   - run_fault_soak(): the fault-injection soak from the integration
 //     tests — fallible ops against a reference model with old-or-new
 //     uncertainty for failed mutations, checkpoint-until-clean, then a
@@ -15,6 +15,7 @@
 //     harness stays gtest-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,6 +26,7 @@
 #include "kv/workload.h"
 #include "serve/replay.h"
 #include "sim/device.h"
+#include "sim/trace.h"
 #include "stats/metrics.h"
 
 namespace damkit::harness {
@@ -91,10 +93,10 @@ class WorkloadRunner {
                         const WorkloadRunOptions& options = {});
 
   /// Serve the same op stream to k concurrent clients: run()'s loop
-  /// records each op's IO chain on the serving device, then
-  /// serve::replay re-times the chains on a fresh one. Digest and counters
-  /// equal run()'s by construction; the concurrent makespan, speedup, and
-  /// latency tails are added on top.
+  /// records the serving device's IO trace and where each op's records
+  /// end, then serve::replay re-times them on a fresh one. Digest and
+  /// counters equal run()'s by construction; the concurrent makespan,
+  /// speedup, and latency tails are added on top.
   ConcurrentRunResult run_concurrent(const kv::WorkloadSpec& spec,
                                      uint64_t ops,
                                      const ConcurrentRunOptions& options = {});
@@ -103,10 +105,11 @@ class WorkloadRunner {
 
  private:
   /// The op loop: ops [0, ops) of `spec`'s stream, in order. With
-  /// `chains`, each op's slice of the device's IO trace becomes its chain.
+  /// `trace`, the device's IOs are recorded into it and op i's records
+  /// end at (*op_end)[i].
   WorkloadRunResult apply_ops(const kv::WorkloadSpec& spec, uint64_t ops,
-                              bool fallible,
-                              std::vector<serve::OpIoChain>* chains);
+                              bool fallible, sim::IoTrace* trace,
+                              std::vector<size_t>* op_end);
   /// The end-of-run write-back, added to result->sim_elapsed.
   void write_back(const WorkloadRunOptions& options,
                   WorkloadRunResult* result);

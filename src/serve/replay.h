@@ -1,4 +1,4 @@
-// Concurrent replay: k clients' recorded IO chains re-timed on one device.
+// Concurrent replay: k clients' recorded IOs re-timed on one device.
 //
 // The simulator separates timing from data (see sim/device.h), and every
 // engine's data path is time-independent — what an op reads and writes
@@ -6,13 +6,13 @@
 // in two:
 //
 //   Record. harness::WorkloadRunner::run_concurrent applies the op stream
-//   in order through its one op loop, exactly as a single-client run, and
-//   cuts the serving device's IoTrace into one OpIoChain per op (see
-//   io_chain.h). Digest, counters and fault/retry accounting are the
+//   in order through its one op loop, exactly as a single-client run,
+//   records the serving device's IoTrace, and notes where each op's
+//   records end. Digest, counters and fault/retry accounting are the
 //   single-client run's by construction.
 //
-//   Replay (this file). A discrete-event loop re-times the chains on a
-//   fresh device with the same timing model. Op i belongs to client
+//   Replay (this file). A discrete-event loop re-times the ops' records on
+//   a fresh device with the same timing model. Op i belongs to client
 //   i mod k; each client keeps up to `inflight` of its ops open (admission
 //   control), every runnable stage across all clients at the current
 //   virtual instant is routed through per-lane dispatch queues (lane = die
@@ -22,16 +22,27 @@
 //   predicts scale as Ω(k / log_{PB/k} N) until k reaches the device
 //   parallelism P.
 //
-// replay() sees only chains and timing: no Dictionary, no op generator.
+// Stages: a maximal run of an op's records that share `submit` is one
+// stage; its IOs issue together and it completes at their max finish, and
+// the op's stages issue in order. This is exact under the IoContext
+// discipline — batch members are submitted at the same instant, while a
+// dependent IO is only issued after its predecessor completes, and every
+// device model charges positive service time, so dependent submissions
+// carry strictly later clocks.
+//
+// replay() sees only trace records and timing: no Dictionary, no op
+// generator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "serve/io_chain.h"
 #include "sim/device.h"
+#include "sim/trace.h"
 #include "util/histogram.h"
 
 namespace damkit::serve {
@@ -44,7 +55,7 @@ struct ReplayConfig {
 
   /// Builds the replay device: same timing model as the serving device,
   /// fresh queue/mechanical state, no fault hook (faults already shaped
-  /// the recorded chains — retries appear as extra IOs). replay() requires
+  /// the recorded IOs — retries appear as extra IOs). replay() requires
   /// it; run_concurrent without one reports the serial timeline.
   std::function<std::unique_ptr<sim::Device>()> replay_device_factory;
 
@@ -69,9 +80,12 @@ struct ReplayTimeline {
   uint64_t max_lane_depth = 0;
 };
 
-/// Re-time `chains` (op i = chains[i], client i mod k) under `config`.
-/// Deterministic for a given (chains, config).
-ReplayTimeline replay(const std::vector<OpIoChain>& chains,
+/// Re-time the ops recorded in `records` under `config`. Op i's IOs are
+/// records[op_end[i-1], op_end[i]) (op 0 starts at 0), so `op_end` must be
+/// nondecreasing and end at most at records.size(); op i belongs to client
+/// i mod k. Deterministic for a given (records, op_end, config).
+ReplayTimeline replay(std::span<const sim::TraceRecord> records,
+                      std::span<const size_t> op_end,
                       const ReplayConfig& config);
 
 }  // namespace damkit::serve

@@ -211,7 +211,7 @@ TEST(FaultSoakServingTest, ConcurrentClientsKeepFaultAccounting) {
     copts.inflight = 2;
     copts.fallible = true;
     // Replay on a clean device: the faults already shaped the recorded
-    // chains (retries appear as extra IOs in the trace).
+    // trace (retries appear in it as extra IOs).
     const sim::SsdConfig profile = sim::testbed_ssd_profile();
     copts.replay_device_factory = [profile] {
       return std::make_unique<sim::SsdDevice>(profile);

@@ -1,10 +1,10 @@
-// k-client serving end to end: WorkloadRunner::run_concurrent records
-// each op's IO chain through its one op loop, and serve::replay re-times
-// the chains. A k-client run must stay bit-identical to the single-client
-// reference (digest, counters, serial time), while the replayed concurrent
-// timeline is deterministic, faster when the device has parallelism to
-// exploit, and falls back to the serial makespan when no replay device is
-// supplied.
+// k-client serving end to end: WorkloadRunner::run_concurrent records the
+// device's IO trace through its one op loop, and serve::replay re-times
+// each op's records. A k-client run must stay bit-identical to the
+// single-client reference (digest, counters, serial time), while the
+// replayed concurrent timeline is deterministic, faster when the device
+// has parallelism to exploit, and falls back to the serial makespan when
+// no replay device is supplied.
 #include "harness/workload_runner.h"
 
 #include <gtest/gtest.h>
