@@ -253,6 +253,7 @@ SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
       }
     }
   }
+  DAMKIT_CHECK(!raw_q.empty() && !raw_i.empty());
   const double qs = (raw_q[0] > 0.0) ? result.points[0].query_ms / raw_q[0]
                                      : 1.0;
   const double is = (raw_i[0] > 0.0) ? result.points[0].insert_ms / raw_i[0]

@@ -55,9 +55,8 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
     reqs.push_back({sim::IoKind::kWrite, slot + bb + off,
                     std::min(kIoChunk, padded - off)});
   }
-  blockdev::BatchRetryScratch scratch;
   DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch,
+      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch_,
       [&](size_t i, const Status& verdict) {
         const auto chunk = std::span<const uint8_t>(image).subspan(
             reqs[i].offset - (slot + bb), reqs[i].length);

@@ -73,6 +73,7 @@ class SnapshotStore {
   SnapshotConfig cfg_;
   blockdev::RetryPolicy retry_;
   blockdev::RetryCounters counters_;
+  blockdev::BatchRetryScratch scratch_;  // reused by every write
 
   uint64_t writes_ = 0;
   uint64_t written_bytes_ = 0;

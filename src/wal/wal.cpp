@@ -144,9 +144,8 @@ Status WriteAheadLog::write_blocks(uint64_t first_block,
   const std::span<const uint8_t> all(content);
   // One SQ/CQ batch per attempt; a retry rewrites each failed block in
   // full, which is also the torn-write repair (hence retry_corruption).
-  blockdev::BatchRetryScratch scratch;
   const Status s = blockdev::with_batch_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch,
+      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch_,
       [&](size_t b, const Status& verdict) {
         dev_->settle_write(reqs[b].offset, all.subspan(b * bb, bb), verdict);
         return Status();

@@ -135,6 +135,7 @@ class WriteAheadLog {
 
   blockdev::RetryPolicy retry_;
   blockdev::RetryCounters counters_;
+  blockdev::BatchRetryScratch scratch_;  // reused by every commit
 
   // Lifetime counters (survive truncation).
   uint64_t records_appended_ = 0;
