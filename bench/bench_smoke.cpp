@@ -59,8 +59,6 @@ void run_ssd_batch(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
   const int width = profile.total_dies();
   const int rounds = args.quick ? 150 : 600;
   std::vector<sim::IoRequest> batch;
-  std::vector<sim::IoCompletion> completions;
-  std::vector<Status> per_io;
   for (int r = 0; r < rounds; ++r) {
     batch.clear();
     for (int w = 0; w < width; ++w) {
@@ -68,7 +66,8 @@ void run_ssd_batch(const bench::BenchArgs& args, stats::MetricsRegistry& reg) {
                        (rng.next() % stripes) * profile.stripe_bytes,
                        profile.stripe_bytes});
     }
-    DAMKIT_CHECK_OK(io.submit_batch_checked(batch, &completions, &per_io));
+    DAMKIT_CHECK_OK(io.submit_batch_checked(
+        batch, [](size_t, const Status&) { return Status(); }));
   }
   dev.export_metrics(reg, "ssd.");
   reg.set("ssd.sim_seconds", sim::to_seconds(io.now()));

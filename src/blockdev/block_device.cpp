@@ -74,9 +74,7 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   const uint64_t offset = alloc_.offset_of(node_id);
   if (!compressed_node(node_id)) {
     out.resize(node_bytes_);
-    DAMKIT_RETURN_IF_ERROR(with_retries(
-        *io_, retry_, &retry_counters_, /*retry_corruption=*/false,
-        [&] { return io_->read_checked(offset, std::span<uint8_t>(out)); }));
+    DAMKIT_RETURN_IF_ERROR(io_->read_checked(offset, std::span<uint8_t>(out)));
     ++stats_.node_reads;
     stats_.bytes_read += node_bytes_;
     return Status();
@@ -85,11 +83,7 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   // for the stored bytes only, setup for the IO as usual.
   dec_scratch_.resize(stored_len(node_id));
   DAMKIT_RETURN_IF_ERROR(
-      with_retries(*io_, retry_, &retry_counters_, /*retry_corruption=*/false,
-                   [&] {
-                     return io_->read_checked(
-                         offset, std::span<uint8_t>(dec_scratch_));
-                   }));
+      io_->read_checked(offset, std::span<uint8_t>(dec_scratch_)));
   if (!codec_->decode(dec_scratch_, out) || out.size() != node_bytes_) {
     return Status::corruption("node " + std::to_string(node_id) +
                               ": stored codec frame failed to decode");
@@ -105,9 +99,7 @@ Status NodeStore::try_write_node(uint64_t node_id,
   const std::span<const uint8_t> padded = pad_image(image);
   const uint64_t offset = alloc_.offset_of(node_id);
   if (codec_ == nullptr) {
-    DAMKIT_RETURN_IF_ERROR(with_retries(
-        *io_, retry_, &retry_counters_, /*retry_corruption=*/true,
-        [&] { return io_->write_checked(offset, padded); }));
+    DAMKIT_RETURN_IF_ERROR(io_->write_checked(offset, padded));
     ++stats_.node_writes;
     stats_.bytes_written += node_bytes_;
     return Status();
@@ -117,40 +109,11 @@ Status NodeStore::try_write_node(uint64_t node_id,
   // updated only once the image durably landed, and the try_* contract
   // (the caller keeps failed images dirty) covers the give-up case.
   encode_image(padded, enc_scratch_);
-  DAMKIT_RETURN_IF_ERROR(with_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/true, [&] {
-        return io_->write_checked(offset,
-                                  std::span<const uint8_t>(enc_scratch_));
-      }));
+  DAMKIT_RETURN_IF_ERROR(
+      io_->write_checked(offset, std::span<const uint8_t>(enc_scratch_)));
   set_stored_len(node_id, enc_scratch_.size());
   ++stats_.node_writes;
   stats_.bytes_written += enc_scratch_.size();
-  return Status();
-}
-
-Status NodeStore::try_read_span(uint64_t node_id, uint64_t offset,
-                                std::span<uint8_t> out) {
-  DAMKIT_CHECK(offset + out.size() <= node_bytes_);
-  const uint64_t dev_offset = alloc_.offset_of(node_id) + offset;
-  if (!compressed_node(node_id)) {
-    DAMKIT_RETURN_IF_ERROR(with_retries(
-        *io_, retry_, &retry_counters_, /*retry_corruption=*/false,
-        [&] { return io_->read_checked(dev_offset, out); }));
-    ++stats_.span_reads;
-    stats_.bytes_read += out.size();
-    return Status();
-  }
-  // The logical span does not exist contiguously inside the frame: charge
-  // the scaled physical IO, then serve the payload from the decoded node.
-  const PhysSpan ps = physical_span(node_id, offset, out.size());
-  const uint64_t phys_offset = alloc_.offset_of(node_id) + ps.offset;
-  DAMKIT_RETURN_IF_ERROR(with_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/false,
-      [&] { return io_->touch_read_checked(phys_offset, ps.length); }));
-  DAMKIT_RETURN_IF_ERROR(fetch_payload(node_id, node_scratch_));
-  std::memcpy(out.data(), node_scratch_.data() + offset, out.size());
-  ++stats_.span_reads;
-  stats_.bytes_read += ps.length;
   return Status();
 }
 
@@ -163,9 +126,7 @@ Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
   DAMKIT_CHECK(offset + length <= node_bytes_);
   const PhysSpan ps = physical_span(node_id, offset, length);
   const uint64_t dev_offset = alloc_.offset_of(node_id) + ps.offset;
-  DAMKIT_RETURN_IF_ERROR(with_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/false,
-      [&] { return io_->touch_read_checked(dev_offset, ps.length); }));
+  DAMKIT_RETURN_IF_ERROR(io_->touch_read_checked(dev_offset, ps.length));
   ++stats_.touch_reads;
   stats_.bytes_read += ps.length;
   return Status();
@@ -184,9 +145,8 @@ Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
     reqs.push_back({sim::IoKind::kRead, alloc_.offset_of(id), len});
     total_bytes += len;
   }
-  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
-      retry_scratch_, [&](size_t i, const Status& verdict) {
+  DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
+      reqs, [&](size_t i, const Status& verdict) {
         return verdict.ok() ? fetch_payload(ids[i], out[i]) : Status();
       }));
   ++stats_.read_batches;
@@ -218,9 +178,8 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
                     batch_images_[i].size()});
     total_bytes += batch_images_[i].size();
   }
-  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/true, reqs,
-      retry_scratch_, [&](size_t i, const Status& verdict) {
+  DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
+      reqs, [&](size_t i, const Status& verdict) {
         dev_->settle_write(reqs[i].offset, batch_images_[i], verdict);
         if (verdict.ok()) {
           if (codec_ != nullptr) {
@@ -249,9 +208,8 @@ Status NodeStore::try_touch_read_batch(std::span<const NodeSpan> spans) {
                     alloc_.offset_of(s.node_id) + ps.offset, ps.length});
     total_bytes += ps.length;
   }
-  DAMKIT_RETURN_IF_ERROR(with_batch_retries(
-      *io_, retry_, &retry_counters_, /*retry_corruption=*/false, reqs,
-      retry_scratch_, [](size_t, const Status&) { return Status(); }));
+  DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
+      reqs, [](size_t, const Status&) { return Status(); }));
   stats_.bytes_read += total_bytes;
   ++stats_.touch_batches;
   stats_.batched_touches += spans.size();
@@ -263,7 +221,6 @@ void NodeStore::export_metrics(stats::MetricsRegistry& reg,
   const std::string p(prefix);
   reg.add(p + "node_reads", stats_.node_reads);
   reg.add(p + "node_writes", stats_.node_writes);
-  reg.add(p + "span_reads", stats_.span_reads);
   reg.add(p + "touch_reads", stats_.touch_reads);
   reg.add(p + "batched_reads", stats_.batched_reads);
   reg.add(p + "batched_writes", stats_.batched_writes);
@@ -273,8 +230,6 @@ void NodeStore::export_metrics(stats::MetricsRegistry& reg,
   reg.add(p + "touch_batches", stats_.touch_batches);
   reg.add(p + "bytes_read", stats_.bytes_read);
   reg.add(p + "bytes_written", stats_.bytes_written);
-  reg.add(p + "io_retries", retry_counters_.retries);
-  reg.add(p + "io_give_ups", retry_counters_.give_ups);
   reg.add(p + "nodes_in_use", alloc_.slots_in_use());
   // codec.* appears only when compression is on, so identity-codec metric
   // snapshots stay byte-identical to the pre-codec ones.

@@ -1,9 +1,10 @@
 // NodeStore: the trees' view of a device — numbered node extents of a
-// fixed size with whole-extent and sub-extent IO, every access charged to
-// an IoContext so the caller's simulated clock reflects real device delays.
+// fixed size with whole-extent IO and sub-extent timing charges, every
+// access charged to an IoContext (and retried there) so the caller's
+// simulated clock reflects real device delays.
 //
 // Whole-node reads/writes model the classic B-tree / Bε-tree IO discipline
-// ("a node is the unit of transfer", §5–6); sub-extent reads model the
+// ("a node is the unit of transfer", §5–6); sub-extent touches model the
 // Theorem-9 optimized Bε-tree, which exploits the affine model by issuing
 // smaller IOs into a known region of a node.
 #pragma once
@@ -15,7 +16,6 @@
 
 #include "blockdev/codec.h"
 #include "blockdev/extent_allocator.h"
-#include "blockdev/retry.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
 
@@ -29,7 +29,6 @@ namespace damkit::blockdev {
 struct NodeStoreStats {
   uint64_t node_reads = 0;        // whole-extent scalar reads
   uint64_t node_writes = 0;       // whole-extent scalar writes
-  uint64_t span_reads = 0;        // sub-extent scalar reads
   uint64_t touch_reads = 0;       // timing-only scalar reads
   uint64_t batched_reads = 0;     // requests through try_read_nodes
   uint64_t batched_writes = 0;    // requests through try_write_nodes
@@ -53,7 +52,7 @@ class NodeStore {
   /// a partial-extent IO, so the device charges transfer time only for
   /// the compressed bytes while the allocator layout and setup cost stay
   /// exactly as before — the affine model's point. Reads issue the stored
-  /// (compressed) length and decode; sub-extent span/touch charges are
+  /// (compressed) length and decode; sub-extent touch charges are
   /// scaled by the node's stored/logical ratio. Callers keep addressing
   /// nodes in logical (uncompressed) units throughout.
   NodeStore(sim::Device& dev, sim::IoContext& io, uint64_t node_bytes,
@@ -81,24 +80,12 @@ class NodeStore {
     if (node_id < stored_len_.size()) stored_len_[node_id] = 0;
   }
 
-  /// Retry policy applied by every IO below: transient faults are
-  /// re-attempted up to the policy's budget with simulated backoff charged
-  /// to the IoContext, then surfaced as a non-OK Status.
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-  const RetryCounters& retry_counters() const { return retry_counters_; }
-
   /// Read the entire node extent (cost: one IO of node_bytes).
   Status try_read_node(uint64_t node_id, std::vector<uint8_t>& out);
 
   /// Write a node image (padded to the full extent; cost: one IO of
   /// node_bytes — classic trees write whole nodes).
   Status try_write_node(uint64_t node_id, std::span<const uint8_t> image);
-
-  /// Read `length` bytes at `offset` within the node (cost: one IO of
-  /// `length` bytes). Used by the optimized Bε-tree's pivot/segment reads.
-  Status try_read_span(uint64_t node_id, uint64_t offset,
-                       std::span<uint8_t> out);
 
   /// Charge a read of `length` bytes at node-relative `offset` without
   /// copying payload (layout experiments where only timing matters).
@@ -126,9 +113,9 @@ class NodeStore {
   /// Vectored reads: all node extents are submitted as ONE device batch,
   /// so the clock advances to the slowest completion instead of the sum.
   /// out is resized to ids.size(), each element to node_bytes. Failed
-  /// requests alone are re-batched under the retry policy; on give-up the
-  /// first failure is returned and the corresponding out slots are
-  /// unspecified.
+  /// requests alone are re-batched under the IoContext's retry policy; on
+  /// give-up the first failure is returned and the corresponding out slots
+  /// are unspecified.
   Status try_read_nodes(std::span<const uint64_t> ids,
                         std::vector<std::vector<uint8_t>>& out);
 
@@ -145,7 +132,8 @@ class NodeStore {
   /// Vectored timing-only sub-extent reads, one device batch.
   Status try_touch_read_batch(std::span<const NodeSpan> spans);
 
-  sim::IoContext& io() { return *io_; }
+  /// The borrowed context every IO goes through (and is retried by).
+  sim::IoContext& io() const { return *io_; }
   sim::Device& device() { return *dev_; }
 
   const NodeStoreStats& stats() const { return stats_; }
@@ -199,13 +187,9 @@ class NodeStore {
   std::vector<uint8_t> scratch_;      // write padding buffer
   std::vector<uint8_t> enc_scratch_;  // codec frame staging
   std::vector<uint8_t> dec_scratch_;  // stored-image staging for decode
-  std::vector<uint8_t> node_scratch_;  // decoded node for span reads
   std::vector<std::vector<uint8_t>> batch_images_;  // batched write staging
   std::vector<sim::IoRequest> reqs_scratch_;
-  BatchRetryScratch retry_scratch_;
   NodeStoreStats stats_;
-  RetryPolicy retry_;
-  RetryCounters retry_counters_;
 };
 
 }  // namespace damkit::blockdev

@@ -90,12 +90,12 @@ class BTree final : public kv::Dictionary {
   /// without the destructor's flush aborting. Terminal — destroy after.
   void abandon() override { cache_.discard_all(); }
 
-  /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
+  /// The policy and counters of the IoContext this tree's IO goes through.
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    cache_.store().set_retry_policy(policy);
+    cache_.store().io().set_retry_policy(policy);
   }
   blockdev::RetryCounters retry_counters() const override {
-    return cache_.store().retry_counters();
+    return cache_.store().io().retry_counters();
   }
 
   uint64_t size() const { return size_; }

@@ -61,13 +61,16 @@ std::string add_to_counter(const std::optional<std::string>& counter,
 /// every stored record: try_put, try_erase and try_upsert return
 /// kInvalidArgument for a longer key, and bulk_load CHECKs it.
 ///
-/// The try_* methods surface a Status once the engine's retry policy is
-/// exhausted and never abort. kInvalidArgument (a key or entry too large)
-/// depends on the arguments and the config alone and changes nothing.
-/// checkpoint() is one fallible write-back attempt whose failure leaves the
-/// remaining dirty state intact for a retry. The infallible forms call
-/// their fallible twin and CHECK-abort with its status (the non-faulting
-/// experiment path); flush() is the infallible checkpoint.
+/// An engine issues all its IO through the sim::IoContext it was built
+/// on, which retries every failed IO under one RetryPolicy and counts the
+/// outcomes in one RetryCounters pair. The try_* methods surface a Status
+/// once that policy is exhausted and never abort. kInvalidArgument (a key
+/// or entry too large) depends on the arguments and the config alone and
+/// changes nothing. checkpoint() is one fallible write-back attempt whose
+/// failure leaves the remaining dirty state intact for a retry. The
+/// infallible forms call their fallible twin and CHECK-abort with its
+/// status (the non-faulting experiment path); flush() is the infallible
+/// checkpoint.
 class Dictionary {
  public:
   virtual ~Dictionary();
@@ -122,6 +125,10 @@ class Dictionary {
   /// Default is a no-op (engines with no deferred write-back state).
   virtual void abandon();
 
+  /// Set the retry policy of the engine's IoContext, and read that
+  /// context's counters. Everything issuing IO through the same context
+  /// shares both (other engines, a WAL, a crashed predecessor), so the
+  /// counters cover all of its IO, not this engine's alone.
   virtual void set_retry_policy(const blockdev::RetryPolicy& policy) = 0;
   virtual blockdev::RetryCounters retry_counters() const = 0;
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "betree_opt/opt_betree.h"
-#include "blockdev/retry.h"
 #include "node/sorted_page.h"
 
 namespace damkit::kv {
@@ -92,9 +91,11 @@ class PdamEngine final : public Dictionary {
   }
 
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    retry_ = policy;
+    io_->set_retry_policy(policy);
   }
-  blockdev::RetryCounters retry_counters() const override { return counters_; }
+  blockdev::RetryCounters retry_counters() const override {
+    return io_->retry_counters();
+  }
 
   size_t height() const override { return descent_levels(); }
   double cache_hit_rate() const override { return 0.0; }
@@ -114,8 +115,6 @@ class PdamEngine final : public Dictionary {
     reg.add(p + "buffer_merges", buffer_merges_);
     reg.add(p + "merge_bytes_written", merge_bytes_written_);
     reg.add(p + "node_reads", node_reads_);
-    reg.add(p + "io_retries", counters_.retries);
-    reg.add(p + "io_give_ups", counters_.give_ups);
     reg.set(p + "height", static_cast<double>(descent_levels()));
     reg.set(p + "base_entries", static_cast<double>(base_.count()));
     reg.set(p + "buffer_entries", static_cast<double>(buffer_.size()));
@@ -176,9 +175,7 @@ class PdamEngine final : public Dictionary {
     for (int l = 0; l < levels; ++l) {
       const uint64_t off = node_offset(l, rank);
       ++node_reads_;
-      DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-          *io_, retry_, &counters_, /*retry_corruption=*/false,
-          [&] { return io_->touch_read_checked(off, node_bytes()); }));
+      DAMKIT_RETURN_IF_ERROR(io_->touch_read_checked(off, node_bytes()));
     }
     return Status();
   }
@@ -230,10 +227,7 @@ class PdamEngine final : public Dictionary {
     const uint64_t rank = base_.lower_bound(lo);
     DAMKIT_RETURN_IF_ERROR(charge_descent(rank));
     const uint64_t off = node_offset(descent_levels() - 1, rank);
-    return blockdev::with_retries(
-        *io_, retry_, &counters_, /*retry_corruption=*/false, [&] {
-          return io_->touch_read_checked(off, scan_run_bytes(base_entries));
-        });
+    return io_->touch_read_checked(off, scan_run_bytes(base_entries));
   }
 
   // A failed base write leaves the buffer and the old base in place.
@@ -258,10 +252,7 @@ class PdamEngine final : public Dictionary {
     for (uint64_t off = 0; off < bytes; off += chunk) {
       const uint64_t at = cfg_.base_offset + off % cfg_.region_bytes;
       const uint64_t len = std::min(chunk, bytes - off);
-      // A torn write is repaired by rewriting the extent in full.
-      DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-          *io_, retry_, &counters_, /*retry_corruption=*/true,
-          [&] { return io_->touch_write_checked(at, len); }));
+      DAMKIT_RETURN_IF_ERROR(io_->touch_write_checked(at, len));
     }
     return Status();
   }
@@ -281,9 +272,6 @@ class PdamEngine final : public Dictionary {
   std::map<std::string, std::optional<std::string>, std::less<>> buffer_;
   uint64_t buffer_bytes_ = 0;
   pdam_tree::PdamGeometry geometry_;  // of the base, while non-empty
-
-  blockdev::RetryPolicy retry_;
-  blockdev::RetryCounters counters_;
 
   uint64_t puts_ = 0, gets_ = 0, erases_ = 0, upserts_ = 0, scans_ = 0;
   uint64_t buffer_merges_ = 0, merge_bytes_written_ = 0, node_reads_ = 0;

@@ -138,17 +138,11 @@ void ShardedEngine::abandon() {
 }
 
 void ShardedEngine::set_retry_policy(const blockdev::RetryPolicy& policy) {
-  for (const auto& shard : inner_) shard->set_retry_policy(policy);
+  inner_.front()->set_retry_policy(policy);
 }
 
 blockdev::RetryCounters ShardedEngine::retry_counters() const {
-  blockdev::RetryCounters total;
-  for (const auto& shard : inner_) {
-    const blockdev::RetryCounters c = shard->retry_counters();
-    total.retries += c.retries;
-    total.give_ups += c.give_ups;
-  }
-  return total;
+  return inner_.front()->retry_counters();
 }
 
 size_t ShardedEngine::height() const {
@@ -177,9 +171,6 @@ void ShardedEngine::export_metrics(stats::MetricsRegistry& reg,
   for (size_t s = 0; s < inner_.size(); ++s) {
     inner_[s]->export_metrics(reg, strfmt("%sshard%zu.", p.c_str(), s));
   }
-  const blockdev::RetryCounters total = retry_counters();
-  reg.add(p + "io_retries", total.retries);
-  reg.add(p + "io_give_ups", total.give_ups);
   reg.set(p + "shards", static_cast<double>(inner_.size()));
 }
 

@@ -55,14 +55,14 @@ class ShardedEngine final : public Dictionary {
   /// Attempts every shard; returns the first failure.
   Status checkpoint() override;
   void abandon() override;
+  /// Forwarded to shard 0: every shard shares the one IoContext.
   void set_retry_policy(const blockdev::RetryPolicy& policy) override;
   blockdev::RetryCounters retry_counters() const override;
   size_t height() const override;
   double cache_hit_rate() const override;
   void check_invariants() override;
   void set_event_trace(stats::TraceBuffer* events) override;
-  /// Exports each shard under `<prefix>shard<i>.` plus aggregate
-  /// `<prefix>io_retries` / `io_give_ups` counters and a `shards` gauge.
+  /// Exports each shard under `<prefix>shard<i>.` plus a `shards` gauge.
   void export_metrics(stats::MetricsRegistry& reg,
                       std::string_view prefix) const override;
 

@@ -85,7 +85,7 @@ Status LsmTree::flush_memtable() {
   }
   // On give-up nothing was installed (the builder freed its extent) and
   // the memtable stays authoritative; the next threshold crossing retries.
-  StatusOr<SSTableRef> table_or = builder.try_finish(retry_, &retry_counters_);
+  StatusOr<SSTableRef> table_or = builder.try_finish();
   DAMKIT_RETURN_IF_ERROR(table_or.status());
   SSTableRef table = *std::move(table_or);
   uint64_t table_bytes = 0;
@@ -230,8 +230,7 @@ class LsmTree::MergeCursor {
   };
 
   SSTable::Iterator open(const SSTable& table) const {
-    return table.seek(lo_, *tree_->io_, tree_->retry_, &tree_->retry_counters_,
-                      kScanReadaheadBlocks, charge_io_);
+    return table.seek(lo_, *tree_->io_, kScanReadaheadBlocks, charge_io_);
   }
 
   // Step `s` past its entry, into its run's next table when the open one
@@ -334,16 +333,14 @@ Status LsmTree::compact_tier(size_t level) {
 
 Status LsmTree::charge_compaction_batches(
     std::span<const sim::IoRequest> reqs) {
-  blockdev::BatchRetryScratch scratch;
   for (size_t i = 0; i < reqs.size(); i += kCompactionBatchIos) {
     const auto batch =
         reqs.subspan(i, std::min(kCompactionBatchIos, reqs.size() - i));
     ++stats_.compaction_batches;
     stats_.compaction_batched_ios += batch.size();
     // A request that exhausts its attempts abandons the compaction.
-    DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
-        *io_, retry_, &retry_counters_, /*retry_corruption=*/false, batch,
-        scratch, [](size_t, const Status&) { return Status(); }));
+    DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
+        batch, [](size_t, const Status&) { return Status(); }));
   }
   return Status();
 }
@@ -395,7 +392,7 @@ Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
   std::vector<SSTableRef> outputs;
   std::optional<SSTableBuilder> builder;
   const auto finish = [&]() -> Status {
-    StatusOr<SSTableRef> table = builder->try_finish(retry_, &retry_counters_);
+    StatusOr<SSTableRef> table = builder->try_finish();
     builder.reset();
     DAMKIT_RETURN_IF_ERROR(table.status());
     if (*table != nullptr) outputs.push_back(*std::move(table));
@@ -471,8 +468,7 @@ StatusOr<std::optional<std::string>> LsmTree::try_get(std::string_view key) {
       ++stats_.bloom_negative;
       continue;
     }
-    StatusOr<std::optional<Entry>> hit =
-        table.try_get(key, *io_, retry_, &retry_counters_);
+    StatusOr<std::optional<Entry>> hit = table.try_get(key, *io_);
     DAMKIT_RETURN_IF_ERROR(hit.status());
     if (!hit->has_value()) continue;
     if ((*hit)->tombstone) return std::optional<std::string>();
@@ -514,8 +510,6 @@ void LsmTree::export_metrics(stats::MetricsRegistry& reg,
   reg.add(p + "logical_bytes_written", stats_.logical_bytes_written);
   reg.add(p + "bloom_negative", stats_.bloom_negative);
   reg.add(p + "table_probes", stats_.table_probes);
-  reg.add(p + "io_retries", retry_counters_.retries);
-  reg.add(p + "io_give_ups", retry_counters_.give_ups);
   for (size_t i = 0; i < compactions_by_level_.size(); ++i) {
     reg.add(p + "compactions.level" + std::to_string(i),
             compactions_by_level_[i]);

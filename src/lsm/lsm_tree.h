@@ -119,13 +119,12 @@ class LsmTree final : public kv::Dictionary {
   /// Force the memtable to disk (and any due compactions).
   Status checkpoint() override;
 
-  /// Retry policy for this tree's device IO (see blockdev::RetryPolicy).
+  /// The policy and counters of the IoContext this tree's IO goes through.
   void set_retry_policy(const blockdev::RetryPolicy& policy) override {
-    retry_ = policy;
+    io_->set_retry_policy(policy);
   }
-  const blockdev::RetryPolicy& retry_policy() const { return retry_; }
   blockdev::RetryCounters retry_counters() const override {
-    return retry_counters_;
+    return io_->retry_counters();
   }
 
   /// The level count; no node cache, so the hit rate is 0.
@@ -183,7 +182,7 @@ class LsmTree final : public kv::Dictionary {
   /// are untouched.
   Status merge_into(size_t level, const std::vector<Run>& inputs, bool bottom);
   /// Charge `reqs` as device batches of kCompactionBatchIos, retrying
-  /// failed requests under the retry policy.
+  /// failed requests under the IoContext's retry policy.
   Status charge_compaction_batches(std::span<const sim::IoRequest> reqs);
   /// Append `level`'s runs, newest first: a leveled L1+ level is one run;
   /// an L0 or tier table is a run alone.
@@ -203,8 +202,6 @@ class LsmTree final : public kv::Dictionary {
   std::vector<Level> levels_;
   uint64_t next_sequence_ = 1;
   size_t compact_cursor_ = 0;  // round-robin pick within a level
-  blockdev::RetryPolicy retry_;
-  blockdev::RetryCounters retry_counters_;
   LsmStats stats_;
   std::vector<uint64_t> compactions_by_level_;  // index = source level
   stats::TraceBuffer* events_ = nullptr;

@@ -61,8 +61,7 @@ void SSTableBuilder::flush_block() {
   block_.clear();
 }
 
-StatusOr<SSTableRef> SSTableBuilder::try_finish(
-    const blockdev::RetryPolicy& policy, blockdev::RetryCounters* counters) {
+StatusOr<SSTableRef> SSTableBuilder::try_finish() {
   DAMKIT_CHECK(!finished_);
   finished_ = true;
   if (count_ == 0) return SSTableRef(nullptr);
@@ -96,12 +95,8 @@ StatusOr<SSTableRef> SSTableBuilder::try_finish(
   DAMKIT_RETURN_IF_ERROR(offset.status());
   table->device_offset_ = *offset;
   // One streaming write: data payload followed by (opaque) metadata pad.
-  // A torn write is repaired by rewriting the extent in full, so
-  // kCorruption is retryable here.
   data_.resize(table->total_bytes_);
-  const Status written = blockdev::with_retries(
-      *io_, policy, counters, /*retry_corruption=*/true,
-      [&] { return io_->write_checked(table->device_offset_, data_); });
+  const Status written = io_->write_checked(table->device_offset_, data_);
   if (!written.ok()) {
     // No table came into existence: hand the extent back. The caller must
     // keep the source data (e.g. the memtable) authoritative.
@@ -125,8 +120,6 @@ bool SSTable::overlaps(std::string_view lo, std::string_view hi) const {
 }
 
 Status SSTable::try_read_blocks(size_t first, size_t end, sim::IoContext& io,
-                                const blockdev::RetryPolicy& policy,
-                                blockdev::RetryCounters* counters,
                                 bool charge_io,
                                 std::vector<uint8_t>* run) const {
   DAMKIT_CHECK(first < end && end <= index_.size());
@@ -140,9 +133,7 @@ Status SSTable::try_read_blocks(size_t first, size_t end, sim::IoContext& io,
   std::vector<uint8_t>& buf = codec_ == nullptr ? *run : stored;
   buf.resize(tail.offset + tail.length - head.offset);
   if (charge_io) {
-    DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-        io, policy, counters, /*retry_corruption=*/false,
-        [&] { return io.read_checked(offset, buf); }));
+    DAMKIT_RETURN_IF_ERROR(io.read_checked(offset, buf));
   } else {
     dev_->read_bytes(offset, buf);
   }
@@ -173,10 +164,8 @@ size_t SSTable::blocks_through(std::string_view key) const {
   return static_cast<size_t>(after - index_.begin());
 }
 
-StatusOr<std::optional<Entry>> SSTable::try_get(
-    std::string_view key, sim::IoContext& io,
-    const blockdev::RetryPolicy& policy,
-    blockdev::RetryCounters* counters) const {
+StatusOr<std::optional<Entry>> SSTable::try_get(std::string_view key,
+                                                sim::IoContext& io) const {
   if (kv::compare(key, min_key_) < 0 || kv::compare(key, max_key_) > 0) {
     return std::optional<Entry>();
   }
@@ -186,8 +175,8 @@ StatusOr<std::optional<Entry>> SSTable::try_get(
   if (through == 0) return std::optional<Entry>();
   const size_t block_idx = through - 1;
   std::vector<uint8_t> raw;
-  DAMKIT_RETURN_IF_ERROR(try_read_blocks(block_idx, through, io, policy,
-                                         counters, /*charge_io=*/true, &raw));
+  DAMKIT_RETURN_IF_ERROR(
+      try_read_blocks(block_idx, through, io, /*charge_io=*/true, &raw));
   // Index the block in place and binary-search it without materializing
   // entries; only a hit is copied out.
   node::TaggedPage page;
@@ -200,16 +189,12 @@ StatusOr<std::optional<Entry>> SSTable::try_get(
 }
 
 SSTable::Iterator::Iterator(const SSTable* table, sim::IoContext* io,
-                            std::string_view lo,
-                            const blockdev::RetryPolicy& policy,
-                            blockdev::RetryCounters* counters,
-                            size_t readahead_blocks, bool charge_io)
+                            std::string_view lo, size_t readahead_blocks,
+                            bool charge_io)
     : table_(table),
       io_(io),
       readahead_(std::max<size_t>(readahead_blocks, 1)),
-      charge_io_(charge_io),
-      policy_(&policy),
-      counters_(counters) {
+      charge_io_(charge_io) {
   // First block that could contain keys >= lo.
   load_blocks(std::max<size_t>(table_->blocks_through(lo), 1) - 1);
   // Skip entries below lo.
@@ -223,8 +208,7 @@ void SSTable::Iterator::load_blocks(size_t first_block) {
   }
   const size_t end = std::min(first_block + readahead_, table_->index_.size());
   // Blocks are contiguous in the image: one IO covers the whole run.
-  status_ = table_->try_read_blocks(first_block, end, *io_, *policy_,
-                                    counters_, charge_io_, &run_);
+  status_ = table_->try_read_blocks(first_block, end, *io_, charge_io_, &run_);
   if (!status_.ok()) {
     // The cursor stops here; the failure is reported via status() and
     // valid() goes false so merge loops terminate cleanly.
@@ -270,10 +254,8 @@ void SSTable::Iterator::next() {
 }
 
 SSTable::Iterator SSTable::seek(std::string_view lo, sim::IoContext& io,
-                                const blockdev::RetryPolicy& policy,
-                                blockdev::RetryCounters* counters,
                                 size_t readahead_blocks, bool charge_io) const {
-  return Iterator(this, &io, lo, policy, counters, readahead_blocks, charge_io);
+  return Iterator(this, &io, lo, readahead_blocks, charge_io);
 }
 
 std::vector<sim::IoRequest> SSTable::run_requests(

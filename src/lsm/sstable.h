@@ -23,7 +23,6 @@
 
 #include "blockdev/byte_arena.h"
 #include "blockdev/codec.h"
-#include "blockdev/retry.h"
 #include "node/record.h"
 #include "sim/device.h"
 #include "util/bloom.h"
@@ -84,13 +83,12 @@ class SSTableBuilder {
   uint64_t entry_count() const { return count_; }
   uint64_t data_bytes() const { return data_.size() + block_.size(); }
 
-  /// Write the table (one sequential device IO, retried under `policy`)
+  /// Write the table (one sequential device IO, retried by the IoContext)
   /// and return its handle; nullptr if no entries. The builder must not be
   /// reused. On give-up the reserved extent is freed and no table exists —
   /// the builder's source data (e.g. the memtable) must be kept by the
   /// caller.
-  StatusOr<SSTableRef> try_finish(const blockdev::RetryPolicy& policy,
-                                  blockdev::RetryCounters* counters);
+  StatusOr<SSTableRef> try_finish();
 
  private:
   void flush_block();
@@ -135,22 +133,18 @@ class SSTable {
   }
 
   /// Point lookup. Consults the bloom filter first (no IO); on a maybe,
-  /// reads exactly one data block (charged to `io`, retried under
-  /// `policy` — transient faults only, a corrupt read has nothing to retry
-  /// into — then the failure is surfaced). Returns nullopt if the key is
-  /// not in this table; a tombstone returns an Entry with tombstone=true.
+  /// reads exactly one data block (charged to and retried by `io`, then
+  /// the failure is surfaced). Returns nullopt if the key is not in this
+  /// table; a tombstone returns an Entry with tombstone=true.
   StatusOr<std::optional<Entry>> try_get(std::string_view key,
-                                         sim::IoContext& io,
-                                         const blockdev::RetryPolicy& policy,
-                                         blockdev::RetryCounters* counters)
-      const;
+                                         sim::IoContext& io) const;
 
   /// Sequential cursor over entries with key >= lo. `readahead_blocks`
   /// blocks are fetched per IO (1 = strict point granularity; scans and
   /// compactions use larger runs — the affine model rewards exactly this),
-  /// each retried under `policy`, which must outlive the cursor. With
-  /// charge_io = false the cursor reads payload only: the caller has
-  /// already charged the run IOs (e.g. as one compaction-wide batch).
+  /// each retried by `io`. With charge_io = false the cursor reads payload
+  /// only: the caller has already charged the run IOs (e.g. as one
+  /// compaction-wide batch).
   class Iterator {
    public:
     bool valid() const { return valid_; }
@@ -166,9 +160,7 @@ class SSTable {
    private:
     friend class SSTable;
     Iterator(const SSTable* table, sim::IoContext* io, std::string_view lo,
-             const blockdev::RetryPolicy& policy,
-             blockdev::RetryCounters* counters, size_t readahead_blocks,
-             bool charge_io);
+             size_t readahead_blocks, bool charge_io);
     void load_blocks(size_t first_block);
     /// View the record at run_pos_, or stop with kCorruption if it does
     /// not fit in what remains of the run.
@@ -178,8 +170,6 @@ class SSTable {
     sim::IoContext* io_ = nullptr;
     size_t readahead_ = 1;
     bool charge_io_ = true;
-    const blockdev::RetryPolicy* policy_;  // never null
-    blockdev::RetryCounters* counters_ = nullptr;
     Status status_;
     size_t next_block_ = 0;     // first block not yet fetched
     std::vector<uint8_t> run_;  // decoded current run, wire format
@@ -189,9 +179,7 @@ class SSTable {
     bool valid_ = false;
   };
   Iterator seek(std::string_view lo, sim::IoContext& io,
-                const blockdev::RetryPolicy& policy,
-                blockdev::RetryCounters* counters, size_t readahead_blocks = 1,
-                bool charge_io = true) const;
+                size_t readahead_blocks = 1, bool charge_io = true) const;
 
   /// The device reads a full sequential pass at `readahead_blocks` issues:
   /// one request per run of contiguous blocks. Used to precharge a
@@ -212,13 +200,11 @@ class SSTable {
   size_t blocks_through(std::string_view key) const;
 
   /// Read blocks [first, end), contiguous in the image, as one IO of
-  /// their stored bytes (retried under `policy`; payload only when
-  /// `!charge_io`, its timing precharged by the caller) and leave their
-  /// decoded wire-format records back to back in `*run`.
+  /// their stored bytes (retried by `io`; payload only when `!charge_io`,
+  /// its timing precharged by the caller) and leave their decoded
+  /// wire-format records back to back in `*run`.
   Status try_read_blocks(size_t first, size_t end, sim::IoContext& io,
-                         const blockdev::RetryPolicy& policy,
-                         blockdev::RetryCounters* counters, bool charge_io,
-                         std::vector<uint8_t>* run) const;
+                         bool charge_io, std::vector<uint8_t>* run) const;
 
   sim::Device* dev_ = nullptr;
   blockdev::ByteArena* arena_ = nullptr;

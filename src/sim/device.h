@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "blockdev/retry.h"
 #include "sim/memstore.h"
 #include "stats/metrics.h"
 #include "stats/trace_buffer.h"
@@ -154,7 +155,8 @@ class Device {
   /// still occupies the device — timing is computed, charged, and written
   /// to `*out` — but its payload must not be transferred (use
   /// read_checked/write_checked, which honor this). `*out` is untouched
-  /// when the request itself was invalid.
+  /// when the request itself was invalid. The checked primitives here
+  /// make one attempt; IoContext's checked calls retry.
   Status submit_checked(const IoRequest& req, SimTime now, IoCompletion* out) {
     DAMKIT_RETURN_IF_ERROR(bounds_status(req));
     enforce_clock(now);
@@ -238,7 +240,8 @@ class Device {
   /// silently transfers data.
   Status read_checked(uint64_t offset, std::span<uint8_t> out, SimTime now,
                       IoCompletion* c) {
-    const Status s = submit_checked({IoKind::kRead, offset, out.size()}, now, c);
+    const Status s =
+        submit_checked({IoKind::kRead, offset, out.size()}, now, c);
     if (s.ok()) store_.read(offset, out);
     return s;
   }
@@ -383,6 +386,11 @@ class Device {
 /// Tracks one logical client's simulated clock against a device. All
 /// single-threaded data structures perform IO through an IoContext so the
 /// "wall-clock" they experience includes every device delay.
+///
+/// The context is also the one place IO is retried: its checked calls
+/// re-attempt a failed request under its RetryPolicy and count every
+/// re-attempt and every give-up in its RetryCounters, which everything
+/// issuing IO through it shares.
 class IoContext {
  public:
   explicit IoContext(Device& dev) : dev_(&dev) {}
@@ -396,56 +404,144 @@ class IoContext {
 
   Device& device() { return *dev_; }
 
+  /// The policy every checked call below retries under.
+  void set_retry_policy(const blockdev::RetryPolicy& policy) {
+    policy_ = policy;
+  }
+  const blockdev::RetryCounters& retry_counters() const { return counters_; }
+
   /// Every IO below advances this context's clock to its completion, even
   /// a faulted one — a failed request occupies the device like any other —
-  /// so retry loops charge realistic time for every attempt. Each can fail
-  /// with a Status: invalid requests, and whatever the device's fault hook
-  /// injects.
+  /// so retries charge realistic time for every attempt, plus each
+  /// backoff. A failed attempt is re-attempted until the policy is
+  /// exhausted: kUnavailable always, kCorruption for writes only (a torn
+  /// write is repaired by rewriting the extent in full; a corrupt read has
+  /// nothing to retry into). Any other code, such as an invalid request,
+  /// surfaces at once. Each re-attempt counts one retry and an abandoned
+  /// request one give-up.
   Status read_checked(uint64_t offset, std::span<uint8_t> out) {
-    IoCompletion c;
-    const Status s = dev_->read_checked(offset, out, now_, &c);
-    advance_to(c.finish);
-    return s;
+    return retried(IoKind::kRead, [&](IoCompletion* c) {
+      return dev_->read_checked(offset, out, now_, c);
+    });
   }
   Status write_checked(uint64_t offset, std::span<const uint8_t> data) {
-    IoCompletion c;
-    const Status s = dev_->write_checked(offset, data, now_, &c);
-    advance_to(c.finish);
-    return s;
+    return retried(IoKind::kWrite, [&](IoCompletion* c) {
+      return dev_->write_checked(offset, data, now_, c);
+    });
   }
   Status touch_read_checked(uint64_t offset, uint64_t length) {
-    IoCompletion c;
-    const Status s =
-        dev_->submit_checked({IoKind::kRead, offset, length}, now_, &c);
-    advance_to(c.finish);
-    return s;
+    return retried(IoKind::kRead, [&](IoCompletion* c) {
+      return dev_->submit_checked({IoKind::kRead, offset, length}, now_, c);
+    });
   }
   Status touch_write_checked(uint64_t offset, uint64_t length) {
-    IoCompletion c;
-    const Status s =
-        dev_->submit_checked({IoKind::kWrite, offset, length}, now_, &c);
-    advance_to(c.finish);
-    return s;
+    return retried(IoKind::kWrite, [&](IoCompletion* c) {
+      return dev_->submit_checked({IoKind::kWrite, offset, length}, now_, c);
+    });
   }
+
   /// A batch of IOs, all outstanding at now(): the clock advances to the
   /// *max* completion. This is where batching pays: a serial loop advances
   /// by the sum of latencies, a batch only by the slowest request (the
-  /// device overlaps the rest). Per-request fault verdicts land in
-  /// `*per_io`; a non-OK return (invalid request) charges no time.
+  /// device overlaps the rest). Each attempt submits the pending requests
+  /// as one device batch, then calls `on_verdict(i, verdict)` for each of
+  /// them in batch order (i indexes `reqs`). The hook moves request i's
+  /// payload when `verdict` is OK and routes a failed write's payload to
+  /// Device::note_failed_write otherwise (Device::settle_write does both
+  /// for a write); it must not issue IO through this context. Its return
+  /// matters only for an OK verdict: a non-OK return there (e.g. a decode
+  /// failure) is reported but neither retried nor counted. Only the
+  /// retryable failures are re-submitted, after one backoff per attempt,
+  /// counting one retry per re-submitted request and one give-up per
+  /// abandoned request. Once nothing is left to retry, returns the first
+  /// give-up (or hook failure). A non-OK batch submission (an invalid
+  /// request) returns at once with no time charged.
+  template <typename OnVerdict>
   Status submit_batch_checked(std::span<const IoRequest> reqs,
-                              std::vector<IoCompletion>* completions,
-                              std::vector<Status>* per_io) {
-    DAMKIT_RETURN_IF_ERROR(
-        dev_->submit_batch_checked(reqs, now_, completions, per_io));
-    SimTime done = now_;
-    for (const IoCompletion& c : *completions) done = std::max(done, c.finish);
-    now_ = done;
-    return Status();
-  }
+                              OnVerdict&& on_verdict);
 
  private:
+  static bool retryable(IoKind kind, const Status& s) {
+    return s.code() == StatusCode::kUnavailable ||
+           (kind == IoKind::kWrite && s.code() == StatusCode::kCorruption);
+  }
+
+  /// Run `attempt` (one device submission at now(), its completion written
+  /// to the argument) until it returns OK or the policy is exhausted.
+  template <typename Attempt>
+  Status retried(IoKind kind, Attempt&& attempt) {
+    DAMKIT_CHECK_MSG(!in_hook_, "a batch hook issued IO through its context");
+    const uint32_t max_attempts = std::max<uint32_t>(policy_.max_attempts, 1);
+    double backoff = static_cast<double>(blockdev::kBackoffNs);
+    for (uint32_t tries = 1;; ++tries) {
+      IoCompletion c;
+      const Status s = attempt(&c);
+      advance_to(c.finish);
+      if (s.ok()) return s;
+      if (!retryable(kind, s) || tries >= max_attempts) {
+        ++counters_.give_ups;
+        return s;
+      }
+      spend(static_cast<SimTime>(backoff));
+      backoff *= blockdev::kBackoffMultiplier;
+      ++counters_.retries;
+    }
+  }
+
   Device* dev_;
   SimTime now_ = 0;
+  blockdev::RetryPolicy policy_;
+  blockdev::RetryCounters counters_;
+  // submit_batch_checked's working storage, reused across calls so hot
+  // paths allocate nothing per batch.
+  std::vector<size_t> pending_;  // request indices submitted this attempt
+  std::vector<size_t> failed_;   // ... and those to re-submit next attempt
+  std::vector<IoRequest> batch_;
+  std::vector<IoCompletion> completions_;
+  std::vector<Status> per_io_;
+  bool in_hook_ = false;  // an on_verdict hook is running
 };
+
+template <typename OnVerdict>
+Status IoContext::submit_batch_checked(std::span<const IoRequest> reqs,
+                                       OnVerdict&& on_verdict) {
+  DAMKIT_CHECK_MSG(!in_hook_, "a batch hook issued IO through its context");
+  const uint32_t max_attempts = std::max<uint32_t>(policy_.max_attempts, 1);
+  double backoff = static_cast<double>(blockdev::kBackoffNs);
+  pending_.resize(reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) pending_[i] = i;
+  std::span<const IoRequest> batch = reqs;
+  Status first;
+  for (uint32_t attempt = 1; !pending_.empty(); ++attempt) {
+    DAMKIT_RETURN_IF_ERROR(
+        dev_->submit_batch_checked(batch, now_, &completions_, &per_io_));
+    for (const IoCompletion& c : completions_) advance_to(c.finish);
+    failed_.clear();
+    in_hook_ = true;
+    for (size_t j = 0; j < pending_.size(); ++j) {
+      const size_t i = pending_[j];
+      const Status& verdict = per_io_[j];
+      Status done = on_verdict(i, verdict);
+      if (verdict.ok()) {
+        if (!done.ok() && first.ok()) first = std::move(done);
+      } else if (retryable(reqs[i].kind, verdict) && attempt < max_attempts) {
+        failed_.push_back(i);
+      } else {
+        ++counters_.give_ups;
+        if (first.ok()) first = verdict;
+      }
+    }
+    in_hook_ = false;
+    if (failed_.empty()) break;
+    spend(static_cast<SimTime>(backoff));
+    backoff *= blockdev::kBackoffMultiplier;
+    counters_.retries += failed_.size();
+    std::swap(pending_, failed_);
+    batch_.clear();
+    for (const size_t i : pending_) batch_.push_back(reqs[i]);
+    batch = batch_;
+  }
+  return first;
+}
 
 }  // namespace damkit::sim

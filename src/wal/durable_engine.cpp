@@ -182,21 +182,6 @@ void DurableEngine::abandon() {
   inner_->abandon();
 }
 
-void DurableEngine::set_retry_policy(const blockdev::RetryPolicy& policy) {
-  inner_->set_retry_policy(policy);
-  log_.set_retry_policy(policy);
-  snapshot_.set_retry_policy(policy);
-}
-
-blockdev::RetryCounters DurableEngine::retry_counters() const {
-  blockdev::RetryCounters total = inner_->retry_counters();
-  total.retries +=
-      log_.retry_counters().retries + snapshot_.retry_counters().retries;
-  total.give_ups +=
-      log_.retry_counters().give_ups + snapshot_.retry_counters().give_ups;
-  return total;
-}
-
 void DurableEngine::export_metrics(stats::MetricsRegistry& reg,
                                    std::string_view prefix) const {
   inner_->export_metrics(reg, prefix);

@@ -55,7 +55,7 @@ struct RecoveryReport {
 class DurableEngine final : public kv::Dictionary {
  public:
   /// Fresh engine over an empty region: resets the WAL (fence at base).
-  /// `inner` must be empty.
+  /// `inner` must be empty and issue its IO through `io`.
   DurableEngine(std::unique_ptr<kv::Dictionary> inner, sim::Device& dev,
                 sim::IoContext& io, const DurabilityConfig& cfg);
   ~DurableEngine() override;
@@ -102,8 +102,14 @@ class DurableEngine final : public kv::Dictionary {
   Status checkpoint() override;
   void abandon() override;
 
-  void set_retry_policy(const blockdev::RetryPolicy& policy) override;
-  blockdev::RetryCounters retry_counters() const override;
+  /// Forwarded to the inner engine: the log and the snapshot store issue
+  /// IO through the same IoContext.
+  void set_retry_policy(const blockdev::RetryPolicy& policy) override {
+    inner_->set_retry_policy(policy);
+  }
+  blockdev::RetryCounters retry_counters() const override {
+    return inner_->retry_counters();
+  }
   size_t height() const override { return inner_->height(); }
   double cache_hit_rate() const override { return inner_->cache_hit_rate(); }
   void check_invariants() override { inner_->check_invariants(); }

@@ -55,9 +55,8 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
     reqs.push_back({sim::IoKind::kWrite, slot + bb + off,
                     std::min(kIoChunk, padded - off)});
   }
-  DAMKIT_RETURN_IF_ERROR(blockdev::with_batch_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch_,
-      [&](size_t i, const Status& verdict) {
+  DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
+      reqs, [&](size_t i, const Status& verdict) {
         const auto chunk = std::span<const uint8_t>(image).subspan(
             reqs[i].offset - (slot + bb), reqs[i].length);
         dev_->settle_write(reqs[i].offset, chunk, verdict);
@@ -67,6 +66,7 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
   // Phase 2: the header block, strictly after the payload is durable —
   // this single block write is the snapshot's commit point.
   std::vector<uint8_t> header(bb, 0);
+  DAMKIT_CHECK(header.size() >= kHeaderBytes);
   store_u32(header.data(), kHeaderMagic);
   store_u64(header.data() + 4, meta.seq);
   store_u64(header.data() + 12, meta.last_lsn);
@@ -75,9 +75,7 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
   store_u64(header.data() + 36, hash_bytes(payload));
   store_u64(header.data() + kHeaderPayload,
             hash_bytes({header.data(), kHeaderPayload}));
-  DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true,
-      [&] { return io_->write_checked(slot, header); }));
+  DAMKIT_RETURN_IF_ERROR(io_->write_checked(slot, header));
 
   ++writes_;
   written_bytes_ += payload.size();
@@ -90,9 +88,7 @@ StatusOr<bool> SnapshotStore::load_slot(int slot, SnapshotMeta* meta,
   const uint64_t at =
       cfg_.base_offset + static_cast<uint64_t>(slot) * cfg_.slot_bytes;
   std::vector<uint8_t> header(bb);
-  DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/false,
-      [&] { return io_->read_checked(at, header); }));
+  DAMKIT_RETURN_IF_ERROR(io_->read_checked(at, header));
   const uint32_t magic = load_u32(header.data());
   if (magic != kHeaderMagic) {
     if (magic != 0) ++invalid_slots_;
@@ -117,11 +113,8 @@ StatusOr<bool> SnapshotStore::load_slot(int slot, SnapshotMeta* meta,
   std::vector<uint8_t> body(m.payload_bytes);
   for (uint64_t off = 0; off < m.payload_bytes; off += kIoChunk) {
     const uint64_t len = std::min(kIoChunk, m.payload_bytes - off);
-    DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-        *io_, retry_, &counters_, /*retry_corruption=*/false, [&] {
-          return io_->read_checked(at + bb + off,
-                                   std::span<uint8_t>(body.data() + off, len));
-        }));
+    DAMKIT_RETURN_IF_ERROR(io_->read_checked(
+        at + bb + off, std::span<uint8_t>(body.data() + off, len)));
   }
   if (hash_bytes(body) != payload_check) {
     // The interrupted-checkpoint signature: a stale header over a payload
@@ -168,8 +161,6 @@ void SnapshotStore::export_metrics(stats::MetricsRegistry& reg,
   reg.add(p + "snapshot.written_bytes", written_bytes_);
   reg.add(p + "snapshot.loads", loads_);
   reg.add(p + "snapshot.invalid_slots", invalid_slots_);
-  reg.add(p + "snapshot.io_retries", counters_.retries);
-  reg.add(p + "snapshot.io_give_ups", counters_.give_ups);
 }
 
 }  // namespace damkit::wal

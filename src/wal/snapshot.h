@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "blockdev/retry.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
 #include "util/status.h"
@@ -50,11 +49,6 @@ class SnapshotStore {
   /// checksum failures demote a slot, they do not error.
   StatusOr<bool> load(SnapshotMeta* meta, std::vector<uint8_t>* payload);
 
-  void set_retry_policy(const blockdev::RetryPolicy& policy) {
-    retry_ = policy;
-  }
-  const blockdev::RetryCounters& retry_counters() const { return counters_; }
-
   /// "snapshot.*" counters under `prefix`.
   void export_metrics(stats::MetricsRegistry& reg,
                       std::string_view prefix) const;
@@ -71,9 +65,6 @@ class SnapshotStore {
   sim::Device* dev_;
   sim::IoContext* io_;
   SnapshotConfig cfg_;
-  blockdev::RetryPolicy retry_;
-  blockdev::RetryCounters counters_;
-  blockdev::BatchRetryScratch scratch_;  // reused by every write
 
   uint64_t writes_ = 0;
   uint64_t written_bytes_ = 0;

@@ -143,10 +143,9 @@ Status WriteAheadLog::write_blocks(uint64_t first_block,
   }
   const std::span<const uint8_t> all(content);
   // One SQ/CQ batch per attempt; a retry rewrites each failed block in
-  // full, which is also the torn-write repair (hence retry_corruption).
-  const Status s = blockdev::with_batch_retries(
-      *io_, retry_, &counters_, /*retry_corruption=*/true, reqs, scratch_,
-      [&](size_t b, const Status& verdict) {
+  // full, which is also the torn-write repair.
+  const Status s = io_->submit_batch_checked(
+      reqs, [&](size_t b, const Status& verdict) {
         dev_->settle_write(reqs[b].offset, all.subspan(b * bb, bb), verdict);
         return Status();
       });
@@ -175,12 +174,9 @@ StatusOr<WriteAheadLog::ReplayResult> WriteAheadLog::recover_scan(
     while (fetched < upto) {
       const uint64_t len = std::min(kReplayChunk, cfg_.region_bytes - fetched);
       data.resize(fetched + len);
-      DAMKIT_RETURN_IF_ERROR(blockdev::with_retries(
-          *io_, retry_, &counters_, /*retry_corruption=*/false, [&] {
-            return io_->read_checked(
-                cfg_.base_offset + fetched,
-                std::span<uint8_t>(data.data() + fetched, len));
-          }));
+      DAMKIT_RETURN_IF_ERROR(io_->read_checked(
+          cfg_.base_offset + fetched,
+          std::span<uint8_t>(data.data() + fetched, len)));
       fetched += len;
     }
     return Status();
@@ -263,8 +259,6 @@ void WriteAheadLog::export_metrics(stats::MetricsRegistry& reg,
   reg.add(p + "wal.truncations", truncations_);
   reg.add(p + "wal.torn_tail", replay_torn_tails_);
   reg.add(p + "wal.stale_records", replay_stale_records_);
-  reg.add(p + "wal.io_retries", counters_.retries);
-  reg.add(p + "wal.io_give_ups", counters_.give_ups);
   reg.set(p + "wal.durable_bytes", static_cast<double>(tail_));
   reg.set(p + "wal.buffered_bytes", static_cast<double>(buffer_.size()));
 }

@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "blockdev/retry.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
 #include "util/status.h"
@@ -102,11 +101,6 @@ class WriteAheadLog {
   uint64_t buffered_bytes() const { return buffer_.size(); }
   uint64_t buffered_records() const { return buffer_records_; }
 
-  void set_retry_policy(const blockdev::RetryPolicy& policy) {
-    retry_ = policy;
-  }
-  const blockdev::RetryCounters& retry_counters() const { return counters_; }
-
   /// "wal.*" counters/gauges under `prefix`.
   void export_metrics(stats::MetricsRegistry& reg,
                       std::string_view prefix) const;
@@ -115,8 +109,8 @@ class WriteAheadLog {
   /// Serialized record size for a key/value pair.
   static uint64_t record_bytes(std::string_view key, std::string_view value);
   /// Write `content` as whole-block images starting at block index
-  /// `first_block` in one checked batch (with retries); `content` must be
-  /// block-aligned in length.
+  /// `first_block` in one checked batch (retried by the IoContext);
+  /// `content` must be block-aligned in length.
   Status write_blocks(uint64_t first_block,
                       std::vector<uint8_t>&& content);
   /// Rewrite the current tail block (partial content zero-padded) plus a
@@ -132,10 +126,6 @@ class WriteAheadLog {
   std::vector<uint8_t> tail_partial_;  // committed bytes of the tail block
   std::vector<uint8_t> buffer_;        // appended, not yet committed
   uint64_t buffer_records_ = 0;
-
-  blockdev::RetryPolicy retry_;
-  blockdev::RetryCounters counters_;
-  blockdev::BatchRetryScratch scratch_;  // reused by every commit
 
   // Lifetime counters (survive truncation).
   uint64_t records_appended_ = 0;

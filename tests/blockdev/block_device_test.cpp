@@ -47,18 +47,6 @@ TEST_F(NodeStoreTest, WholeNodeIoCharged) {
   EXPECT_EQ(dev_.stats().bytes_read, 64u * kKiB);
 }
 
-TEST_F(NodeStoreTest, SpanReadChargesOnlySpan) {
-  NodeStore store(dev_, io_, 64 * kKiB);
-  const uint64_t id = store.allocate();
-  std::vector<uint8_t> image(64 * kKiB, 7);
-  ASSERT_TRUE(store.try_write_node(id, image).ok());
-  dev_.clear_stats();
-  std::vector<uint8_t> part(4096);
-  ASSERT_TRUE(store.try_read_span(id, 8192, part).ok());
-  EXPECT_EQ(dev_.stats().bytes_read, 4096u);
-  for (uint8_t b : part) EXPECT_EQ(b, 7);
-}
-
 TEST_F(NodeStoreTest, TouchReadAdvancesClockWithoutPayload) {
   NodeStore store(dev_, io_, 64 * kKiB);
   const uint64_t id = store.allocate();
@@ -201,8 +189,7 @@ TEST_F(NodeStoreDeathTest, OversizeImageAborts) {
 TEST_F(NodeStoreDeathTest, SpanPastExtentAborts) {
   NodeStore store(dev_, io_, 4 * kKiB);
   const uint64_t id = store.allocate();
-  std::vector<uint8_t> buf(4096);
-  EXPECT_DEATH((void)store.try_read_span(id, 1024, buf), "");
+  EXPECT_DEATH((void)store.try_touch_read(id, 1024, 4096), "");
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ class BufferPoolTest : public testing::Test {
                                          blockdev::CodecKind::kIdentity);
     blockdev::RetryPolicy fail_fast;
     fail_fast.max_attempts = 1;
-    cache->store().set_retry_policy(fail_fast);
+    io_.set_retry_policy(fail_fast);
     return cache;
   }
 

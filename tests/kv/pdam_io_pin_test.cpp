@@ -57,8 +57,6 @@ constexpr Pin kPinned[] = {
     {"pdam.buffer_merges", 5},
     {"pdam.merge_bytes_written", 2790098},
     {"pdam.node_reads", 7576},
-    {"pdam.io_retries", 0},
-    {"pdam.io_give_ups", 0},
     {"pdam.height", 2},
     {"pdam.base_entries", 5236},
     {"pdam.buffer_entries", 0},

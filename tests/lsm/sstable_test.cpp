@@ -35,13 +35,13 @@ class SSTableTest : public testing::Test {
   }
 
   SSTableRef finish(SSTableBuilder& b) {
-    StatusOr<SSTableRef> t = b.try_finish(policy_, nullptr);
+    StatusOr<SSTableRef> t = b.try_finish();
     EXPECT_TRUE(t.ok()) << t.status().to_string();
     return t.ok() ? *std::move(t) : nullptr;
   }
 
   std::optional<Entry> get(const SSTableRef& t, std::string_view key) {
-    StatusOr<std::optional<Entry>> hit = t->try_get(key, io_, policy_, nullptr);
+    StatusOr<std::optional<Entry>> hit = t->try_get(key, io_);
     EXPECT_TRUE(hit.ok()) << hit.status().to_string();
     return hit.ok() ? *std::move(hit) : std::nullopt;
   }
@@ -49,7 +49,6 @@ class SSTableTest : public testing::Test {
   sim::HddDevice dev_;
   sim::IoContext io_;
   blockdev::ByteArena arena_;
-  const blockdev::RetryPolicy policy_{};
 };
 
 TEST_F(SSTableTest, EmptyBuilderReturnsNull) {
@@ -121,7 +120,7 @@ TEST_F(SSTableTest, BloomSkipsAbsentKeysWithoutIo) {
 
 TEST_F(SSTableTest, IteratorFullScanInOrder) {
   SSTableRef t = build(1500, 2);
-  auto it = t->seek("", io_, policy_, nullptr);
+  auto it = t->seek("", io_);
   uint64_t n = 0;
   std::string prev;
   while (it.valid()) {
@@ -135,10 +134,10 @@ TEST_F(SSTableTest, IteratorFullScanInOrder) {
 
 TEST_F(SSTableTest, IteratorSeeksMidTable) {
   SSTableRef t = build(1000, 2);  // keys 0,2,...,1998
-  auto it = t->seek(kv::encode_key(501), io_, policy_, nullptr);
+  auto it = t->seek(kv::encode_key(501), io_);
   ASSERT_TRUE(it.valid());
   EXPECT_EQ(it.entry().key, kv::encode_key(502));
-  auto it2 = t->seek(kv::encode_key(2000), io_, policy_, nullptr);
+  auto it2 = t->seek(kv::encode_key(2000), io_);
   EXPECT_FALSE(it2.valid());
 }
 
@@ -167,7 +166,7 @@ TEST_F(SSTableTest, CorruptRecordLengthStopsTheCursor) {
   // Record 1's u32 value length claims 16 MiB.
   const uint8_t vlen[] = {0xFF, 0xFF, 0xFF, 0x00};
   dev_.write_bytes(node::TaggedRecord::encoded_size(16, 100) + 3, vlen);
-  auto it = t->seek("", io_, policy_, nullptr);
+  auto it = t->seek("", io_);
   ASSERT_TRUE(it.valid()) << it.status().to_string();
   EXPECT_EQ(it.entry().key, kv::encode_key(0, 16));
   it.next();
@@ -195,8 +194,7 @@ TEST_F(SSTableDeathTest, OutOfOrderKeysAbort) {
 TEST_F(SSTableDeathTest, ReadAfterReleaseAborts) {
   SSTableRef t = build(100);
   t->release();
-  EXPECT_DEATH((void)t->try_get(kv::encode_key(5), io_, policy_, nullptr),
-               "released");
+  EXPECT_DEATH((void)t->try_get(kv::encode_key(5), io_), "released");
 }
 
 }  // namespace

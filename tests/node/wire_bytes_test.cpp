@@ -120,8 +120,7 @@ TEST(WireBytesTest, SSTableBlockReadBackFromTheDevice) {
   builder.add(lsm::EntryView{"a", "1", false});
   builder.add(lsm::EntryView{"bb", "", true});
   builder.add(lsm::EntryView{"c", "xyz", false});
-  StatusOr<lsm::SSTableRef> table =
-      builder.try_finish(blockdev::RetryPolicy{}, nullptr);
+  StatusOr<lsm::SSTableRef> table = builder.try_finish();
   ASSERT_TRUE(table.ok()) << table.status().to_string();
   ASSERT_EQ((*table)->block_count(), 1u);
   std::vector<uint8_t> block((*table)->data_bytes());

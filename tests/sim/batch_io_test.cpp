@@ -1,5 +1,5 @@
 // Tests for the batched submission path (Device::submit_batch and
-// IoContext::submit_batch_checked): a batch of one must be bit-identical
+// Device::submit_batch_checked): a batch of one must be bit-identical
 // to the serial path, an SSD batch must exploit die parallelism per the
 // PDAM, and the nondecreasing-clock contract must abort loudly when
 // violated.
@@ -23,7 +23,9 @@ std::vector<IoCompletion> submit_batch(IoContext& io,
                                        std::span<const IoRequest> reqs) {
   std::vector<IoCompletion> cs;
   std::vector<Status> per_io;
-  EXPECT_TRUE(io.submit_batch_checked(reqs, &cs, &per_io).ok());
+  EXPECT_TRUE(
+      io.device().submit_batch_checked(reqs, io.now(), &cs, &per_io).ok());
+  for (const IoCompletion& c : cs) io.advance_to(c.finish);
   return cs;
 }
 

@@ -22,7 +22,9 @@ std::vector<IoCompletion> submit_batch(IoContext& io,
                                        std::span<const IoRequest> reqs) {
   std::vector<IoCompletion> cs;
   std::vector<Status> per_io;
-  EXPECT_TRUE(io.submit_batch_checked(reqs, &cs, &per_io).ok());
+  EXPECT_TRUE(
+      io.device().submit_batch_checked(reqs, io.now(), &cs, &per_io).ok());
+  for (const IoCompletion& c : cs) io.advance_to(c.finish);
   return cs;
 }
 

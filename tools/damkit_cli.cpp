@@ -266,9 +266,10 @@ std::unique_ptr<sim::Device> make_device(const std::string& spec,
 // touched.
 // With --fault-seed the device is wrapped in a FaultInjectingDevice and
 // the workload runs through the fallible try_* APIs: every injected fault
-// is either retried away by the engine or surfaced (and counted) as a
-// failed operation — never an abort. Unless a crash fired, the run exits 1
-// when the injected faults do not equal retries + give-ups.
+// is either retried away by the IoContext or surfaced (and counted) as a
+// failed operation — never an abort. The context's counters outlive a
+// crashed engine, so every faulty run exits 1 unless retries + give-ups
+// equal the injected faults + crashes + post-crash rejections.
 int cmd_metrics(int argc, char** argv) {
   std::string device_spec = "ssd";
   std::string json_path;
@@ -469,6 +470,11 @@ int cmd_metrics(int argc, char** argv) {
   dev.export_metrics(reg, "device.");
   tree->export_metrics(reg, std::string(kv::engine_kind_name(kind)) + ".");
   served.export_metrics(reg, "serve.");
+  // One policy and one counter pair per IoContext: these cover every IO
+  // the engine, its WAL and snapshots, and any crashed predecessor issued.
+  const blockdev::RetryCounters retry = tree->retry_counters();
+  reg.add("io.retries", retry.retries);
+  reg.add("io.give_ups", retry.give_ups);
 
   const harness::WorkloadRunResult& run = served.base;
   std::printf(
@@ -501,24 +507,22 @@ int cmd_metrics(int argc, char** argv) {
                                       sim::kNsPerUs));
   bool accounted = true;
   if (faulty != nullptr) {
-    const uint64_t injected = faulty->fault_stats().injected_errors();
-    const blockdev::RetryCounters counters = tree->retry_counters();
-    accounted = crashed || injected == counters.retries + counters.give_ups;
+    const sim::FaultStats& fs = faulty->fault_stats();
+    const uint64_t injected = fs.injected_errors();
+    // Every failed attempt is retried or given up, crashed ones included.
+    accounted = retry.retries + retry.give_ups ==
+                injected + fs.crashes + fs.post_crash_rejections;
     std::printf("faults: seed %llu, %llu injected "
                 "(%llu read, %llu write, %llu torn, %llu spikes), "
                 "%llu retries, %llu give-ups, %llu failed ops\n",
                 static_cast<unsigned long long>(fault_seed),
                 static_cast<unsigned long long>(injected),
-                static_cast<unsigned long long>(
-                    faulty->fault_stats().injected_read_errors),
-                static_cast<unsigned long long>(
-                    faulty->fault_stats().injected_write_errors),
-                static_cast<unsigned long long>(
-                    faulty->fault_stats().injected_torn_writes),
-                static_cast<unsigned long long>(
-                    faulty->fault_stats().injected_latency_spikes),
-                static_cast<unsigned long long>(counters.retries),
-                static_cast<unsigned long long>(counters.give_ups),
+                static_cast<unsigned long long>(fs.injected_read_errors),
+                static_cast<unsigned long long>(fs.injected_write_errors),
+                static_cast<unsigned long long>(fs.injected_torn_writes),
+                static_cast<unsigned long long>(fs.injected_latency_spikes),
+                static_cast<unsigned long long>(retry.retries),
+                static_cast<unsigned long long>(retry.give_ups),
                 static_cast<unsigned long long>(run.failed_ops));
   }
   std::printf("simulated time: %.3f s\n\n", sim::to_seconds(io.now()));
@@ -572,8 +576,8 @@ int cmd_metrics(int argc, char** argv) {
   }
   if (!accounted) {
     std::fprintf(stderr,
-                 "fault accounting broken: injected faults != retries + "
-                 "give-ups\n");
+                 "fault accounting broken: retries + give-ups != injected "
+                 "faults + crashes + post-crash rejections\n");
     return 1;
   }
   return 0;
