@@ -204,10 +204,6 @@ Status BeTree::flush_one(uint64_t id, NodeRef node, size_t depth) {
   op_stats_.messages_moved += msgs.size();
   if (depth >= flushes_by_depth_.size()) flushes_by_depth_.resize(depth + 1);
   ++flushes_by_depth_[depth];
-  DAMKIT_STATS_ONLY(if (events_ != nullptr && stats::collecting()) {
-    events_->emit({cache_.store().io().now(), "betree", "flush", depth,
-                   msgs.size(), 0});
-  });
   cache_.mark_dirty(id);
 
   if (child->is_leaf()) {

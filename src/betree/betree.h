@@ -23,7 +23,6 @@
 #include "kv/dictionary.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 
 namespace damkit::betree {
 
@@ -129,11 +128,6 @@ class BeTree : public kv::Dictionary {
     return flushes_by_depth_;
   }
 
-  /// Structured-event sink for flush events (nullptr disables).
-  void set_event_trace(stats::TraceBuffer* events) override {
-    events_ = events;
-  }
-
   /// Export op counters, per-depth flush counts (`<prefix>flushes.depth<d>`),
   /// cache (`<prefix>cache.`), store IO mix (`<prefix>store.`), and write
   /// amplification under `prefix` (e.g. "betree.").
@@ -200,7 +194,6 @@ class BeTree : public kv::Dictionary {
   size_t height_ = 0;
   BeTreeOpStats op_stats_;
   std::vector<uint64_t> flushes_by_depth_;  // index = flushing node's depth
-  stats::TraceBuffer* events_ = nullptr;
   size_t round_robin_cursor_ = 0;
 };
 

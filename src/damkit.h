@@ -48,7 +48,6 @@
 #include "sim/trace.h"                 // IWYU pragma: export
 #include "stats/json.h"                // IWYU pragma: export
 #include "stats/metrics.h"             // IWYU pragma: export
-#include "stats/trace_buffer.h"        // IWYU pragma: export
 #include "util/bloom.h"                // IWYU pragma: export
 #include "util/histogram.h"            // IWYU pragma: export
 #include "util/rng.h"                  // IWYU pragma: export

@@ -67,16 +67,15 @@ ConcurrentRunResult WorkloadRunner::run_concurrent(
     const ConcurrentRunOptions& options) {
   ConcurrentRunResult result;
   const bool replayed = options.replay_device_factory != nullptr;
-  sim::IoTrace trace;
   std::vector<size_t> op_end;
   result.base = apply_ops(spec, ops, options.fallible,
-                          replayed ? &trace : nullptr, &op_end);
+                          replayed ? &result.trace : nullptr, &op_end);
   const sim::SimTime serial = result.base.sim_elapsed;
   write_back(options, &result.base);
 
   if (replayed) {
     static_cast<serve::ReplayTimeline&>(result) =
-        serve::replay(trace.records(), op_end, options);
+        serve::replay(result.trace.records(), op_end, options);
   } else {
     result.concurrent_elapsed = serial;
   }

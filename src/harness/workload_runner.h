@@ -69,6 +69,9 @@ struct ConcurrentRunResult : serve::ReplayTimeline {
   double speedup = 1.0;
   /// Ops per simulated second under concurrency.
   double throughput_ops_per_sec = 0.0;
+  /// The serving device's IOs over the op stream, as replayed (empty
+  /// without a replay device).
+  sim::IoTrace trace;
 
   /// Export "<prefix>ops", failed ops, batch counters, serial/concurrent
   /// seconds, speedup, throughput, lane depth and per-lane IO counts, and

@@ -25,8 +25,11 @@
 
 #include "blockdev/retry.h"
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 #include "util/status.h"
+
+namespace damkit::stats {
+class TraceBuffer;  // declared for set_event_trace only; never defined
+}  // namespace damkit::stats
 
 namespace damkit::kv {
 
@@ -141,8 +144,9 @@ class Dictionary {
   /// Structural invariant check (test support); CHECK-aborts on violation.
   virtual void check_invariants() = 0;
 
-  /// Structured-event sink for engines that emit events (nullptr
-  /// disables; default no-op for engines without one).
+  /// No-op, kept only because the benchmark's probe wrapper
+  /// (perfbench/probe.h) overrides it. Served IO is recorded by
+  /// sim::IoTrace (Device::set_trace).
   virtual void set_event_trace(stats::TraceBuffer* events);
 
   /// Export op counters, cache/store IO mix, and derived gauges under

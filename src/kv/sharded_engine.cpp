@@ -161,10 +161,6 @@ void ShardedEngine::check_invariants() {
   for (const auto& shard : inner_) shard->check_invariants();
 }
 
-void ShardedEngine::set_event_trace(stats::TraceBuffer* events) {
-  for (const auto& shard : inner_) shard->set_event_trace(events);
-}
-
 void ShardedEngine::export_metrics(stats::MetricsRegistry& reg,
                                    std::string_view prefix) const {
   const std::string p(prefix);

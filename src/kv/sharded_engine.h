@@ -61,7 +61,6 @@ class ShardedEngine final : public Dictionary {
   size_t height() const override;
   double cache_hit_rate() const override;
   void check_invariants() override;
-  void set_event_trace(stats::TraceBuffer* events) override;
   /// Exports each shard under `<prefix>shard<i>.` plus a `shards` gauge.
   void export_metrics(stats::MetricsRegistry& reg,
                       std::string_view prefix) const override;

@@ -77,7 +77,6 @@ Status LsmTree::checkpoint() {
 }
 
 Status LsmTree::flush_memtable() {
-  const uint64_t mem_bytes = mem_.approximate_bytes();
   SSTableBuilder builder(*dev_, *io_, arena_, config_.block_bytes,
                          next_sequence_++, codec_.get());
   for (const auto& [key, slot] : mem_.entries()) {
@@ -96,10 +95,6 @@ Status LsmTree::flush_memtable() {
   mem_.clear();
   ++stats_.memtable_flushes;
   stats_.flush_bytes_out += table_bytes;
-  DAMKIT_STATS_ONLY(if (events_ != nullptr && stats::collecting()) {
-    events_->emit({io_->now(), "lsm", "memtable_flush", 0, mem_bytes,
-                   table_bytes});
-  });
   return Status();
 }
 
@@ -422,10 +417,6 @@ Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
   uint64_t bytes_out = 0;
   for (const auto& t : outputs) bytes_out += t->total_bytes();
   stats_.compaction_bytes_out += bytes_out;
-  DAMKIT_STATS_ONLY(if (events_ != nullptr && stats::collecting()) {
-    events_->emit({io_->now(), "lsm", "compaction", level, bytes_in,
-                   bytes_out});
-  });
 
   for (const auto& t : tables) t->release();
   for (const size_t i : {level, level + 1}) {

@@ -30,7 +30,6 @@
 #include "lsm/sstable.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 
 namespace damkit::lsm {
 
@@ -148,12 +147,6 @@ class LsmTree final : public kv::Dictionary {
     return compactions_by_level_;
   }
 
-  /// Structured-event sink for memtable flushes / compactions (nullptr
-  /// disables).
-  void set_event_trace(stats::TraceBuffer* events) override {
-    events_ = events;
-  }
-
   /// Export op/compaction counters, per-level compaction counts
   /// (`<prefix>compactions.level<i>`), batch occupancy, per-level table
   /// counts/bytes, and write amplification under `prefix` (e.g. "lsm.").
@@ -204,7 +197,6 @@ class LsmTree final : public kv::Dictionary {
   size_t compact_cursor_ = 0;  // round-robin pick within a level
   LsmStats stats_;
   std::vector<uint64_t> compactions_by_level_;  // index = source level
-  stats::TraceBuffer* events_ = nullptr;
 };
 
 }  // namespace damkit::lsm

@@ -18,7 +18,6 @@
 #include "blockdev/retry.h"
 #include "sim/memstore.h"
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 #include "util/histogram.h"
 #include "util/status.h"
 
@@ -145,7 +144,7 @@ class Device {
   std::vector<IoCompletion> submit_batch(std::span<const IoRequest> reqs,
                                          SimTime now) {
     enforce_clock(now);
-    note_batch(reqs, now);
+    note_batch(reqs);
     return submit_batch_io(reqs, now);
   }
 
@@ -179,7 +178,7 @@ class Device {
     per_io->clear();
     per_io->reserve(reqs.size());
     for (const IoRequest& req : reqs) per_io->push_back(inject_fault(req, now));
-    note_batch(reqs, now);
+    note_batch(reqs);
     *completions = submit_batch_io(reqs, now);
     return Status();
   }
@@ -202,14 +201,9 @@ class Device {
   /// trace must outlive the recording window.
   void set_trace(class IoTrace* trace) { trace_ = trace; }
 
-  /// Structured-event sink (nullptr stops emission). The buffer must
-  /// outlive the recording window; emission is additionally gated on
-  /// stats::collecting().
-  void set_event_trace(stats::TraceBuffer* events) { events_ = events; }
-
   /// Log-scale distributions of per-request IO size (bytes), latency
   /// (ns, submission to finish), and submit_batch width (requests).
-  /// Populated only while stats::collecting().
+  /// Empty when the build has DAMKIT_STATS off.
   const Histogram& io_size_histogram() const { return io_size_; }
   const Histogram& latency_histogram() const { return latency_; }
   const Histogram& batch_width_histogram() const { return batch_width_; }
@@ -319,15 +313,8 @@ class Device {
     stats_.transfer_time += transfer;
     stats_.queue_wait += c.start > now ? c.start - now : 0;
     DAMKIT_STATS_ONLY({
-      if (stats::collecting()) {
-        io_size_.record(req.length);
-        latency_.record(c.latency(now));
-        if (events_ != nullptr) {
-          events_->emit({c.finish, "io",
-                         req.kind == IoKind::kRead ? "read" : "write",
-                         req.offset, req.length, c.latency(now)});
-        }
-      }
+      io_size_.record(req.length);
+      latency_.record(c.latency(now));
     });
     if (trace_ != nullptr) record_trace(req, c, now);
   }
@@ -357,26 +344,17 @@ class Device {
   }
 
   /// Shared batch bookkeeping for submit_batch / submit_batch_checked.
-  void note_batch(std::span<const IoRequest> reqs, SimTime now) {
+  void note_batch(std::span<const IoRequest> reqs) {
     if (reqs.empty()) return;
     ++stats_.batches;
     stats_.batch_ios += reqs.size();
-    (void)now;
-    DAMKIT_STATS_ONLY({
-      if (stats::collecting()) {
-        batch_width_.record(reqs.size());
-        if (events_ != nullptr) {
-          events_->emit({now, "io", "batch", reqs.size(), 0, 0});
-        }
-      }
-    });
+    DAMKIT_STATS_ONLY(batch_width_.record(reqs.size()));
   }
 
   uint64_t capacity_;
   DeviceStats stats_;
   MemStore store_;
   class IoTrace* trace_ = nullptr;
-  stats::TraceBuffer* events_ = nullptr;
   SimTime last_submit_ = 0;  // timing-contract watermark
   Histogram io_size_;      // bytes per request
   Histogram latency_;      // ns, submission to completion

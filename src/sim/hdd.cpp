@@ -92,9 +92,7 @@ IoCompletion HddDevice::submit_io(const IoRequest& req, SimTime now) {
   command_time_total_ += command_t;
   seek_time_total_ += seek_t;
   rot_wait_total_ += rot_wait;
-  DAMKIT_STATS_ONLY({
-    if (stats::collecting()) seek_tracks_.record(distance);
-  });
+  DAMKIT_STATS_ONLY(seek_tracks_.record(distance));
 
   const IoCompletion c{start, t};
   account(req, c, now, command_t + seek_t + rot_wait,

@@ -53,10 +53,24 @@ void MemStore::write(uint64_t offset, std::span<const uint8_t> data) {
 
 void MemStore::discard(uint64_t offset, uint64_t length) {
   DAMKIT_CHECK(offset + length <= capacity_);
-  const uint64_t first_full = (offset + kPageBytes - 1) / kPageBytes;
-  const uint64_t end_full = (offset + length) / kPageBytes;
-  for (uint64_t page = first_full; page < end_full; ++page) {
-    pages_.erase(page);
+  const uint64_t end = offset + length;
+  for (uint64_t pos = offset; pos < end;) {
+    const uint64_t page = pos / kPageBytes;
+    const uint64_t in_page = pos % kPageBytes;
+    const uint64_t chunk = std::min(end - pos, kPageBytes - in_page);
+    pos += chunk;
+    const auto it = pages_.find(page);
+    if (it == pages_.end()) continue;
+    uint8_t* bytes = it->second.get();
+    if (chunk < kPageBytes) {
+      // A partly covered page keeps its other bytes, so it is dropped only
+      // once every byte reads as zero (its neighbours trimmed too).
+      std::memset(bytes + in_page, 0, chunk);
+      if (bytes[0] != 0 || std::memcmp(bytes, bytes + 1, kPageBytes - 1) != 0) {
+        continue;
+      }
+    }
+    pages_.erase(it);
   }
 }
 

@@ -23,8 +23,9 @@ class MemStore {
   /// Host memory currently pinned by written pages.
   uint64_t resident_bytes() const { return pages_.size() * kPageBytes; }
 
-  /// Drop whole pages fully covered by [offset, offset+length): they read
-  /// back as zero and release host memory (TRIM/deallocate semantics).
+  /// TRIM/deallocate: [offset, offset+length) reads back as zero. Pages
+  /// the range covers, and partly covered pages left all zero, release
+  /// their host memory.
   void discard(uint64_t offset, uint64_t length);
 
   void clear() { pages_.clear(); }

@@ -1,9 +1,8 @@
 #include "sim/trace.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-
-#include "util/status.h"
 
 namespace damkit::sim {
 
@@ -11,8 +10,7 @@ double IoTrace::sequential_fraction() const {
   if (records_.size() < 2) return records_.empty() ? 0.0 : 1.0;
   uint64_t sequential = 0;
   for (size_t i = 1; i < records_.size(); ++i) {
-    if (records_[i].offset ==
-        records_[i - 1].offset + records_[i - 1].length) {
+    if (records_[i].offset == records_[i - 1].offset + records_[i - 1].length) {
       ++sequential;
     }
   }
@@ -24,8 +22,7 @@ double IoTrace::mean_seek_bytes() const {
   if (records_.size() < 2) return 0.0;
   double total = 0.0;
   for (size_t i = 1; i < records_.size(); ++i) {
-    const uint64_t expected =
-        records_[i - 1].offset + records_[i - 1].length;
+    const uint64_t expected = records_[i - 1].offset + records_[i - 1].length;
     const uint64_t actual = records_[i].offset;
     total += static_cast<double>(expected > actual ? expected - actual
                                                    : actual - expected);
@@ -55,10 +52,12 @@ std::string IoTrace::to_csv() const {
   return out;
 }
 
-IoTrace IoTrace::from_csv(const std::string& csv) {
+StatusOr<IoTrace> IoTrace::from_csv(const std::string& csv) {
   IoTrace trace;
   size_t pos = csv.find('\n');  // skip header
-  DAMKIT_CHECK_MSG(pos != std::string::npos, "trace CSV missing header");
+  if (pos == std::string::npos) {
+    return Status::invalid_argument("trace CSV missing header");
+  }
   ++pos;
   while (pos < csv.size()) {
     size_t eol = csv.find('\n', pos);
@@ -68,14 +67,16 @@ IoTrace IoTrace::from_csv(const std::string& csv) {
     if (line.empty()) continue;
     char kind = 0;
     unsigned long long off = 0, len = 0, submit = 0, start = 0, finish = 0;
-    const int n =
-        std::sscanf(line.c_str(), "%c,%llu,%llu,%llu,%llu,%llu", &kind, &off,
-                    &len, &submit, &start, &finish);
-    DAMKIT_CHECK_MSG(n == 6, "malformed trace line: " << line);
-    DAMKIT_CHECK_MSG(kind == 'R' || kind == 'W',
-                     "bad trace kind: " << kind);
-    trace.records_.push_back({kind == 'R' ? IoKind::kRead : IoKind::kWrite,
-                              off, len, submit, start, finish});
+    const int n = std::sscanf(line.c_str(), "%c,%llu,%llu,%llu,%llu,%llu",
+                              &kind, &off, &len, &submit, &start, &finish);
+    if (n != 6) {
+      return Status::invalid_argument("malformed trace line: " + line);
+    }
+    if (kind != 'R' && kind != 'W') {
+      return Status::invalid_argument(std::string("bad trace kind: ") + kind);
+    }
+    const IoKind io_kind = kind == 'R' ? IoKind::kRead : IoKind::kWrite;
+    trace.records_.push_back({io_kind, off, len, submit, start, finish});
   }
   return trace;
 }
@@ -90,14 +91,23 @@ bool IoTrace::save(const std::string& path) const {
   return ok;
 }
 
-IoTrace IoTrace::load(const std::string& path) {
+StatusOr<IoTrace> IoTrace::load(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
-  DAMKIT_CHECK_MSG(f != nullptr, "cannot open trace " << path);
+  if (f == nullptr) {
+    return Status::not_found("cannot open trace " + path + ": " +
+                             std::strerror(errno));
+  }
   std::string csv;
   char buf[4096];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) csv.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
+  const int read_errno = errno;
   std::fclose(f);
+  if (read_failed) {
+    return Status::invalid_argument("cannot read trace " + path + ": " +
+                                    std::strerror(read_errno));
+  }
   return from_csv(csv);
 }
 

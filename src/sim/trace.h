@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/device.h"
+#include "util/status.h"
 
 namespace damkit::sim {
 
@@ -44,10 +45,12 @@ class IoTrace {
   uint64_t total_bytes() const;
 
   /// CSV round trip: header "kind,offset,length,submit,start,finish".
+  /// A file that cannot be opened is kNotFound; one that cannot be read,
+  /// or a malformed CSV, is kInvalidArgument.
   std::string to_csv() const;
-  static IoTrace from_csv(const std::string& csv);
+  static StatusOr<IoTrace> from_csv(const std::string& csv);
   bool save(const std::string& path) const;
-  static IoTrace load(const std::string& path);
+  static StatusOr<IoTrace> load(const std::string& path);
 
  private:
   std::vector<TraceRecord> records_;

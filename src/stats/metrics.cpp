@@ -1,23 +1,11 @@
 #include "stats/metrics.h"
 
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 
 #include "stats/json.h"
 
 namespace damkit::stats {
-
-#if DAMKIT_STATS_ENABLED
-namespace {
-std::atomic<bool> g_collecting{true};
-}  // namespace
-
-bool collecting() { return g_collecting.load(std::memory_order_relaxed); }
-void set_collecting(bool on) {
-  g_collecting.store(on, std::memory_order_relaxed);
-}
-#endif
 
 void MetricsRegistry::add(std::string_view name, uint64_t delta) {
   auto it = counters_.find(name);

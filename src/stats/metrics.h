@@ -4,11 +4,10 @@
 // Design rules (kept deliberately simple so instrumentation stays cheap):
 //   - Hot paths keep their own plain struct counters (DeviceStats,
 //     NodeCacheStats, ...) exactly as before — a counter bump is one add.
-//   - Histogram recording and structured-event emission are gated behind
-//     stats::collecting(), a relaxed atomic flag, and can be compiled out
-//     entirely with -DDAMKIT_STATS_ENABLED=0 (the CMake DAMKIT_STATS
-//     option). With the switch off the macros below expand to nothing, so
-//     the disabled build carries zero instrumentation overhead.
+//   - Histogram recording can be compiled out entirely with
+//     -DDAMKIT_STATS_ENABLED=0 (the CMake DAMKIT_STATS option). With the
+//     switch off DAMKIT_STATS_ONLY expands to nothing, so the disabled
+//     build carries zero instrumentation overhead.
 //   - A MetricsRegistry is a *snapshot* container: subsystems export into
 //     it on demand (export_metrics methods), it is never written from hot
 //     paths. Names are sorted (std::map), so iteration, merge, and the
@@ -34,17 +33,11 @@
 
 namespace damkit::stats {
 
-#if DAMKIT_STATS_ENABLED
-/// Runtime switch for histogram recording and event tracing. Defaults to
-/// on; flip off to strip the (already small) per-IO recording cost.
-bool collecting();
-void set_collecting(bool on);
 /// Statement guard: DAMKIT_STATS_ONLY(x) compiles x only when stats are
-/// built in; pair with stats::collecting() for the runtime gate.
+/// built in.
+#if DAMKIT_STATS_ENABLED
 #define DAMKIT_STATS_ONLY(x) x
 #else
-constexpr bool collecting() { return false; }
-inline void set_collecting(bool) {}
 #define DAMKIT_STATS_ONLY(x)
 #endif
 

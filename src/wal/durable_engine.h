@@ -113,9 +113,6 @@ class DurableEngine final : public kv::Dictionary {
   size_t height() const override { return inner_->height(); }
   double cache_hit_rate() const override { return inner_->cache_hit_rate(); }
   void check_invariants() override { inner_->check_invariants(); }
-  void set_event_trace(stats::TraceBuffer* events) override {
-    inner_->set_event_trace(events);
-  }
   /// Inner metrics under `prefix` untouched, plus wal.* / snapshot.* /
   /// recovery.* under the same prefix.
   void export_metrics(stats::MetricsRegistry& reg,

@@ -47,9 +47,13 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
 
   // Phase 1: payload blocks, one batch per attempt. A torn or failed
   // chunk is repaired by rewriting it alone; nothing is loadable until the
-  // header lands, so partial payload states are harmless.
-  std::vector<uint8_t> image(payload.begin(), payload.end());
-  image.resize(padded, 0);
+  // header lands, so partial payload states are harmless. Chunks wholly
+  // inside the payload are written from it; the rest, from the chunk
+  // holding the payload's end on, come from a zero-padded copy of it.
+  const uint64_t tail_at = payload.size() / kIoChunk * kIoChunk;
+  std::vector<uint8_t> tail_bytes(payload.begin() + tail_at, payload.end());
+  tail_bytes.resize(padded - tail_at, 0);
+  const std::span<const uint8_t> tail(tail_bytes);
   std::vector<sim::IoRequest> reqs;
   for (uint64_t off = 0; off < padded; off += kIoChunk) {
     reqs.push_back({sim::IoKind::kWrite, slot + bb + off,
@@ -57,9 +61,10 @@ Status SnapshotStore::write(const SnapshotMeta& meta,
   }
   DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
       reqs, [&](size_t i, const Status& verdict) {
-        const auto chunk = std::span<const uint8_t>(image).subspan(
-            reqs[i].offset - (slot + bb), reqs[i].length);
-        dev_->settle_write(reqs[i].offset, chunk, verdict);
+        const uint64_t off = reqs[i].offset - (slot + bb);
+        const std::span<const uint8_t> src =
+            off < tail_at ? payload.subspan(off) : tail.subspan(off - tail_at);
+        dev_->settle_write(reqs[i].offset, src.first(reqs[i].length), verdict);
         return Status();
       }));
 

@@ -69,6 +69,10 @@ Status WriteAheadLog::append(RecordType type, std::string_view key,
         "record of " + std::to_string(rec) + " bytes cannot fit the " +
         std::to_string(cfg_.region_bytes) + "-byte WAL region");
   }
+  // A group whose commit failed is still pending: retry it before this
+  // record joins. A stuck log then costs one commit attempt per append,
+  // and an append that cannot land the group takes no LSN.
+  if (commit_due()) DAMKIT_RETURN_IF_ERROR(commit());
   const size_t at = buffer_.size();
   buffer_.resize(at + rec);
   uint8_t* p = buffer_.data() + at;
@@ -85,11 +89,7 @@ Status WriteAheadLog::append(RecordType type, std::string_view key,
   ++next_lsn_;
   ++records_appended_;
   ++buffer_records_;
-  if (buffer_records_ >= cfg_.group_ops ||
-      buffer_.size() >= kGroupCommitBytes) {
-    return commit();
-  }
-  return Status();
+  return commit_due() ? commit() : Status();
 }
 
 Status WriteAheadLog::commit() {

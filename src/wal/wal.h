@@ -75,7 +75,9 @@ class WriteAheadLog {
   /// kInvalidArgument, with no LSN taken and nothing buffered, when the
   /// record could never fit the region. Auto-commits per the group policy;
   /// a commit failure leaves the buffer intact (the records are NOT
-  /// durable) and surfaces here.
+  /// durable) and surfaces here. The next append retries that commit
+  /// first and, if it fails again, returns the failure with no LSN taken
+  /// and nothing buffered.
   Status append(RecordType type, std::string_view key, std::string_view value,
                 uint64_t lsn);
 
@@ -108,6 +110,11 @@ class WriteAheadLog {
  private:
   /// Serialized record size for a key/value pair.
   static uint64_t record_bytes(std::string_view key, std::string_view value);
+  /// The buffer has reached a group-commit threshold.
+  bool commit_due() const {
+    return buffer_records_ >= cfg_.group_ops ||
+           buffer_.size() >= kGroupCommitBytes;
+  }
   /// Write `content` as whole-block images starting at block index
   /// `first_block` in one checked batch (retried by the IoContext);
   /// `content` must be block-aligned in length.

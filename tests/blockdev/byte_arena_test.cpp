@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/hdd.h"
 #include "util/bytes.h"
 
@@ -39,6 +42,24 @@ TEST(ByteArenaTest, FreeTrimsAndAccounts) {
   std::vector<uint8_t> back(1024);
   dev.read_bytes(off, back);
   for (uint8_t v : back) EXPECT_EQ(v, 0);
+}
+
+// Neighbouring tables share device pages at 4 KiB alignment: freeing
+// every table must release every page, not only those one table covers.
+TEST(ByteArenaTest, FreeingAdjacentRangesReleasesSharedPages) {
+  sim::HddConfig cfg;
+  cfg.capacity_bytes = 1ULL * kGiB;
+  sim::HddDevice dev(cfg);
+  ByteArena arena(dev, 4096);
+  constexpr uint64_t kRange = 20 * 1024;
+  std::vector<uint64_t> offsets;
+  for (int i = 0; i < 32; ++i) {
+    offsets.push_back(arena.allocate(kRange));
+    dev.write_bytes(offsets.back(), std::vector<uint8_t>(kRange, 0xcd));
+  }
+  EXPECT_GT(dev.resident_host_bytes(), 0u);
+  for (const uint64_t off : offsets) arena.free(off, kRange);
+  EXPECT_EQ(dev.resident_host_bytes(), 0u);
 }
 
 TEST(ByteArenaDeathTest, ExhaustionAborts) {

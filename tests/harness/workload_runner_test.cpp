@@ -130,6 +130,45 @@ TEST(WorkloadRunnerTest, RunConcurrentMatchesRunAndAddsTheTimeline) {
   EXPECT_EQ(lane_total, run.batch_ios);
 }
 
+// The returned trace is exactly what the replay re-timed: every IO the
+// serving device served over the op stream, each dispatched to one lane.
+TEST(WorkloadRunnerTest, RunConcurrentReturnsTheReplayedTrace) {
+  const sim::SsdConfig profile = sim::testbed_ssd_profile();
+  sim::SsdDevice dev(profile);
+  sim::IoContext io(dev);
+  // The LSM's 32 KiB memtable makes the op stream flush, compact and read
+  // tables; a B-tree this small would serve it from cache.
+  const auto dict =
+      kv::make_engine(kv::EngineKind::kLsm, dev, io, small_config());
+  harness::WorkloadRunner runner(*dict, io);
+  runner.bulk_load(1000, mixed_spec());
+
+  harness::ConcurrentRunOptions copts;
+  copts.flush_at_end = false;  // device stats then cover the op stream only
+  EXPECT_TRUE(runner.run_concurrent(mixed_spec(), 500, copts).trace.empty());
+
+  copts.clients = 4;
+  copts.inflight = 2;
+  copts.replay_device_factory = [profile] {
+    return std::make_unique<sim::SsdDevice>(profile);
+  };
+  copts.lanes = static_cast<size_t>(profile.total_dies());
+  copts.lane_of = [profile](uint64_t offset) {
+    return static_cast<size_t>(profile.die_of(offset));
+  };
+  const sim::DeviceStats before = dev.stats();
+  const harness::ConcurrentRunResult run =
+      runner.run_concurrent(mixed_spec(), 3000, copts);
+  const sim::DeviceStats& after = dev.stats();
+  const uint64_t served_ios =
+      (after.reads - before.reads) + (after.writes - before.writes);
+  ASSERT_GT(served_ios, 0u);
+  EXPECT_EQ(run.trace.size(), served_ios);
+  uint64_t lane_total = 0;
+  for (const uint64_t n : run.lane_ios) lane_total += n;
+  EXPECT_EQ(lane_total, run.trace.size());
+}
+
 TEST(WorkloadRunnerTest, CheckpointWithRetriesSucceedsImmediatelyWhenClean) {
   sim::SsdDevice dev(sim::testbed_ssd_profile());
   sim::IoContext io(dev);

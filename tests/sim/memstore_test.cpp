@@ -72,6 +72,31 @@ TEST(MemStoreTest, ClearDropsData) {
   for (uint8_t b : buf) EXPECT_EQ(b, 0);
 }
 
+TEST(MemStoreTest, PartialDiscardZeroesExactlyItsBytes) {
+  constexpr uint64_t kPage = 64 * 1024;
+  MemStore store(1 << 22);
+  const auto data = pattern(2 * kPage, 11);
+  store.write(0, data);
+  // Straddles the page boundary, covering neither page whole.
+  const uint64_t lo = kPage - 1000;
+  const uint64_t hi = kPage + 3000;
+  store.discard(lo, hi - lo);
+  std::vector<uint8_t> back(2 * kPage);
+  store.read(0, back);
+  for (uint64_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i], i >= lo && i < hi ? 0 : data[i]) << "byte " << i;
+  }
+  EXPECT_EQ(store.resident_bytes(), 2 * kPage);
+
+  // Trimming the rest of the first page leaves it all zero: it is dropped.
+  store.discard(0, lo);
+  EXPECT_EQ(store.resident_bytes(), kPage);
+  store.discard(hi, 2 * kPage - hi);
+  EXPECT_EQ(store.resident_bytes(), 0u);
+  store.read(0, back);
+  for (uint8_t b : back) ASSERT_EQ(b, 0);
+}
+
 TEST(MemStoreDeathTest, OutOfBoundsRejected) {
   MemStore store(1024);
   std::vector<uint8_t> buf(100);

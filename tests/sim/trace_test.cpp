@@ -88,7 +88,9 @@ TEST(TraceTest, CsvRoundTrip) {
     now = dev.submit({kind, off, 4096}, now).finish;
   }
   const std::string csv = trace.to_csv();
-  const IoTrace back = IoTrace::from_csv(csv);
+  const StatusOr<IoTrace> parsed = IoTrace::from_csv(csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const IoTrace& back = *parsed;
   ASSERT_EQ(back.size(), trace.size());
   for (size_t i = 0; i < back.size(); ++i) {
     EXPECT_EQ(back.records()[i].kind, trace.records()[i].kind);
@@ -107,9 +109,10 @@ TEST(TraceTest, SaveLoadFile) {
   dev.submit({IoKind::kRead, 4096, 4096}, 0);
   const std::string path = testing::TempDir() + "/damkit_trace_test.csv";
   ASSERT_TRUE(trace.save(path));
-  const IoTrace back = IoTrace::load(path);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.records()[0].offset, 4096u);
+  const StatusOr<IoTrace> back = IoTrace::load(path);
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ(back->records()[0].offset, 4096u);
   std::remove(path.c_str());
 }
 
@@ -151,10 +154,25 @@ TEST(TraceTest, ReplayPreservesOrderAndSizes) {
   EXPECT_EQ(b.stats().bytes_read, 4096u);
 }
 
-TEST(TraceDeathTest, MalformedCsvAborts) {
-  EXPECT_DEATH(IoTrace::from_csv("kind,offset\nR,1,2\n"), "malformed");
-  EXPECT_DEATH(IoTrace::from_csv("header\nX,1,2,3,4,5\n"), "bad trace kind");
-  EXPECT_DEATH(IoTrace::load("/nonexistent/damkit.csv"), "cannot open");
+// Bad input is a Status the caller reports, never an abort.
+TEST(TraceTest, MalformedCsvIsAnError) {
+  const auto expect_error = [](const StatusOr<IoTrace>& got, StatusCode code,
+                               const std::string& text) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), code);
+    EXPECT_NE(got.status().message().find(text), std::string::npos)
+        << got.status().to_string();
+  };
+  expect_error(IoTrace::from_csv("kind,offset\nR,1,2\n"),
+               StatusCode::kInvalidArgument, "malformed");
+  expect_error(IoTrace::from_csv("header\nX,1,2,3,4,5\n"),
+               StatusCode::kInvalidArgument, "bad trace kind");
+  expect_error(IoTrace::from_csv("no header"), StatusCode::kInvalidArgument,
+               "missing header");
+  expect_error(IoTrace::load("/nonexistent/damkit.csv"), StatusCode::kNotFound,
+               "cannot open");
+  expect_error(IoTrace::load(testing::TempDir()), StatusCode::kInvalidArgument,
+               "cannot read");
 }
 
 TEST(TraceTest, EmptyTraceProperties) {

@@ -10,7 +10,6 @@
 #include "sim/profiles.h"
 #include "sim/ssd.h"
 #include "stats/metrics.h"
-#include "stats/trace_buffer.h"
 #include "util/rng.h"
 
 namespace damkit::sim {
@@ -150,35 +149,6 @@ TEST(DeviceMetrics, SsdExportsPerDieUtilization) {
     EXPECT_NEAR(reg.gauge(key), reg.gauge("ssd.mean_die_utilization"), 1e-9);
   }
 }
-
-#if DAMKIT_STATS_ENABLED
-TEST(DeviceMetrics, EventTraceRecordsIos) {
-  const SsdConfig config = testbed_ssd_profile();
-  SsdDevice dev(config);
-  stats::TraceBuffer events(16);
-  dev.set_event_trace(&events);
-  IoContext io(dev);
-  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
-  const std::vector<IoRequest> batch = {{IoKind::kRead, 0, 4096},
-                                        {IoKind::kRead, config.stripe_bytes,
-                                         4096}};
-  submit_batch(io, batch);
-
-  const auto recorded = events.events();
-  // 1 scalar io + 1 batch marker + 2 batched ios.
-  ASSERT_EQ(recorded.size(), 4u);
-  EXPECT_STREQ(recorded[0].name, "read");
-  EXPECT_EQ(recorded[0].v1, 4096u);
-  EXPECT_STREQ(recorded[1].name, "batch");
-  EXPECT_EQ(recorded[1].v0, 2u);  // width
-
-  // Disabling collection stops emission without detaching the buffer.
-  stats::set_collecting(false);
-  ASSERT_TRUE(io.touch_read_checked(0, 4096).ok());
-  stats::set_collecting(true);
-  EXPECT_EQ(events.events().size(), 4u);
-}
-#endif
 
 }  // namespace
 }  // namespace damkit::sim

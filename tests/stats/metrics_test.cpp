@@ -109,15 +109,5 @@ TEST(HistogramBuckets, BucketFloorsAreMonotone) {
   });
 }
 
-#if DAMKIT_STATS_ENABLED
-TEST(Collecting, RuntimeToggle) {
-  EXPECT_TRUE(collecting());  // default on
-  set_collecting(false);
-  EXPECT_FALSE(collecting());
-  set_collecting(true);
-  EXPECT_TRUE(collecting());
-}
-#endif
-
 }  // namespace
 }  // namespace damkit::stats

@@ -405,6 +405,50 @@ TEST(WalTest, CommitFailureKeepsBufferForRetry) {
   expect_replayed(replay->records, {r1}, 1);
 }
 
+// After a crash mid-commit, each later append first retries the stuck
+// group, once; when that fails it takes no LSN and buffers nothing, so the
+// IO a dead device draws stays linear in the appends. After reboot one
+// commit lands the stuck group.
+TEST(WalTest, StuckGroupIsRetriedBeforeEachAppend) {
+  SsdDevice inner(sim::testbed_ssd_profile());
+  FaultConfig faults;
+  faults.seed = 11;
+  FaultInjectingDevice dev(inner, faults);
+  IoContext io(dev);
+  const WalConfig cfg = small_wal(1 * kMiB, /*group_ops=*/4);
+  WriteAheadLog log(dev, io, cfg);
+  ASSERT_TRUE(log.reset(1).ok());
+  std::vector<Record> stuck = {make_record(1), make_record(2), make_record(3)};
+  append_all(log, stuck);
+  dev.crash_after(0);
+  stuck.push_back(make_record(4));
+  ASSERT_FALSE(log.append(stuck[3].type, stuck[3].key, stuck[3].value, 4).ok());
+  ASSERT_EQ(log.buffered_records(), 4u);
+  const uint64_t stuck_bytes = log.buffered_bytes();
+
+  // The stuck group fits one block, so one commit attempt is one write
+  // per try of the context's (default) retry policy.
+  const uint64_t attempt_ios = blockdev::RetryPolicy{}.max_attempts;
+  const Record next = make_record(5);
+  for (int i = 0; i < 10; ++i) {
+    const uint64_t before = dev.checked_ios();
+    EXPECT_FALSE(log.append(next.type, next.key, next.value, 5).ok());
+    EXPECT_EQ(dev.checked_ios() - before, attempt_ios) << "append " << i;
+    EXPECT_EQ(log.next_lsn(), 5u);
+    EXPECT_EQ(log.buffered_records(), 4u);
+    EXPECT_EQ(log.buffered_bytes(), stuck_bytes);
+  }
+
+  dev.reboot();
+  const uint64_t before = dev.checked_ios();
+  ASSERT_TRUE(log.commit().ok());
+  EXPECT_EQ(dev.checked_ios() - before, 1u);
+  WriteAheadLog reader(dev, io, cfg);
+  StatusOr<WriteAheadLog::ReplayResult> replay = reader.recover_scan(1);
+  ASSERT_TRUE(replay.ok());
+  expect_replayed(replay->records, stuck, 4);
+}
+
 // A crash tearing the tail-block rewrite may only ever lose the NEW
 // records: the durable prefix bytes are bit-identical in the new image.
 TEST(WalTest, TornTailRewritePreservesDurablePrefix) {

@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "damkit.h"
 
@@ -50,6 +52,8 @@ int usage() {
       "  (crash-consistent durability; off by default). --crash-at N kills\n"
       "  the device at the N-th checked IO after setup (bulk load done),\n"
       "  then reboots and recovers — requires --wal.\n"
+      "  --trace writes the run phase's served IOs as the CSV that\n"
+      "  `damkit trace stats|replay` read.\n"
       "  --device mq-ssd is the multi-queue NVMe model (per-client SQ/CQ\n"
       "  pairs); --queue-depth and --completion-mode tune its admission\n"
       "  bound and completion cost (they also apply to plain ssd profiles,\n"
@@ -161,20 +165,32 @@ int cmd_optimize(double alpha, double entry_bytes) {
   return 0;
 }
 
+// Load a trace CSV; on failure print why and return nullopt.
+std::optional<sim::IoTrace> load_trace(const char* path) {
+  StatusOr<sim::IoTrace> trace = sim::IoTrace::load(path);
+  if (!trace.ok()) {
+    std::fprintf(stderr, "%s\n", trace.status().to_string().c_str());
+    return std::nullopt;
+  }
+  return std::move(trace).value();
+}
+
 int cmd_trace_stats(const char* path) {
-  const sim::IoTrace trace = sim::IoTrace::load(path);
-  std::printf("%zu IOs, %s total\n", trace.size(),
-              format_bytes(trace.total_bytes()).c_str());
+  const std::optional<sim::IoTrace> trace = load_trace(path);
+  if (!trace.has_value()) return 1;
+  std::printf("%zu IOs, %s total\n", trace->size(),
+              format_bytes(trace->total_bytes()).c_str());
   std::printf("sequential fraction: %.1f%%\n",
-              trace.sequential_fraction() * 100.0);
+              trace->sequential_fraction() * 100.0);
   std::printf("mean inter-IO gap:   %s\n",
-              format_bytes(static_cast<uint64_t>(trace.mean_seek_bytes()))
+              format_bytes(static_cast<uint64_t>(trace->mean_seek_bytes()))
                   .c_str());
   return 0;
 }
 
 int cmd_trace_replay(const char* path, const std::string& target) {
-  const sim::IoTrace trace = sim::IoTrace::load(path);
+  const std::optional<sim::IoTrace> trace = load_trace(path);
+  if (!trace.has_value()) return 1;
   const auto colon = target.find(':');
   if (colon == std::string::npos) return usage();
   const std::string kind = target.substr(0, colon);
@@ -185,19 +201,19 @@ int cmd_trace_replay(const char* path, const std::string& target) {
     const auto profiles = sim::paper_hdd_profiles();
     if (index >= profiles.size()) return usage();
     sim::HddDevice dev(profiles[index]);
-    t = sim::replay_trace(dev, trace);
+    t = sim::replay_trace(dev, *trace);
     name = dev.name();
   } else if (kind == "ssd") {
     const auto profiles = sim::paper_ssd_profiles();
     if (index >= profiles.size()) return usage();
     sim::SsdDevice dev(profiles[index]);
-    t = sim::replay_trace(dev, trace);
+    t = sim::replay_trace(dev, *trace);
     name = dev.name();
   } else {
     return usage();
   }
   std::printf("replay on %s: %.3f simulated seconds (%zu IOs)\n",
-              name.c_str(), sim::to_seconds(t), trace.size());
+              name.c_str(), sim::to_seconds(t), trace->size());
   return 0;
 }
 
@@ -380,8 +396,6 @@ int cmd_metrics(int argc, char** argv) {
                          ? static_cast<sim::Device&>(*faulty)
                          : *inner;
 
-  stats::TraceBuffer events;
-  dev.set_event_trace(&events);
   sim::IoContext io(dev);
 
   kv::EngineConfig config;
@@ -399,7 +413,6 @@ int cmd_metrics(int argc, char** argv) {
     durability = wal::default_durability_config(inner->capacity_bytes());
     tree = wal::make_durable(std::move(tree), dev, io, durability);
   }
-  tree->set_event_trace(&events);
 
   // One workload path for every --clients value: bulk-load, then serve
   // the mix to k clients with the requested admission depth, replaying
@@ -567,12 +580,12 @@ int cmd_metrics(int argc, char** argv) {
     std::printf("metrics JSON written to %s\n", json_path.c_str());
   }
   if (!trace_path.empty()) {
-    if (!events.dump_jsonl(trace_path)) {
+    if (!served.trace.save(trace_path)) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 1;
     }
-    std::printf("%zu trace events written to %s\n", events.size(),
-                trace_path.c_str());
+    std::printf("%zu IOs of the run phase written to %s\n",
+                served.trace.size(), trace_path.c_str());
   }
   if (!accounted) {
     std::fprintf(stderr,
