@@ -9,7 +9,9 @@
 //                repetitions.
 //   cpu.micro.*  host ns per op, min of N repetitions, of the node pages
 //                every engine runs (PivotPage search, KvPage put, KvPage
-//                parse + write_to) and of the core primitives (rng, Zipfian
+//                parse + write_to), of a B-tree leaf's cache miss (device
+//                copy, adopting parse, clean eviction) and of the core
+//                primitives (rng, Zipfian
 //                draw, HDD/SSD timing-model submit, bloom probe, vEB layout
 //                build, 50-row scan of a cached Bε-tree with buffered
 //                messages, read digest over a 50-row scan result).
@@ -28,6 +30,9 @@
 
 #include "bench_common.h"
 #include "betree/betree.h"
+#include "blockdev/codec.h"
+#include "btree/btree_node.h"
+#include "cache/node_cache.h"
 #include "harness/workload_runner.h"
 #include "kv/engine.h"
 #include "kv/op_apply.h"
@@ -245,6 +250,47 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       page.write_to(&out);
       g_sink = g_sink + out.size();
     }
+  });
+
+  // One op = one NodeCache miss of a 16 KiB B-tree leaf at bulk fill (85%
+  // of the node: 16 B keys, 100 B values) on the testbed SSD, in a cache
+  // that holds one node: the device copy into the read buffer, the parse
+  // that adopts it, and the eviction of the clean leaf fetched before.
+  constexpr uint64_t kMissNodeBytes = 16 * kKiB;
+  constexpr uint64_t kMissLeaves = 64;
+  sim::SsdDevice miss_dev(sim::testbed_ssd_profile());
+  sim::IoContext miss_io(miss_dev);
+  cache::NodeCache<btree::BTreeNode> leaf_cache(
+      miss_dev, miss_io, kMissNodeBytes, kMissNodeBytes, 0,
+      blockdev::CodecKind::kIdentity);
+  for (uint64_t n = 0; n < kMissLeaves; ++n) {
+    auto leaf = btree::BTreeNode::make_leaf();
+    for (uint64_t i = 0;
+         leaf->byte_size() + node::KvRecord::encoded_size(16, 100) <=
+         kMissNodeBytes * 85 / 100;
+         ++i) {
+      leaf->leaf_append(kv::encode_key(n * 1000 + i, 16),
+                        kv::make_value(i, 100));
+    }
+    DAMKIT_CHECK_OK(
+        leaf_cache.write_through(leaf_cache.store().allocate(), *leaf));
+  }
+  // Each id differs from the one before it, cyclically, so every fetch of
+  // every repetition misses.
+  const uint64_t misses = args.quick ? 2'000 : 10'000;
+  std::vector<uint64_t> miss_ids(misses);
+  for (uint64_t i = 0; i < misses; ++i) {
+    do {
+      miss_ids[i] = page_rng.uniform(kMissLeaves);
+    } while ((i > 0 && miss_ids[i] == miss_ids[i - 1]) ||
+             (i + 1 == misses && miss_ids[i] == miss_ids[0]));
+  }
+  report("btree_leaf_miss", misses, [&] {
+    uint64_t entries = 0;
+    for (const uint64_t id : miss_ids) {
+      entries += (*leaf_cache.fetch(id))->entry_count();
+    }
+    g_sink = g_sink + entries;
   });
 
   Rng rng(args.seed + 3);

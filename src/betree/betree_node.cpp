@@ -164,7 +164,8 @@ void BeTreeNode::leaf_merge_from_right(BeTreeNode& right) {
   right.entries_.clear();
 }
 
-void BeTreeNode::serialize(std::vector<uint8_t>& out) const {
+template <typename Bytes>
+void BeTreeNode::serialize(Bytes& out) const {
   out.clear();
   out.reserve(byte_size());
   kv::Writer w(out);
@@ -178,8 +179,8 @@ void BeTreeNode::serialize(std::vector<uint8_t>& out) const {
     for (size_t i = 0; i < children_.size(); ++i) {
       w.put_u64(children_[i]);
       w.put_u32(segments_[i].count);
-      out.insert(out.end(), segments_[i].bytes.begin(),
-                 segments_[i].bytes.end());
+      const std::vector<uint8_t>& bytes = segments_[i].bytes;
+      w.put_bytes({reinterpret_cast<const char*>(bytes.data()), bytes.size()});
     }
     pivots_.write_to(&out);
   }
@@ -187,22 +188,23 @@ void BeTreeNode::serialize(std::vector<uint8_t>& out) const {
                    "size accounting drift: serialized "
                        << out.size() << " vs tracked " << byte_size());
 }
+template void BeTreeNode::serialize(std::vector<uint8_t>&) const;
+template void BeTreeNode::serialize(ByteBuffer&) const;
 
-std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
-    std::span<const uint8_t> image) {
+std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(ByteBuffer&& image) {
   kv::Reader r(image);
   DAMKIT_CHECK_MSG(r.get_u32() == kMagic, "bad betree node magic");
   const bool leaf = r.get_u8() != 0;
   const uint32_t count = r.get_u32();
   auto node = leaf ? make_leaf() : make_internal();
   if (leaf) {
-    node->entries_.parse_prefix(image.data() + r.position(),
-                                image.size() - r.position(), count);
+    node->entries_.adopt_prefix(std::move(image), r.position(), count);
     return node;
   }
   // Internal layout: per child [u64 child][u32 msg count][msg records...],
-  // then the pivot records. Each child's message segment is walked as
-  // node::TaggedRecords and captured as one bulk copy.
+  // then the pivot records. One buffer cannot own many segments, so each
+  // child's message segment is walked as node::TaggedRecords and captured
+  // as one bulk copy, and the pivots are copied too.
   const uint8_t* base = image.data();
   const size_t size = image.size();
   size_t off = r.position();
@@ -223,6 +225,11 @@ std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
   node->pivots_.parse_prefix(base + off, size - off,
                              count == 0 ? 0 : count - 1);
   return node;
+}
+
+std::shared_ptr<BeTreeNode> BeTreeNode::deserialize(
+    std::span<const uint8_t> image) {
+  return deserialize(copy_bytes(image));
 }
 
 uint64_t BeTreeNode::recomputed_byte_size() const {

@@ -11,8 +11,9 @@
 // a node::PivotPage (node/sorted_page.h), in wire format, and each child's
 // buffer is a packed MsgSegment of node::TaggedRecord messages (arrival
 // order, append-only), so serialize/deserialize move bytes without
-// per-entry allocations and buffer(i) yields MessageView borrows. All
-// byte-size accounting follows the record formats in node/record.h.
+// per-entry allocations (a leaf adopts the read buffer outright) and
+// buffer(i) yields MessageView borrows. All byte-size accounting follows
+// the record formats in node/record.h.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "betree/message.h"
 #include "kv/slice.h"
 #include "node/sorted_page.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace damkit::betree {
@@ -136,7 +138,14 @@ class BeTreeNode {
   void leaf_merge_from_right(BeTreeNode& right);
 
   // --- Serialization ---
-  void serialize(std::vector<uint8_t>& out) const;
+  /// Replace `out` (a std::vector<uint8_t> or a ByteBuffer) with the image.
+  template <typename Bytes>
+  void serialize(Bytes& out) const;
+  /// Parse `image` (a node image, possibly followed by padding). A leaf
+  /// adopts it as its entries' heap; an internal node copies its message
+  /// segments and pivots out of it.
+  static std::shared_ptr<BeTreeNode> deserialize(ByteBuffer&& image);
+  /// The same parse of borrowed bytes: copies them into a buffer first.
   static std::shared_ptr<BeTreeNode> deserialize(
       std::span<const uint8_t> image);
   /// byte_size() from the records' own length fields (a cross-check).

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/bytes.h"
 
 namespace damkit::betree_opt {
 
@@ -131,8 +134,9 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
       // Deserialize first; the IO size to charge depends on which child
       // the descent takes (the parent's pivot block told the real system
       // this before the IO was issued).
-      DAMKIT_RETURN_IF_ERROR(cache_.store().peek_node(id, peek_buf_));
-      node = BeTreeNode::deserialize(peek_buf_);
+      ByteBuffer image;
+      DAMKIT_RETURN_IF_ERROR(cache_.store().peek_node(id, image));
+      node = BeTreeNode::deserialize(std::move(image));
       newly_loaded = true;
     }
 

@@ -91,7 +91,6 @@ class OptBeTree final : public betree::BeTree {
 
   uint64_t segment_cap_;
   OptBeTreeStats opt_stats_;
-  std::vector<uint8_t> peek_buf_;  // payload of the node a query reads
 };
 
 }  // namespace damkit::betree_opt

@@ -17,14 +17,19 @@ NodeStore::NodeStore(sim::Device& dev, sim::IoContext& io, uint64_t node_bytes,
   if (resolved != CodecKind::kIdentity) codec_ = make_codec(resolved);
 }
 
-std::span<const uint8_t> NodeStore::pad_image(std::span<const uint8_t> image) {
-  DAMKIT_CHECK_MSG(image.size() <= node_bytes_,
-                   "node image " << image.size() << " exceeds extent "
-                                 << node_bytes_);
-  scratch_.resize(node_bytes_);
-  std::memcpy(scratch_.data(), image.data(), image.size());
-  std::memset(scratch_.data() + image.size(), 0, node_bytes_ - image.size());
-  return scratch_;
+void NodeStore::prepare_write(ByteBuffer& image) {
+  const size_t used = image.size();
+  DAMKIT_CHECK_MSG(used <= node_bytes_,
+                   "node image " << used << " exceeds extent " << node_bytes_);
+  image.resize(node_bytes_);
+  std::memset(image.data() + used, 0, node_bytes_ - used);
+  if (codec_ == nullptr) return;
+  codec_->encode(image, enc_scratch_);
+  // A frame that does not fit the extent leaves the padded image stored
+  // raw (stored_len == node_bytes_ marks it unframed).
+  if (enc_scratch_.size() >= node_bytes_) return;
+  image.resize(enc_scratch_.size());
+  std::memcpy(image.data(), enc_scratch_.data(), enc_scratch_.size());
 }
 
 void NodeStore::set_stored_len(uint64_t node_id, uint64_t len) {
@@ -46,15 +51,18 @@ NodeStore::PhysSpan NodeStore::physical_span(uint64_t node_id, uint64_t offset,
   return {poff, plen};
 }
 
-void NodeStore::encode_image(std::span<const uint8_t> padded,
-                             std::vector<uint8_t>& out) const {
-  codec_->encode(padded, out);
-  // A frame that does not fit the extent falls back to the raw padded
-  // image (stored_len == node_bytes_ marks it unframed).
-  if (out.size() >= node_bytes_) out.assign(padded.begin(), padded.end());
+Status NodeStore::decode_frame(uint64_t node_id, ByteBuffer& out) {
+  if (!codec_->decode(dec_scratch_, decoded_) ||
+      decoded_.size() != node_bytes_) {
+    return Status::corruption("node " + std::to_string(node_id) +
+                              ": stored codec frame failed to decode");
+  }
+  out.resize(node_bytes_);
+  std::memcpy(out.data(), decoded_.data(), node_bytes_);
+  return Status();
 }
 
-Status NodeStore::fetch_payload(uint64_t node_id, std::vector<uint8_t>& out) {
+Status NodeStore::fetch_payload(uint64_t node_id, ByteBuffer& out) {
   const uint64_t offset = alloc_.offset_of(node_id);
   if (!compressed_node(node_id)) {
     out.resize(node_bytes_);
@@ -63,14 +71,10 @@ Status NodeStore::fetch_payload(uint64_t node_id, std::vector<uint8_t>& out) {
   }
   dec_scratch_.resize(stored_len(node_id));
   dev_->read_bytes(offset, dec_scratch_);
-  if (!codec_->decode(dec_scratch_, out) || out.size() != node_bytes_) {
-    return Status::corruption("node " + std::to_string(node_id) +
-                              ": stored codec frame failed to decode");
-  }
-  return Status();
+  return decode_frame(node_id, out);
 }
 
-Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
+Status NodeStore::try_read_node(uint64_t node_id, ByteBuffer& out) {
   const uint64_t offset = alloc_.offset_of(node_id);
   if (!compressed_node(node_id)) {
     out.resize(node_bytes_);
@@ -84,40 +88,28 @@ Status NodeStore::try_read_node(uint64_t node_id, std::vector<uint8_t>& out) {
   dec_scratch_.resize(stored_len(node_id));
   DAMKIT_RETURN_IF_ERROR(
       io_->read_checked(offset, std::span<uint8_t>(dec_scratch_)));
-  if (!codec_->decode(dec_scratch_, out) || out.size() != node_bytes_) {
-    return Status::corruption("node " + std::to_string(node_id) +
-                              ": stored codec frame failed to decode");
-  }
+  DAMKIT_RETURN_IF_ERROR(decode_frame(node_id, out));
   ++stats_.node_reads;
   stats_.bytes_read += dec_scratch_.size();
   return Status();
 }
 
-Status NodeStore::try_write_node(uint64_t node_id,
-                                 std::span<const uint8_t> image) {
-  // Whole-extent write: pad the image so the device sees a node_bytes IO.
-  const std::span<const uint8_t> padded = pad_image(image);
-  const uint64_t offset = alloc_.offset_of(node_id);
-  if (codec_ == nullptr) {
-    DAMKIT_RETURN_IF_ERROR(io_->write_checked(offset, padded));
-    ++stats_.node_writes;
-    stats_.bytes_written += node_bytes_;
-    return Status();
-  }
-  // Compressed partial-extent write at the unchanged extent offset. On a
-  // torn write the retry rewrites the frame in full; stored_len_ is
+Status NodeStore::try_write_node(uint64_t node_id, ByteBuffer& image) {
+  // Whole-extent write: the device sees a node_bytes IO, or under a codec
+  // a partial-extent write of the frame at the unchanged extent offset. On
+  // a torn write the retry rewrites the frame in full; stored_len_ is
   // updated only once the image durably landed, and the try_* contract
   // (the caller keeps failed images dirty) covers the give-up case.
-  encode_image(padded, enc_scratch_);
-  DAMKIT_RETURN_IF_ERROR(
-      io_->write_checked(offset, std::span<const uint8_t>(enc_scratch_)));
-  set_stored_len(node_id, enc_scratch_.size());
+  prepare_write(image);
+  DAMKIT_RETURN_IF_ERROR(io_->write_checked(
+      alloc_.offset_of(node_id), std::span<const uint8_t>(image)));
+  if (codec_ != nullptr) set_stored_len(node_id, image.size());
   ++stats_.node_writes;
-  stats_.bytes_written += enc_scratch_.size();
+  stats_.bytes_written += image.size();
   return Status();
 }
 
-Status NodeStore::peek_node(uint64_t node_id, std::vector<uint8_t>& out) {
+Status NodeStore::peek_node(uint64_t node_id, ByteBuffer& out) {
   return fetch_payload(node_id, out);
 }
 
@@ -133,7 +125,7 @@ Status NodeStore::try_touch_read(uint64_t node_id, uint64_t offset,
 }
 
 Status NodeStore::try_read_nodes(std::span<const uint64_t> ids,
-                                 std::vector<std::vector<uint8_t>>& out) {
+                                 std::vector<ByteBuffer>& out) {
   out.resize(ids.size());
   if (ids.empty()) return Status();
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
@@ -159,31 +151,25 @@ Status NodeStore::try_write_nodes(std::span<const NodeImage> writes,
                                   std::vector<bool>* written) {
   if (written != nullptr) written->assign(writes.size(), false);
   if (writes.empty()) return Status();
-  // Stage every device image up front (padded, and encoded when a codec
-  // is active) so retry attempts reuse the same bytes instead of
-  // re-padding per IO per attempt.
-  if (batch_images_.size() < writes.size()) batch_images_.resize(writes.size());
+  // Prepare every image in place up front so retry attempts reuse the
+  // same bytes instead of re-padding per IO per attempt.
   std::vector<sim::IoRequest>& reqs = reqs_scratch_;
   reqs.clear();
   reqs.reserve(writes.size());
   uint64_t total_bytes = 0;
-  for (size_t i = 0; i < writes.size(); ++i) {
-    const std::span<const uint8_t> padded = pad_image(writes[i].image);
-    if (codec_ == nullptr) {
-      batch_images_[i].assign(padded.begin(), padded.end());
-    } else {
-      encode_image(padded, batch_images_[i]);
-    }
-    reqs.push_back({sim::IoKind::kWrite, alloc_.offset_of(writes[i].node_id),
-                    batch_images_[i].size()});
-    total_bytes += batch_images_[i].size();
+  for (const NodeImage& w : writes) {
+    prepare_write(*w.image);
+    reqs.push_back({sim::IoKind::kWrite, alloc_.offset_of(w.node_id),
+                    w.image->size()});
+    total_bytes += w.image->size();
   }
   DAMKIT_RETURN_IF_ERROR(io_->submit_batch_checked(
       reqs, [&](size_t i, const Status& verdict) {
-        dev_->settle_write(reqs[i].offset, batch_images_[i], verdict);
+        const ByteBuffer& image = *writes[i].image;
+        dev_->settle_write(reqs[i].offset, image, verdict);
         if (verdict.ok()) {
           if (codec_ != nullptr) {
-            set_stored_len(writes[i].node_id, batch_images_[i].size());
+            set_stored_len(writes[i].node_id, image.size());
           }
           if (written != nullptr) (*written)[i] = true;
         }

@@ -18,6 +18,7 @@
 #include "blockdev/extent_allocator.h"
 #include "sim/device.h"
 #include "stats/metrics.h"
+#include "util/bytes.h"
 
 namespace damkit::blockdev {
 
@@ -80,12 +81,16 @@ class NodeStore {
     if (node_id < stored_len_.size()) stored_len_[node_id] = 0;
   }
 
-  /// Read the entire node extent (cost: one IO of node_bytes).
-  Status try_read_node(uint64_t node_id, std::vector<uint8_t>& out);
+  /// Read the entire node extent into `out` (cost: one IO of node_bytes).
+  /// An uncompressed node lands by the device's own copy alone: `out` is
+  /// resized without zero-filling and then filled.
+  Status try_read_node(uint64_t node_id, ByteBuffer& out);
 
-  /// Write a node image (padded to the full extent; cost: one IO of
-  /// node_bytes — classic trees write whole nodes).
-  Status try_write_node(uint64_t node_id, std::span<const uint8_t> image);
+  /// Write a node image (cost: one IO of node_bytes — classic trees write
+  /// whole nodes). `image` is the caller's IO buffer: it is turned in place
+  /// into the bytes the extent stores (see prepare_write), so the device's
+  /// copy is the only one.
+  Status try_write_node(uint64_t node_id, ByteBuffer& image);
 
   /// Charge a read of `length` bytes at node-relative `offset` without
   /// copying payload (layout experiments where only timing matters).
@@ -96,12 +101,13 @@ class NodeStore {
   /// this is the OptBeTree sub-node read path, where the IO size is
   /// decided by the pivots the parent level already delivered. Non-OK
   /// (kCorruption) only when a stored codec frame fails to decode.
-  Status peek_node(uint64_t node_id, std::vector<uint8_t>& out);
+  Status peek_node(uint64_t node_id, ByteBuffer& out);
 
-  /// A pending whole-node write for the batched path.
+  /// A pending whole-node write for the batched path; the image buffer is
+  /// prepared in place like try_write_node's.
   struct NodeImage {
     uint64_t node_id = 0;
-    std::span<const uint8_t> image;
+    ByteBuffer* image = nullptr;
   };
   /// A sub-extent read for the batched path (node-relative offset).
   struct NodeSpan {
@@ -117,12 +123,13 @@ class NodeStore {
   /// give-up the first failure is returned and the corresponding out slots
   /// are unspecified.
   Status try_read_nodes(std::span<const uint64_t> ids,
-                        std::vector<std::vector<uint8_t>>& out);
+                        std::vector<ByteBuffer>& out);
 
-  /// Vectored whole-node writes (each padded to the full extent), one
-  /// device batch; failed requests alone are re-batched under the retry
-  /// policy. On give-up some extents may hold torn data — the caller must
-  /// keep the in-memory images authoritative (dirty) until a later write
+  /// Vectored whole-node writes (each image prepared in place, as for
+  /// try_write_node), one device batch; failed requests alone are
+  /// re-batched under the retry policy, reusing the prepared bytes. On
+  /// give-up some extents may hold torn data — the caller must keep the
+  /// in-memory images authoritative (dirty) until a later write
   /// succeeds. When `written` is non-null it is resized to writes.size()
   /// and (*written)[i] reports whether write i durably landed (all true on
   /// an OK return).
@@ -145,8 +152,11 @@ class NodeStore {
                       std::string_view prefix) const;
 
  private:
-  /// Pad `image` into scratch_ as a full node_bytes extent image.
-  std::span<const uint8_t> pad_image(std::span<const uint8_t> image);
+  /// Turn a node image into the bytes its extent stores, in place: CHECK
+  /// that it fits, zero its tail out to node_bytes (explicit zeros: the
+  /// buffer may hold a longer earlier image), and under a codec replace it
+  /// with its frame, or keep it raw when the frame would not fit.
+  void prepare_write(ByteBuffer& image);
 
   /// Stored (device) length of node_id's image. 0 = never written through
   /// this store (read raw, full extent); node_bytes_ = stored raw
@@ -168,14 +178,12 @@ class NodeStore {
   };
   PhysSpan physical_span(uint64_t node_id, uint64_t offset,
                          uint64_t length) const;
-  /// Encode `padded` (a full logical image) into `out` as the bytes that
-  /// actually hit the device: the codec frame, or the padded image itself
-  /// when the frame would not fit the extent.
-  void encode_image(std::span<const uint8_t> padded,
-                    std::vector<uint8_t>& out) const;
+  /// Decode node_id's stored frame, read into dec_scratch_, into `out`.
+  /// Non-OK (kCorruption) when the frame fails to decode.
+  Status decode_frame(uint64_t node_id, ByteBuffer& out);
   /// Fetch node_id's payload into `out` (decoding compressed frames).
   /// Non-OK only when a frame fails to decode (kCorruption).
-  Status fetch_payload(uint64_t node_id, std::vector<uint8_t>& out);
+  Status fetch_payload(uint64_t node_id, ByteBuffer& out);
 
   sim::Device* dev_;
   sim::IoContext* io_;
@@ -184,10 +192,9 @@ class NodeStore {
   std::unique_ptr<BlockCodec> codec_;  // nullptr = identity (no-op path)
   std::vector<uint32_t> stored_len_;   // per-node stored image length
   // Reused per-store scratch (no per-IO vector allocations on hot paths).
-  std::vector<uint8_t> scratch_;      // write padding buffer
   std::vector<uint8_t> enc_scratch_;  // codec frame staging
   std::vector<uint8_t> dec_scratch_;  // stored-image staging for decode
-  std::vector<std::vector<uint8_t>> batch_images_;  // batched write staging
+  std::vector<uint8_t> decoded_;      // codec decode output
   std::vector<sim::IoRequest> reqs_scratch_;
   NodeStoreStats stats_;
 };

@@ -1,5 +1,8 @@
 #include "btree/btree_node.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "kv/codec.h"
 #include "kv/slice.h"
 #include "util/status.h"
@@ -148,7 +151,11 @@ std::string BTreeNode::borrow_balance(BTreeNode& right,
     const uint64_t loss = pivots_.record(last).size() + child_bytes();
     if (right.byte_size() + gain > byte_size() - loss) break;
     right.pivots_.insert_at(0, sep);
-    right.children_.insert(right.children_.begin(), children_.back());
+    // Prepend by append-and-rotate: an insert at begin() inlines a
+    // reallocation path gcc 12 -O3 reports under -Wnull-dereference.
+    right.children_.push_back(children_.back());
+    std::rotate(right.children_.begin(), right.children_.end() - 1,
+                right.children_.end());
     sep = std::string(pivot(last));
     pivots_.truncate(last);
     children_.pop_back();
@@ -156,7 +163,8 @@ std::string BTreeNode::borrow_balance(BTreeNode& right,
   return sep;
 }
 
-void BTreeNode::serialize(std::vector<uint8_t>& out) const {
+template <typename Bytes>
+void BTreeNode::serialize(Bytes& out) const {
   out.clear();
   out.reserve(byte_size());
   kv::Writer w(out);
@@ -175,9 +183,10 @@ void BTreeNode::serialize(std::vector<uint8_t>& out) const {
                    "size accounting drift: serialized "
                        << out.size() << " vs tracked " << byte_size());
 }
+template void BTreeNode::serialize(std::vector<uint8_t>&) const;
+template void BTreeNode::serialize(ByteBuffer&) const;
 
-std::shared_ptr<BTreeNode> BTreeNode::deserialize(
-    std::span<const uint8_t> image) {
+std::shared_ptr<BTreeNode> BTreeNode::deserialize(ByteBuffer&& image) {
   kv::Reader r(image);
   DAMKIT_CHECK_MSG(r.get_u32() == kMagic, "bad node magic");
   const bool leaf = r.get_u8() != 0;
@@ -186,16 +195,19 @@ std::shared_ptr<BTreeNode> BTreeNode::deserialize(
   auto node = leaf ? make_leaf() : make_internal();
   node->next_leaf_ = next;
   if (leaf) {
-    node->entries_.parse_prefix(image.data() + r.position(),
-                                image.size() - r.position(), count);
+    node->entries_.adopt_prefix(std::move(image), r.position(), count);
   } else {
     node->children_.reserve(count);
     for (uint32_t i = 0; i < count; ++i) node->children_.push_back(r.get_u64());
-    node->pivots_.parse_prefix(image.data() + r.position(),
-                               image.size() - r.position(),
+    node->pivots_.adopt_prefix(std::move(image), r.position(),
                                count == 0 ? 0 : count - 1);
   }
   return node;
+}
+
+std::shared_ptr<BTreeNode> BTreeNode::deserialize(
+    std::span<const uint8_t> image) {
+  return deserialize(copy_bytes(image));
 }
 
 }  // namespace damkit::btree

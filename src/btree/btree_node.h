@@ -4,12 +4,13 @@
 // leaf B+-tree style) or an internal node (n-1 pivots, n child ids).
 //
 // Leaf entries live in a node::KvPage and pivots in a node::PivotPage
-// (node/sorted_page.h), in wire format, so deserialize is one bulk copy
-// plus a header walk (no per-entry string allocations), serialize of an
-// untouched node is one memcpy, and key()/value()/pivot() are zero-copy
-// kv::Slice views into the page. byte_size() is derived from the pages'
-// live bytes, so sizes (and therefore every split/merge decision and
-// sim-time gauge) follow the record formats in node/record.h.
+// (node/sorted_page.h), in wire format, so deserialize adopts the read
+// buffer as the page's heap and walks the record headers in place (no copy,
+// no per-entry string allocations), serialize of an untouched node is one
+// memcpy, and key()/value()/pivot() are zero-copy kv::Slice views into the
+// page. byte_size() is derived from the pages' live bytes, so sizes (and
+// therefore every split/merge decision and sim-time gauge) follow the
+// record formats in node/record.h.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 
 #include "kv/slice.h"
 #include "node/sorted_page.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace damkit::btree {
@@ -113,7 +115,13 @@ class BTreeNode {
   std::string borrow_balance(BTreeNode& right, std::string_view separator);
 
   // --- Serialization ---
-  void serialize(std::vector<uint8_t>& out) const;
+  /// Replace `out` (a std::vector<uint8_t> or a ByteBuffer) with the image.
+  template <typename Bytes>
+  void serialize(Bytes& out) const;
+  /// Parse `image` (a node image, possibly followed by padding), adopting
+  /// it as the leaf entries' or the pivots' heap.
+  static std::shared_ptr<BTreeNode> deserialize(ByteBuffer&& image);
+  /// The same parse of borrowed bytes: copies them into a buffer first.
   static std::shared_ptr<BTreeNode> deserialize(
       std::span<const uint8_t> image);
 

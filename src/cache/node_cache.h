@@ -7,11 +7,15 @@
 // the node life cycle every tree shares: a miss reads the whole extent and
 // parses it, a dirty eviction serializes the node and writes it as one
 // scalar IO, and a checkpoint writes every dirty node as one device batch.
+// Each costs one host copy of the image besides the device's own: a miss
+// reads into a fresh buffer that the parsed node adopts, and a write
+// serializes into the IO buffer that the store pads in place.
 // Pinning is implicit: an entry whose handle is still held by a caller
 // (shared_ptr use_count > 1) is never evicted.
 //
-// Node provides `void serialize(std::vector<uint8_t>&) const` and
-// `static std::shared_ptr<Node> deserialize(std::span<const uint8_t>)`.
+// Node provides `void serialize(ByteBuffer&) const` and
+// `static std::shared_ptr<Node> deserialize(ByteBuffer&&)`, which parses a
+// padded extent image and may adopt the buffer as the node's storage.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 
 #include "blockdev/block_device.h"
 #include "stats/metrics.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace damkit::cache {
@@ -95,8 +100,9 @@ class NodeCache {
   /// it and inserts it clean, charged a full node.
   StatusOr<NodeRef> fetch(uint64_t id) {
     if (NodeRef cached = lookup(id)) return cached;
-    DAMKIT_RETURN_IF_ERROR(store_.try_read_node(id, io_buf_));
-    NodeRef node = Node::deserialize(io_buf_);
+    ByteBuffer image;
+    DAMKIT_RETURN_IF_ERROR(store_.try_read_node(id, image));
+    NodeRef node = Node::deserialize(std::move(image));
     put(id, node, store_.node_bytes(), /*dirty=*/false);
     return node;
   }
@@ -110,11 +116,11 @@ class NodeCache {
       if (!contains(id)) missing.push_back(id);
     }
     if (missing.size() < 2) return Status();
-    std::vector<std::vector<uint8_t>> images;
+    std::vector<ByteBuffer> images;
     DAMKIT_RETURN_IF_ERROR(store_.try_read_nodes(missing, images));
     for (size_t i = 0; i < missing.size(); ++i) {
-      put(missing[i], Node::deserialize(images[i]), store_.node_bytes(),
-          /*dirty=*/false);
+      put(missing[i], Node::deserialize(std::move(images[i])),
+          store_.node_bytes(), /*dirty=*/false);
     }
     return Status();
   }
@@ -188,8 +194,8 @@ class NodeCache {
   /// Serialize `node` into extent `id` as one scalar write, bypassing the
   /// cache: bulk load writes each node once and leaves it cold.
   Status write_through(uint64_t id, const Node& node) {
-    node.serialize(io_buf_);
-    return store_.try_write_node(id, io_buf_);
+    node.serialize(write_buf_);
+    return store_.try_write_node(id, write_buf_);
   }
 
   /// Checkpoint: write every dirty node, MRU→LRU, as one device batch;
@@ -202,12 +208,15 @@ class NodeCache {
       if (it->dirty) dirty.push_back(it);
     }
     if (dirty.empty()) return Status();
-    std::vector<std::vector<uint8_t>> images(dirty.size());
+    std::vector<ByteBuffer> images(dirty.size());
     std::vector<blockdev::NodeStore::NodeImage> writes;
     writes.reserve(dirty.size());
     for (size_t i = 0; i < dirty.size(); ++i) {
+      // Room for the padding up front: a ByteBuffer that outgrows its
+      // capacity moves its bytes one at a time.
+      images[i].reserve(store_.node_bytes());
       dirty[i]->node->serialize(images[i]);
-      writes.push_back({dirty[i]->id, images[i]});
+      writes.push_back({dirty[i]->id, &images[i]});
     }
     std::vector<bool> written;
     const Status s = store_.try_write_nodes(writes, &written);
@@ -301,8 +310,8 @@ class NodeCache {
   /// dirty and must stay resident: the cached copy is the only good one.
   Status writeback(Entry& e) {
     if (!e.dirty) return Status();
-    e.node->serialize(io_buf_);
-    const Status s = store_.try_write_node(e.id, io_buf_);
+    e.node->serialize(write_buf_);
+    const Status s = store_.try_write_node(e.id, write_buf_);
     if (!s.ok()) {
       ++stats_.writeback_failures;
       return s;
@@ -355,7 +364,7 @@ class NodeCache {
   // pinned-leak abort excludes them from the resident pinned set.
   uint64_t writeback_deferred_bytes_ = 0;
   mutable NodeCacheStats stats_;
-  std::vector<uint8_t> io_buf_;  // scratch for scalar node IO
+  ByteBuffer write_buf_;  // IO buffer for scalar node writes
 };
 
 }  // namespace damkit::cache

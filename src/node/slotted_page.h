@@ -1,14 +1,19 @@
 // SlottedPage: the zero-copy in-memory record container under every node
 // and block parse. Records stay *in wire format* in one contiguous heap:
 //
-//   heap_   packed record bytes (append-only; rewritten only on compaction)
-//   slots_  {offset, length} per record, kept in logical (key) order
+//   heap_   [base_ bytes of node header][packed record bytes] (append-only;
+//           rewritten only on compaction)
+//   slots_  {heap offset, length} per record, kept in logical (key) order
 //
-// so a parse is one memcpy plus one header walk (build_from_prefix, the one
-// walk over stored records), serialize of an untouched page is one memcpy
-// (write_to), and record(i) is a zero-copy std::string_view into the heap.
-// The slot array is an in-memory sidecar, never part of the wire image.
-// Engines use the typed node::SortedPage (node/sorted_page.h) over it.
+// A node read from the device is parsed by adoption (adopt_prefix): the
+// page takes the read buffer as its heap and walks the record headers in
+// place, so the device copy is the only copy; the records start base_
+// bytes in, after the node header. Borrowed bytes (SSTable blocks, Bε-tree
+// pivots) are parsed by one bulk copy (build_from_prefix); both share one
+// walk over stored records (walk_prefix). Serialize of an untouched page is
+// one memcpy (write_to), and record(i) is a zero-copy std::string_view into
+// the heap. The slot array is an in-memory sidecar, never part of the wire
+// image. Engines use the typed node::SortedPage (node/sorted_page.h) over it.
 //
 // Mutations append new bytes to the heap and edit the slot array;
 // overwritten/erased bytes become garbage that is reclaimed by an
@@ -17,6 +22,7 @@
 // record passed into a mutator must not alias this page's own heap.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -24,6 +30,7 @@
 #include <vector>
 
 #include "kv/slice.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace damkit::node {
@@ -45,14 +52,15 @@ class SlottedPage {
   void clear() {
     heap_.clear();
     slots_.clear();
+    base_ = 0;
     live_bytes_ = 0;
     compact_ = true;
     uniform_len_ = 0;
   }
 
-  /// Rebuild from a wire image: one bulk copy, then one walk over the
-  /// record headers (`len_of(p)` returns the full record length at p,
-  /// reading only the `header_bytes` fixed-size record header there).
+  /// Rebuild from a wire image: one walk over the record headers
+  /// (`len_of(p)` returns the full record length at p, reading only the
+  /// `header_bytes` fixed-size record header there), then one bulk copy.
   /// No per-entry allocations.
   template <typename LenOf>
   void build_from_image(const uint8_t* data, size_t size, size_t entries,
@@ -63,26 +71,37 @@ class SlottedPage {
   }
 
   /// Like build_from_image, but the records occupy only a prefix of
-  /// [data, data + max_size) — the node-store hands back full padded
-  /// extents. Walks the headers to find the end, then copies exactly the
-  /// live prefix. Returns the number of bytes consumed.
+  /// [data, data + max_size) of borrowed bytes. Walks the headers to find
+  /// the end, then copies exactly the live prefix. Returns the number of
+  /// bytes consumed.
   template <typename LenOf>
   size_t build_from_prefix(const uint8_t* data, size_t max_size,
                            size_t entries, size_t header_bytes,
                            LenOf&& len_of) {
-    slots_.clear();
-    slots_.reserve(entries);
-    uniform_len_ = 0;
-    const size_t used = walk_prefix(
-        data, max_size, entries, header_bytes, len_of,
-        [this](size_t off, size_t len) {
-          slots_.push_back(
-              Slot{static_cast<uint32_t>(off), static_cast<uint32_t>(len)});
-          note_len(len, slots_.size() == 1);
-        });
-    heap_.assign(data, data + used);
-    live_bytes_ = used;
-    compact_ = true;
+    const size_t used =
+        index_prefix(data, max_size, 0, entries, header_bytes, len_of);
+    heap_.clear();  // so a reallocation has no old bytes to move
+    heap_.resize(used);
+    if (used != 0) std::memcpy(heap_.data(), data, used);
+    base_ = 0;
+    return used;
+  }
+
+  /// Rebuild by adopting `image` as the heap, with no copy: the records
+  /// start `base` bytes in (after the node header) and occupy a prefix of
+  /// the rest — the node store hands back full padded extents. The heap
+  /// keeps the image's capacity, so later appends grow in place. Returns
+  /// the number of record bytes.
+  template <typename LenOf>
+  size_t adopt_prefix(ByteBuffer&& image, size_t base, size_t entries,
+                      size_t header_bytes, LenOf&& len_of) {
+    DAMKIT_CHECK_MSG(base <= image.size(),
+                     "short read: slotted records start past the image");
+    const size_t used = index_prefix(image.data() + base, image.size() - base,
+                                     base, entries, header_bytes, len_of);
+    heap_ = std::move(image);
+    heap_.resize(base + used);
+    base_ = base;
     return used;
   }
 
@@ -108,17 +127,19 @@ class SlottedPage {
     return off;
   }
 
-  /// Append the wire image to `out`. One memcpy when the page is compact
-  /// (fresh from build_from_image / append-only use); otherwise one
+  /// Append the wire image to the byte vector `out`. One memcpy when the
+  /// page is compact (fresh from a parse / append-only use); otherwise one
   /// record-copy pass in slot order — still no per-entry allocations.
-  void write_to(std::vector<uint8_t>* out) const {
-    if (compact_) {
-      out->insert(out->end(), heap_.begin(), heap_.end());
-      return;
-    }
+  template <typename Bytes>
+  void write_to(Bytes* out) const {
+    if (live_bytes_ == 0) return;
     const size_t at = out->size();
     out->resize(at + live_bytes_);
     uint8_t* p = out->data() + at;
+    if (compact_) {
+      std::memcpy(p, heap_.data() + base_, live_bytes_);
+      return;
+    }
     for (const Slot& s : slots_) {
       std::memcpy(p, heap_.data() + s.off, s.len);
       p += s.len;
@@ -151,13 +172,13 @@ class SlottedPage {
     // of the same entry) — keeps the page compact.
     const bool at_tail = old.off + old.len == heap_.size();
     if (at_tail) {
-      heap_.resize(old.off + len);
+      resize_heap(old.off + len);
       slots_[pos] = Slot{old.off, static_cast<uint32_t>(len)};
       live_bytes_ += len;
       return heap_.data() + old.off;
     }
     const size_t off = heap_.size();
-    heap_.resize(off + len);
+    resize_heap(off + len);
     slots_[pos] =
         Slot{static_cast<uint32_t>(off), static_cast<uint32_t>(len)};
     live_bytes_ += len;
@@ -189,7 +210,7 @@ class SlottedPage {
     if (compact_) {
       heap_.resize(slots_[new_count].off);
       slots_.resize(new_count);
-      live_bytes_ = heap_.size();
+      live_bytes_ = heap_.size() - base_;
       return;
     }
     for (size_t i = new_count; i < slots_.size(); ++i) {
@@ -233,8 +254,8 @@ class SlottedPage {
     return bound_slots<false>(key, key_of);
   }
 
-  /// Heap bytes currently held (live + garbage) — for tests/metrics.
-  size_t heap_bytes() const { return heap_.size(); }
+  /// Record heap bytes currently held (live + garbage) — for tests/metrics.
+  size_t heap_bytes() const { return heap_.size() - base_; }
   bool compact() const { return compact_; }
 
  private:
@@ -257,7 +278,7 @@ class SlottedPage {
   /// This is the state every freshly deserialized fixed-width node is in.
   template <bool Lower, typename KeyOf>
   size_t bound_fixed(std::string_view key, KeyOf&& key_of) const {
-    const char* heap = reinterpret_cast<const char*>(heap_.data());
+    const char* heap = reinterpret_cast<const char*>(heap_.data()) + base_;
     const size_t stride = uniform_len_;
     const auto rec = [&](size_t i) {
       return std::string_view(heap + i * stride, stride);
@@ -308,6 +329,26 @@ class SlottedPage {
     return base + static_cast<size_t>(Lower ? c < 0 : c <= 0);
   }
 
+  /// The walk of both parses: slot the `entries` records at the front of
+  /// [data, data + max_size), which will sit at heap offset `base`.
+  template <typename LenOf>
+  size_t index_prefix(const uint8_t* data, size_t max_size, size_t base,
+                      size_t entries, size_t header_bytes, LenOf&& len_of) {
+    slots_.clear();
+    slots_.reserve(entries);
+    uniform_len_ = 0;
+    const size_t used = walk_prefix(
+        data, max_size, entries, header_bytes, len_of,
+        [this, base](size_t off, size_t len) {
+          slots_.push_back(Slot{static_cast<uint32_t>(base + off),
+                                static_cast<uint32_t>(len)});
+          note_len(len, slots_.size() == 1);
+        });
+    live_bytes_ = used;
+    compact_ = true;
+    return used;
+  }
+
   /// Track whether every record shares one length (enables bound_fixed).
   /// 0 means "mixed / unknown" and is sticky until clear()/rebuild.
   void note_len(size_t len, bool first) {
@@ -321,34 +362,59 @@ class SlottedPage {
   uint8_t* alloc_tail(size_t len, size_t pos) {
     const bool first = slots_.empty();
     const size_t off = heap_.size();
-    heap_.resize(off + len);
-    slots_.insert(slots_.begin() + static_cast<ptrdiff_t>(pos),
-                  Slot{static_cast<uint32_t>(off), static_cast<uint32_t>(len)});
+    resize_heap(off + len);
+    // Grow by one, then shift [pos, end) up: a vector::insert here inlines
+    // a reallocation path that gcc 12 -O3 reports as a possible null
+    // dereference (-Wnull-dereference).
+    slots_.resize(slots_.size() + 1);
+    std::move_backward(slots_.begin() + static_cast<ptrdiff_t>(pos),
+                       slots_.end() - 1, slots_.end());
+    slots_[pos] =
+        Slot{static_cast<uint32_t>(off), static_cast<uint32_t>(len)};
     live_bytes_ += len;
     note_len(len, first);
     if (pos != slots_.size() - 1) compact_ = false;
     return heap_.data() + off;
   }
 
+  /// Resize the heap to `bytes`, new bytes unwritten. Past its capacity it
+  /// grows by doubling with one memcpy: a ByteBuffer's own reallocation
+  /// moves its bytes one element at a time.
+  void resize_heap(size_t bytes) {
+    if (bytes > heap_.capacity()) {
+      ByteBuffer grown;
+      grown.reserve(std::max(bytes, 2 * heap_.capacity()));
+      grown.resize(heap_.size());
+      if (!heap_.empty()) {
+        std::memcpy(grown.data(), heap_.data(), heap_.size());
+      }
+      heap_.swap(grown);
+    }
+    heap_.resize(bytes);
+  }
+
   void maybe_compact() {
-    if (heap_.size() > 2 * live_bytes_ + 4096) compact_now();
+    if (heap_.size() - base_ > 2 * live_bytes_ + 4096) compact_now();
   }
 
   void compact_now() {
-    std::vector<uint8_t> fresh;
-    fresh.reserve(live_bytes_);
+    ByteBuffer fresh(live_bytes_);
+    uint32_t off = 0;
     for (Slot& s : slots_) {
-      const uint32_t off = static_cast<uint32_t>(fresh.size());
-      fresh.insert(fresh.end(), heap_.begin() + s.off,
-                   heap_.begin() + s.off + s.len);
+      std::memcpy(fresh.data() + off, heap_.data() + s.off, s.len);
       s.off = off;
+      off += s.len;
     }
     heap_ = std::move(fresh);
+    base_ = 0;
     compact_ = true;
   }
 
-  std::vector<uint8_t> heap_;
+  ByteBuffer heap_;
   std::vector<Slot> slots_;
+  /// Heap offset of the first record: the node header an adopted image
+  /// keeps in front of them (0 unless adopted).
+  size_t base_ = 0;
   size_t live_bytes_ = 0;
   bool compact_ = true;
   /// Common record length when all records share one, else 0 (sticky).

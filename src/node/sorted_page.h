@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "kv/slice.h"
 #include "node/record.h"
 #include "node/slotted_page.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace damkit::node {
@@ -23,6 +25,8 @@ class SortedPage {
   bool empty() const { return page_.empty(); }
   /// Sum of the records' encoded sizes: the page's wire-image size.
   size_t live_bytes() const { return page_.live_bytes(); }
+  /// True when the heap holds the records back to back, in order.
+  bool compact() const { return page_.compact(); }
 
   std::string_view record(size_t i) const { return page_.record(i); }
   std::string_view key(size_t i) const { return Rec::key(page_.record(i)); }
@@ -110,10 +114,16 @@ class SortedPage {
   }
 
   /// Rebuild from the `records` records at the front of [data, data +
-  /// max_size); returns the bytes they occupy.
+  /// max_size), copying them; returns the bytes they occupy.
   size_t parse_prefix(const uint8_t* data, size_t max_size, size_t records) {
     return page_.build_from_prefix(data, max_size, records, Rec::kHeaderBytes,
                                    LengthOf{});
+  }
+  /// Rebuild from the `records` records that start `base` bytes into
+  /// `image`, adopting it as the heap (no copy); returns their bytes.
+  size_t adopt_prefix(ByteBuffer&& image, size_t base, size_t records) {
+    return page_.adopt_prefix(std::move(image), base, records,
+                              Rec::kHeaderBytes, LengthOf{});
   }
   /// Rebuild from an image of exactly `records` records.
   void parse(const uint8_t* data, size_t size, size_t records) {
@@ -135,8 +145,10 @@ class SortedPage {
     }
     return bytes;
   }
-  /// Append the wire image (the records back to back) to `out`.
-  void write_to(std::vector<uint8_t>* out) const { page_.write_to(out); }
+  /// Append the wire image (the records back to back) to the byte vector
+  /// `out`.
+  template <typename Bytes>
+  void write_to(Bytes* out) const { page_.write_to(out); }
 
  private:
   // One functor type per format, so searches and walks inline its accessor

@@ -1,12 +1,18 @@
 // Byte-level helpers: little-endian fixed-width encode/decode used by the
-// on-"disk" node formats, and human-readable byte-size formatting/parsing
-// used by benches and reports.
+// on-"disk" node formats, the node IO buffer type, and human-readable
+// byte-size formatting/parsing used by benches and reports.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace damkit {
 
@@ -42,6 +48,47 @@ inline uint64_t load_u64(const uint8_t* src) {
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(src[i]) << (8 * i);
   return v;
+}
+
+// ---------------------------------------------------------------------------
+// Node IO buffers.
+// ---------------------------------------------------------------------------
+
+/// std::allocator, except that value-initialising construction (what
+/// resize() does) default-initialises instead, so a trivial element is
+/// left unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A byte vector whose resize() does not zero-fill: the buffer a device
+/// read lands in, the heap a parsed node adopts, and the image a node
+/// serializes into. New bytes hold garbage until written, so fill a range
+/// with resize() then one memcpy (range insert/assign construct byte by
+/// byte), and zero padding explicitly.
+using ByteBuffer = std::vector<uint8_t, DefaultInitAllocator<uint8_t>>;
+
+/// A ByteBuffer holding a copy of `bytes`, made with one memcpy.
+inline ByteBuffer copy_bytes(std::span<const uint8_t> bytes) {
+  ByteBuffer out(bytes.size());
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -60,12 +60,22 @@ DurableEngine::~DurableEngine() = default;
 
 // A key past the record limit, or a record the WAL region cannot hold, is
 // rejected before it takes an LSN; the inner engine's own rejections are
-// logged, and replay skips them.
-Status DurableEngine::append_mutation(WriteAheadLog::RecordType type,
-                                      std::string_view key,
-                                      std::string_view value) {
+// logged, and replay skips them. An append whose own group commit failed
+// has still taken its LSN and stays buffered, and the next successful
+// commit makes it durable, so the mutation is applied then too: the live
+// state matches what recovery would replay.
+template <typename Apply>
+Status DurableEngine::log_and_apply(WriteAheadLog::RecordType type,
+                                    std::string_view key,
+                                    std::string_view value, Apply&& apply) {
   DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
-  return log_.append(type, key, value, log_.next_lsn());
+  const uint64_t lsn = log_.next_lsn();
+  const Status logged = log_.append(type, key, value, lsn);
+  if (log_.next_lsn() == lsn) return logged;  // not logged: not applied
+  const Status applied = apply();
+  DAMKIT_RETURN_IF_ERROR(logged);
+  DAMKIT_RETURN_IF_ERROR(applied);
+  return maybe_auto_checkpoint();
 }
 
 Status DurableEngine::maybe_auto_checkpoint() {
@@ -79,25 +89,19 @@ Status DurableEngine::maybe_auto_checkpoint() {
 }
 
 Status DurableEngine::try_put(std::string_view key, std::string_view value) {
-  DAMKIT_RETURN_IF_ERROR(
-      append_mutation(WriteAheadLog::RecordType::kPut, key, value));
-  DAMKIT_RETURN_IF_ERROR(inner_->try_put(key, value));
-  return maybe_auto_checkpoint();
+  return log_and_apply(WriteAheadLog::RecordType::kPut, key, value,
+                       [&] { return inner_->try_put(key, value); });
 }
 
 Status DurableEngine::try_erase(std::string_view key) {
-  DAMKIT_RETURN_IF_ERROR(
-      append_mutation(WriteAheadLog::RecordType::kErase, key, {}));
-  DAMKIT_RETURN_IF_ERROR(inner_->try_erase(key));
-  return maybe_auto_checkpoint();
+  return log_and_apply(WriteAheadLog::RecordType::kErase, key, {},
+                       [&] { return inner_->try_erase(key); });
 }
 
 Status DurableEngine::try_upsert(std::string_view key, int64_t delta) {
   const std::string payload = kv::encode_counter(static_cast<uint64_t>(delta));
-  DAMKIT_RETURN_IF_ERROR(append_mutation(WriteAheadLog::RecordType::kUpsert,
-                                         key, payload));
-  DAMKIT_RETURN_IF_ERROR(inner_->try_upsert(key, delta));
-  return maybe_auto_checkpoint();
+  return log_and_apply(WriteAheadLog::RecordType::kUpsert, key, payload,
+                       [&] { return inner_->try_upsert(key, delta); });
 }
 
 void DurableEngine::bulk_load(

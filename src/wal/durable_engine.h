@@ -132,8 +132,11 @@ class DurableEngine final : public kv::Dictionary {
                 sim::Device& dev, sim::IoContext& io,
                 const DurabilityConfig& cfg);
 
-  Status append_mutation(WriteAheadLog::RecordType type, std::string_view key,
-                         std::string_view value);
+  /// Log one mutation, then run `apply` (the inner engine's mutation)
+  /// whenever the log took the record, and return the append's status.
+  template <typename Apply>
+  Status log_and_apply(WriteAheadLog::RecordType type, std::string_view key,
+                       std::string_view value, Apply&& apply);
   Status maybe_auto_checkpoint();
   /// Serialize the inner engine's full contents ([u32 klen][u32 vlen]
   /// [key][value]...) via chunked try_range_scan.

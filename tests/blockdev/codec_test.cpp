@@ -260,14 +260,15 @@ TEST_P(NodeStoreCodecTest, CompressedWriteChargesStoredBytesOnly) {
   NodeStore store(dev_, io_, 64 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
   const auto image = sorted_records(500);  // compressible, < node_bytes
-  ASSERT_TRUE(store.try_write_node(id, image).ok());
+  ByteBuffer io = copy_bytes(image);
+  ASSERT_TRUE(store.try_write_node(id, io).ok());
   const uint64_t stored = store.stored_bytes(id);
   EXPECT_GT(stored, 0u);
   EXPECT_LT(stored, 64u * kKiB);
   EXPECT_EQ(dev_.stats().bytes_written, stored);
 
   dev_.clear_stats();
-  std::vector<uint8_t> back;
+  ByteBuffer back;
   ASSERT_TRUE(store.try_read_node(id, back).ok());
   EXPECT_EQ(dev_.stats().bytes_read, stored);  // partial-extent read
   ASSERT_EQ(back.size(), 64u * kKiB);
@@ -282,19 +283,20 @@ TEST_P(NodeStoreCodecTest, IncompressibleImageFallsBackToRawExtent) {
   const uint64_t id = store.allocate();
   Rng rng(23);
   const auto image = random_bytes(rng, 4 * kKiB);  // fills the extent
-  ASSERT_TRUE(store.try_write_node(id, image).ok());
+  ByteBuffer io = copy_bytes(image);
+  ASSERT_TRUE(store.try_write_node(id, io).ok());
   // A frame would exceed the extent, so the raw padded image is stored.
   EXPECT_EQ(store.stored_bytes(id), 4u * kKiB);
   EXPECT_EQ(dev_.stats().bytes_written, 4u * kKiB);
-  std::vector<uint8_t> back;
+  ByteBuffer back;
   ASSERT_TRUE(store.try_read_node(id, back).ok());
-  EXPECT_EQ(back, image);
+  EXPECT_EQ(std::vector<uint8_t>(back.begin(), back.end()), image);
 }
 
 TEST_P(NodeStoreCodecTest, SpanAndTouchChargesScaleWithStoredSize) {
   NodeStore store(dev_, io_, 64 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
-  std::vector<uint8_t> image(64 * kKiB, 7);  // collapses to almost nothing
+  ByteBuffer image(64 * kKiB, 7);  // collapses to almost nothing
   ASSERT_TRUE(store.try_write_node(id, image).ok());
   const uint64_t stored = store.stored_bytes(id);
   ASSERT_LT(stored, 64u * kKiB / 100);
@@ -320,8 +322,10 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
     images.push_back(i % 2 == 0 ? sorted_records(80 + i)
                                 : random_bytes(rng, 16 * kKiB));
   }
+  std::vector<ByteBuffer> io;
+  for (const auto& image : images) io.push_back(copy_bytes(image));
   std::vector<NodeStore::NodeImage> writes;
-  for (size_t i = 0; i < ids.size(); ++i) writes.push_back({ids[i], images[i]});
+  for (size_t i = 0; i < ids.size(); ++i) writes.push_back({ids[i], &io[i]});
   ASSERT_TRUE(store.try_write_nodes(writes).ok());
   uint64_t stored_total = 0;
   for (const uint64_t id : ids) stored_total += store.stored_bytes(id);
@@ -329,7 +333,7 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
   EXPECT_LT(stored_total, 6u * 16 * kKiB);
 
   dev_.clear_stats();
-  std::vector<std::vector<uint8_t>> back;
+  std::vector<ByteBuffer> back;
   ASSERT_TRUE(store.try_read_nodes(ids, back).ok());
   EXPECT_EQ(dev_.stats().bytes_read, stored_total);
   ASSERT_EQ(back.size(), ids.size());
@@ -344,7 +348,8 @@ TEST_P(NodeStoreCodecTest, BatchPathsRoundTripCompressedImages) {
 TEST_P(NodeStoreCodecTest, FreeResetsStoredLength) {
   NodeStore store(dev_, io_, 16 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
-  ASSERT_TRUE(store.try_write_node(id, sorted_records(100)).ok());
+  ByteBuffer io = copy_bytes(sorted_records(100));
+  ASSERT_TRUE(store.try_write_node(id, io).ok());
   ASSERT_LT(store.stored_bytes(id), 16u * kKiB);  // compressed
   store.free(id);
   ASSERT_EQ(store.allocate(), id);  // slot reuse
@@ -356,10 +361,11 @@ TEST_P(NodeStoreCodecTest, PeekServesDecodedPayloadWithoutTiming) {
   NodeStore store(dev_, io_, 16 * kKiB, 0, GetParam());
   const uint64_t id = store.allocate();
   const auto image = sorted_records(100);
-  ASSERT_TRUE(store.try_write_node(id, image).ok());
+  ByteBuffer io = copy_bytes(image);
+  ASSERT_TRUE(store.try_write_node(id, io).ok());
   const sim::SimTime before = io_.now();
   dev_.clear_stats();
-  std::vector<uint8_t> back;
+  ByteBuffer back;
   ASSERT_TRUE(store.peek_node(id, back).ok());
   EXPECT_EQ(io_.now(), before);
   EXPECT_EQ(dev_.stats().reads, 0u);
@@ -382,9 +388,11 @@ TEST(NodeStoreIdentityTest, ExplicitIdentityMatchesDefaultTiming) {
   const uint64_t a = plain.allocate();
   const uint64_t b = ident.allocate();
   const auto image = sorted_records(100);
-  ASSERT_TRUE(plain.try_write_node(a, image).ok());
-  ASSERT_TRUE(ident.try_write_node(b, image).ok());
-  std::vector<uint8_t> buf;
+  ByteBuffer io_a_image = copy_bytes(image);
+  ByteBuffer io_b_image = copy_bytes(image);
+  ASSERT_TRUE(plain.try_write_node(a, io_a_image).ok());
+  ASSERT_TRUE(ident.try_write_node(b, io_b_image).ok());
+  ByteBuffer buf;
   ASSERT_TRUE(plain.try_read_node(a, buf).ok());
   ASSERT_TRUE(ident.try_read_node(b, buf).ok());
   EXPECT_EQ(io_a.now(), io_b.now());

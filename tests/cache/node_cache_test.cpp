@@ -25,11 +25,11 @@ struct TestNode {
   explicit TestNode(uint64_t v) : value(v) {}
   uint64_t value;
 
-  void serialize(std::vector<uint8_t>& out) const {
-    out.resize(8);
+  void serialize(ByteBuffer& out) const {
+    out.assign(8, 0);
     store_u64(out.data(), value);
   }
-  static std::shared_ptr<TestNode> deserialize(std::span<const uint8_t> image) {
+  static std::shared_ptr<TestNode> deserialize(ByteBuffer&& image) {
     return std::make_shared<TestNode>(load_u64(image.data()));
   }
 };
@@ -67,7 +67,7 @@ class BufferPoolTest : public testing::Test {
   // The value stored on the device for node `id` (0 if never written).
   uint64_t on_device(uint64_t id) {
     blockdev::NodeStore reader(dev_, io_, kNodeBytes);
-    std::vector<uint8_t> image;
+    ByteBuffer image;
     EXPECT_TRUE(reader.try_read_node(id, image).ok());
     return load_u64(image.data());
   }

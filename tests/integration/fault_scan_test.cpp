@@ -7,7 +7,7 @@
 //
 // The mutations between the scans retry until they land, so the model
 // stays exact: a mutation that gives up mid-flush can leave an oversized
-// dirty node, and evicting that node aborts in NodeStore::pad_image.
+// dirty node, and evicting that node aborts in NodeStore::prepare_write.
 #include <gtest/gtest.h>
 
 #include <map>

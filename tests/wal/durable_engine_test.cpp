@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -320,6 +321,41 @@ TEST(DurableEngineTest, AutoCheckpointKeepsTheWalBounded) {
   eng->export_metrics(reg, "e.");
   EXPECT_GT(reg.counter("e.wal.auto_checkpoints"), 0u);
   EXPECT_GT(reg.counter("e.wal.truncations"), 0u);
+}
+
+// An append whose own group commit fails keeps its record buffered with
+// its LSN, and the next successful commit makes it durable. The engine must
+// apply that mutation live as well, or a later acknowledged upsert of the
+// key reads one way live and another after recovery.
+TEST(DurableEngineTest, MutationLoggedByAFailedGroupCommitIsApplied) {
+  SsdDevice inner(sim::testbed_ssd_profile());
+  FaultConfig faults;
+  faults.seed = 9;
+  FaultInjectingDevice dev(inner, faults);
+  IoContext io(dev);
+  DurabilityConfig dcfg = default_durability_config(dev.capacity_bytes());
+  dcfg.wal.group_ops = 4;
+  const auto make_inner = [&] {
+    return kv::make_engine(kv::EngineKind::kBTree, dev, io, small_config());
+  };
+  auto eng = std::make_unique<DurableEngine>(make_inner(), dev, io, dcfg);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(eng->try_put(key_of(i), value_of(i)).ok());
+  }
+  dev.crash_after(0);  // put 4 fills the group; its commit hits the crash
+  EXPECT_FALSE(eng->try_put(key_of(4), kv::encode_counter(7)).ok());
+  dev.reboot();
+  ASSERT_TRUE(eng->try_upsert(key_of(4), 1).ok());
+  eng->flush();
+  const std::optional<std::string> live = eng->get(key_of(4));
+  EXPECT_EQ(live, kv::encode_counter(8));
+
+  eng->abandon();
+  eng.reset();
+  StatusOr<std::unique_ptr<DurableEngine>> recovered =
+      DurableEngine::recover(make_inner, dev, io, dcfg, nullptr);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ((*recovered)->get(key_of(4)), live);
 }
 
 // The satellite regression: a checkpoint interrupted by a device crash

@@ -504,20 +504,30 @@ int cmd_metrics(int argc, char** argv) {
       static_cast<unsigned long long>(run.digest), dev.name().c_str(),
       std::string(kv::engine_kind_name(kind)).c_str(), shards,
       shards == 1 ? "" : "s");
-  std::printf(
-      "serving: %llu client%s (depth %llu), %.3f s simulated concurrent "
-      "(speedup %.2fx, %.0f ops/s), latency p50 %llu us, p99 %llu us, "
-      "p999 %llu us\n",
-      static_cast<unsigned long long>(clients), clients == 1 ? "" : "s",
-      static_cast<unsigned long long>(inflight),
-      sim::to_seconds(served.concurrent_elapsed), served.speedup,
-      served.throughput_ops_per_sec,
-      static_cast<unsigned long long>(served.latency.percentile(50.0) /
-                                      sim::kNsPerUs),
-      static_cast<unsigned long long>(served.latency.percentile(99.0) /
-                                      sim::kNsPerUs),
-      static_cast<unsigned long long>(served.latency.percentile(99.9) /
-                                      sim::kNsPerUs));
+  if (served.concurrent_elapsed == 0) {
+    // Every op was served from memory: no makespan, so no throughput or
+    // speedup to report.
+    std::printf("serving: %llu client%s (depth %llu), the run phase did no "
+                "device IO\n",
+                static_cast<unsigned long long>(clients),
+                clients == 1 ? "" : "s",
+                static_cast<unsigned long long>(inflight));
+  } else {
+    std::printf(
+        "serving: %llu client%s (depth %llu), %.3f s simulated concurrent "
+        "(speedup %.2fx, %.0f ops/s), latency p50 %llu us, p99 %llu us, "
+        "p999 %llu us\n",
+        static_cast<unsigned long long>(clients), clients == 1 ? "" : "s",
+        static_cast<unsigned long long>(inflight),
+        sim::to_seconds(served.concurrent_elapsed), served.speedup,
+        served.throughput_ops_per_sec,
+        static_cast<unsigned long long>(served.latency.percentile(50.0) /
+                                        sim::kNsPerUs),
+        static_cast<unsigned long long>(served.latency.percentile(99.0) /
+                                        sim::kNsPerUs),
+        static_cast<unsigned long long>(served.latency.percentile(99.9) /
+                                        sim::kNsPerUs));
+  }
   bool accounted = true;
   if (faulty != nullptr) {
     const sim::FaultStats& fs = faulty->fault_stats();
