@@ -10,7 +10,8 @@
 //   cpu.micro.*  host ns per op, min of N repetitions, of the node pages
 //                every engine runs (PivotPage search, KvPage put, KvPage
 //                parse + write_to), of a B-tree leaf's cache miss (device
-//                copy, adopting parse, clean eviction) and of the core
+//                copy, adopting parse, clean eviction), of an LSM
+//                memtable's fill-and-clear cycle and of the core
 //                primitives (rng, Zipfian
 //                draw, HDD/SSD timing-model submit, bloom probe, vEB layout
 //                build, 50-row scan of a cached Bε-tree with buffered
@@ -37,6 +38,7 @@
 #include "kv/engine.h"
 #include "kv/op_apply.h"
 #include "kv/slice.h"
+#include "lsm/memtable.h"
 #include "node/sorted_page.h"
 #include "pdam_tree/veb_layout.h"
 #include "sim/hdd.h"
@@ -291,6 +293,28 @@ void section_micro(const bench::BenchArgs& args, stats::MetricsRegistry* reg) {
       entries += (*leaf_cache.fetch(id))->entry_count();
     }
     g_sink = g_sink + entries;
+  });
+
+  // One op = one MemTable::put of a new 16 B key with a 100 B value, in a
+  // seeded random order, into a table cleared after every 8k puts (the
+  // clear timed with them): an LSM memtable's fill-and-flush cycle
+  // without the flush.
+  constexpr uint64_t kFillEntries = 8192;
+  std::vector<std::pair<std::string, std::string>> fill(kFillEntries);
+  for (uint64_t i = 0; i < kFillEntries; ++i) {
+    fill[i] = {kv::encode_key(i, 16), kv::make_value(i, 100)};
+  }
+  for (uint64_t i = kFillEntries; i > 1; --i) {
+    std::swap(fill[i - 1], fill[page_rng.uniform(i)]);
+  }
+  lsm::MemTable memtable;
+  const uint64_t fills = args.quick ? 10 : 50;
+  report("memtable_fill", fills * kFillEntries, [&] {
+    for (uint64_t f = 0; f < fills; ++f) {
+      for (const auto& [key, value] : fill) memtable.put(key, value);
+      g_sink = g_sink + memtable.approximate_bytes();
+      memtable.clear();
+    }
   });
 
   Rng rng(args.seed + 3);

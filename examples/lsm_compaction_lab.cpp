@@ -51,9 +51,9 @@ int main() {
     const stats::MetricsRegistry reg = snapshot();
     std::string shape;
     for (size_t l = 0; l < db->height(); ++l) {
-      const std::string gauge = "lsm.level" + std::to_string(l) + ".tables";
-      shape += "L" + std::to_string(l) + ":" +
-               std::to_string(static_cast<uint64_t>(reg.gauge(gauge))) + " ";
+      const std::string gauge = strfmt("lsm.level%zu.tables", l);
+      shape += strfmt("L%zu:%llu ", l,
+                      static_cast<unsigned long long>(reg.gauge(gauge)));
     }
     std::printf("%5d  %-28s %11llu  %6.2f/%.2f     %7.2fs\n", burst,
                 shape.c_str(),

@@ -78,7 +78,7 @@ Status LsmTree::checkpoint() {
 
 Status LsmTree::flush_memtable() {
   SSTableBuilder builder(*dev_, *io_, arena_, config_.block_bytes,
-                         next_sequence_++, codec_.get());
+                         next_sequence_++, codec_.get(), mem_.entry_count());
   for (const auto& [key, slot] : mem_.entries()) {
     builder.add(EntryView{key, slot.value, slot.tombstone});
   }
@@ -90,7 +90,12 @@ Status LsmTree::flush_memtable() {
   uint64_t table_bytes = 0;
   if (table != nullptr) {
     table_bytes = table->total_bytes();
-    levels_[0].insert(levels_[0].begin(), std::move(table));  // newest first
+    // Newest first. push_back + rotate, not insert at begin(): gcc 12
+    // reports a null dereference inside the shared_ptr move that insert's
+    // reallocation inlines.
+    Level& level0 = levels_[0];
+    level0.push_back(std::move(table));
+    std::rotate(level0.begin(), level0.end() - 1, level0.end());
   }
   mem_.clear();
   ++stats_.memtable_flushes;
@@ -352,7 +357,13 @@ Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
     tables.insert(tables.end(), run.begin(), run.end());
   }
   uint64_t bytes_in = 0;
-  for (const auto& t : tables) bytes_in += t->total_bytes();
+  uint64_t entries_in = 0;
+  uint64_t data_in = 0;
+  for (const auto& t : tables) {
+    bytes_in += t->total_bytes();
+    entries_in += t->entry_count();
+    data_in += t->data_bytes();
+  }
   stats_.compaction_bytes_in += bytes_in;
 
   // Precharge the input reads through the batch path: the inputs are
@@ -384,6 +395,14 @@ Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
   // Leveled output splits at the target size; a tier's run stays one
   // table, or run counting (and with it termination) breaks.
   const bool split = config_.style == CompactionStyle::kLeveled;
+  // The entries an output should hold, which its builder reserves: all of
+  // them for a tier's one table; else what the inputs pack into the target
+  // size, plus a block for the last entry's overshoot and rounding.
+  const uint64_t reserve_bytes =
+      config_.sstable_target_bytes + config_.block_bytes;
+  const uint64_t per_output =
+      split ? std::min(entries_in, entries_in * reserve_bytes / data_in)
+            : entries_in;
   std::vector<SSTableRef> outputs;
   std::optional<SSTableBuilder> builder;
   const auto finish = [&]() -> Status {
@@ -399,7 +418,7 @@ Status LsmTree::merge_into(size_t level, const std::vector<Run>& inputs,
       if (bottom && m.entry().tombstone) continue;  // dies at the bottom
       if (!builder) {
         builder.emplace(*dev_, *io_, arena_, config_.block_bytes,
-                        next_sequence_++, codec_.get());
+                        next_sequence_++, codec_.get(), per_output);
       }
       builder->add(m.entry());
       if (split && builder->data_bytes() >= config_.sstable_target_bytes) {

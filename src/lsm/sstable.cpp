@@ -10,7 +10,8 @@ namespace damkit::lsm {
 SSTableBuilder::SSTableBuilder(sim::Device& dev, sim::IoContext& io,
                                blockdev::ByteArena& arena, uint64_t block_bytes,
                                uint64_t sequence,
-                               const blockdev::BlockCodec* codec)
+                               const blockdev::BlockCodec* codec,
+                               uint64_t expected_entries)
     : dev_(&dev),
       io_(&io),
       arena_(&arena),
@@ -21,6 +22,7 @@ SSTableBuilder::SSTableBuilder(sim::Device& dev, sim::IoContext& io,
                  ? codec
                  : nullptr) {
   DAMKIT_CHECK(block_bytes_ >= 256);
+  key_hashes_.reserve(expected_entries);
 }
 
 SSTableBuilder::~SSTableBuilder() = default;
@@ -41,7 +43,7 @@ void SSTableBuilder::add(const EntryView& entry) {
   node::TaggedRecord::encode(block_.data() + at, entry.tombstone ? 1 : 0,
                              entry.key, entry.value);
   ++index_.back().entries;
-  keys_seen_.emplace_back(entry.key);
+  key_hashes_.push_back(BloomFilter::hash(entry.key));
   ++count_;
   if (block_.size() >= block_bytes_) flush_block();
 }
@@ -78,7 +80,7 @@ StatusOr<SSTableRef> SSTableBuilder::try_finish() {
   table->data_bytes_ = data_.size();
 
   table->bloom_ = BloomFilter(count_, kBloomBitsPerKey);
-  for (const auto& k : keys_seen_) table->bloom_.add(k);
+  for (const BloomFilter::Hashes& h : key_hashes_) table->bloom_.add(h);
 
   table->index_ = std::move(index_);
 

@@ -71,10 +71,13 @@ class SSTableBuilder {
   /// non-null `codec` each data block is stored as a compressed frame and
   /// the index addresses physical (compressed) block extents; the codec
   /// must outlive every table this builder produces. nullptr = identity.
+  /// `expected_entries` reserves the keys' Bloom hash pairs up front, so a
+  /// build that stays within it never regrows them.
   SSTableBuilder(sim::Device& dev, sim::IoContext& io,
                  blockdev::ByteArena& arena, uint64_t block_bytes,
                  uint64_t sequence,
-                 const blockdev::BlockCodec* codec = nullptr);
+                 const blockdev::BlockCodec* codec = nullptr,
+                 uint64_t expected_entries = 0);
   ~SSTableBuilder();
 
   /// Keys must arrive in strictly ascending order. Copies the bytes.
@@ -104,7 +107,10 @@ class SSTableBuilder {
   std::vector<uint8_t> block_;  // current block under construction (raw)
   std::vector<uint8_t> enc_;    // codec frame staging
   std::vector<BlockIndexEntry> index_;
-  std::vector<std::string> keys_seen_;  // for the bloom filter
+  // Each key's Bloom hash pair, in key order. The filter is sized by the
+  // entry count, known only at try_finish, which sets the bits from these
+  // pairs: no key is copied for it.
+  std::vector<BloomFilter::Hashes> key_hashes_;
   std::string first_key_, last_key_;
   uint64_t count_ = 0;
   bool finished_ = false;

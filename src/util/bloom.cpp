@@ -20,7 +20,7 @@ BloomFilter::BloomFilter(uint64_t expected_keys, double bits_per_key) {
   if (hash_count_ > 16) hash_count_ = 16;
 }
 
-void BloomFilter::hash_pair(std::string_view key, uint64_t* h1, uint64_t* h2) {
+BloomFilter::Hashes BloomFilter::hash(std::string_view key) {
   // Two independent FNV-1a-style passes with different offsets/primes.
   uint64_t a = 0xcbf29ce484222325ULL;
   uint64_t b = 0x84222325cbf29ce4ULL;
@@ -35,24 +35,20 @@ void BloomFilter::hash_pair(std::string_view key, uint64_t* h1, uint64_t* h2) {
   b ^= b >> 29;
   b *= 0xc4ceb9fe1a85ec53ULL;
   b ^= b >> 32;
-  *h1 = a;
-  *h2 = b | 1;  // odd stride
+  return Hashes{a, b | 1};  // odd stride
 }
 
-void BloomFilter::add(std::string_view key) {
-  uint64_t h1, h2;
-  hash_pair(key, &h1, &h2);
+void BloomFilter::add(Hashes h) {
   for (int i = 0; i < hash_count_; ++i) {
-    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bit_count_;
+    const uint64_t bit = (h.h1 + static_cast<uint64_t>(i) * h.h2) % bit_count_;
     bits_[bit / 64] |= 1ULL << (bit % 64);
   }
 }
 
 bool BloomFilter::may_contain(std::string_view key) const {
-  uint64_t h1, h2;
-  hash_pair(key, &h1, &h2);
+  const Hashes h = hash(key);
   for (int i = 0; i < hash_count_; ++i) {
-    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bit_count_;
+    const uint64_t bit = (h.h1 + static_cast<uint64_t>(i) * h.h2) % bit_count_;
     if ((bits_[bit / 64] & (1ULL << (bit % 64))) == 0) return false;
   }
   return true;

@@ -1,8 +1,12 @@
 // Blocked Bloom filter for LSM-tree point-query filtering.
 //
 // Standard double-hashing construction (Kirsch–Mitzenmacher): k probe
-// positions derived from two 64-bit hashes. Serializable, since filters
-// live alongside their SSTables on the simulated device.
+// positions derived from two 64-bit hashes. A key's hash pair can be taken
+// ahead of time (hash()) and added later (add(Hashes)), which is how a
+// table builder fills a filter it can size only once every key is in;
+// add(key) is add(hash(key)), so one loop sets the probe bits.
+// Serializable, since filters live alongside their SSTables on the
+// simulated device.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +22,15 @@ class BloomFilter {
   /// rate). expected_keys == 0 yields an always-false filter.
   BloomFilter(uint64_t expected_keys, double bits_per_key = 10.0);
 
-  void add(std::string_view key);
+  /// A key's two base hashes: probe i is bit (h1 + i * h2) mod bit_count.
+  struct Hashes {
+    uint64_t h1;
+    uint64_t h2;  // odd
+  };
+  static Hashes hash(std::string_view key);
+
+  void add(Hashes h);
+  void add(std::string_view key) { add(hash(key)); }
 
   /// False positives possible; false negatives never.
   bool may_contain(std::string_view key) const;
@@ -33,7 +45,6 @@ class BloomFilter {
 
  private:
   BloomFilter() = default;
-  static void hash_pair(std::string_view key, uint64_t* h1, uint64_t* h2);
 
   uint64_t bit_count_ = 0;
   int hash_count_ = 1;

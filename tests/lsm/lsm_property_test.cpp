@@ -118,15 +118,15 @@ INSTANTIATE_TEST_SUITE_P(
                       CompactionStyle::kTiered, 7},
         PropertyParam{8192, 32 * 1024, 64 * 1024, 4.0, 1200, 48,
                       CompactionStyle::kTiered, 8}),
-    [](const testing::TestParamInfo<PropertyParam>& info) {
-      return "mem" + std::to_string(info.param.memtable_bytes) + "_sst" +
-             std::to_string(info.param.sstable_bytes) + "_l1" +
-             std::to_string(info.param.level1_bytes) + "_r" +
-             std::to_string(static_cast<int>(info.param.size_ratio)) +
-             "_keys" + std::to_string(info.param.key_space) + "_val" +
-             std::to_string(info.param.value_bytes) +
-             (info.param.style == CompactionStyle::kTiered ? "_tiered"
-                                                           : "_leveled");
+    [](const testing::TestParamInfo<PropertyParam>& param_info) {
+      const PropertyParam& p = param_info.param;
+      return "mem" + std::to_string(p.memtable_bytes) + "_sst" +
+             std::to_string(p.sstable_bytes) + "_l1" +
+             std::to_string(p.level1_bytes) + "_r" +
+             std::to_string(static_cast<int>(p.size_ratio)) + "_keys" +
+             std::to_string(p.key_space) + "_val" +
+             std::to_string(p.value_bytes) +
+             (p.style == CompactionStyle::kTiered ? "_tiered" : "_leveled");
     });
 
 }  // namespace

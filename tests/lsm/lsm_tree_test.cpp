@@ -10,6 +10,7 @@
 #include "node/record.h"
 #include "sim/hdd.h"
 #include "util/bytes.h"
+#include "util/table.h"
 
 namespace damkit::lsm {
 namespace {
@@ -70,7 +71,7 @@ TEST_F(LsmTreeTest, NewestVersionWinsAfterCompactions) {
   for (int round = 0; round < 6; ++round) {
     for (uint64_t i = 0; i < 500; ++i) {
       tree_->put(kv::encode_key(i),
-                 "r" + std::to_string(round) + "-" + std::to_string(i));
+                 strfmt("r%d-%llu", round, static_cast<unsigned long long>(i)));
     }
   }
   tree_->flush();
@@ -236,7 +237,8 @@ TEST_F(LsmTreeTest, TieredScanMergesOverlappingRuns) {
   LsmTree tree(dev, io, lc);
   for (uint64_t round = 0; round < 5; ++round) {
     for (uint64_t i = 0; i < 1000; ++i) {
-      tree.put(kv::encode_key(i), "r" + std::to_string(round));
+      tree.put(kv::encode_key(i),
+               strfmt("r%llu", static_cast<unsigned long long>(round)));
     }
   }
   tree.flush();

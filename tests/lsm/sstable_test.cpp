@@ -124,7 +124,9 @@ TEST_F(SSTableTest, IteratorFullScanInOrder) {
   uint64_t n = 0;
   std::string prev;
   while (it.valid()) {
-    if (n > 0) EXPECT_LT(kv::compare(prev, it.entry().key), 0);
+    if (n > 0) {
+      EXPECT_LT(kv::compare(prev, it.entry().key), 0);
+    }
     prev = it.entry().key;
     it.next();
     ++n;
