@@ -27,25 +27,20 @@ struct BenchArgs {
   /// When non-empty, benches that collect a MetricsRegistry write its JSON
   /// snapshot here (CI's regression gate consumes it).
   std::string metrics_json;
-  /// Block codec for benches that build engines through kv::make_engine.
-  /// kDefault keeps the factory's resolution (DAMKIT_CODEC env, else
-  /// identity); --codec identity|prefix|lz overrides it.
+  /// Block codec for bench_cpu's engine. kDefault keeps the factory's
+  /// resolution (DAMKIT_CODEC env, else identity); --codec
+  /// identity|prefix|lz overrides it.
   blockdev::CodecKind codec = blockdev::CodecKind::kDefault;
-  /// Concurrent clients for benches that drive the serving layer
-  /// (run_concurrent); 1 keeps the sequential path.
-  uint64_t clients = 1;
-  /// Per-client admission depth for the serving layer.
-  uint64_t inflight = 4;
-  /// NVMe submission-queue depth override for MQ-device benches
+  /// NVMe submission-queue depth override for bench_mq's device
   /// (--queue-depth; 0 keeps the device profile's default).
   int queue_depth = 0;
-  /// Completion-mode override for MQ-device benches (--completion-mode
+  /// Completion-mode override for bench_mq's device (--completion-mode
   /// polling|interrupt; unset keeps the profile's default).
   bool has_completion_mode = false;
   sim::CompletionMode completion_mode = sim::CompletionMode::kInterrupt;
   /// Named workload preset (--workload ycsb-a..ycsb-f|shift|olap) for
-  /// benches that drive an OpGenerator mix; empty keeps each bench's
-  /// built-in spec. `workload_spec` is the validated preset.
+  /// bench_cpu's op mix; empty keeps its built-in spec. `workload_spec` is
+  /// the validated preset.
   std::string workload;
   std::optional<kv::WorkloadSpec> workload_spec;
 
@@ -78,12 +73,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
         std::exit(2);
       }
       args.codec = *parsed;
-    } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      args.clients = std::strtoull(argv[++i], nullptr, 10);
-      if (args.clients < 1) args.clients = 1;
-    } else if (std::strcmp(argv[i], "--inflight") == 0 && i + 1 < argc) {
-      args.inflight = std::strtoull(argv[++i], nullptr, 10);
-      if (args.inflight < 1) args.inflight = 1;
     } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
       args.queue_depth = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
       if (args.queue_depth < 1) {
@@ -114,8 +103,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
       std::printf(
           "usage: %s [--quick] [--seed N] [--csv-prefix P] [--threads N] "
           "[--metrics-json FILE] [--codec identity|prefix|lz] "
-          "[--clients K] [--inflight D] [--queue-depth N] "
-          "[--completion-mode polling|interrupt] [--workload %s]\n",
+          "[--queue-depth N] [--completion-mode polling|interrupt] "
+          "[--workload %s]\n",
           argv[0], kv::workload_preset_names());
       std::exit(0);
     }

@@ -50,32 +50,32 @@ const kv::Capabilities& BeTree::capabilities() const {
 
 Status BeTree::try_put(std::string_view key, std::string_view value) {
   DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
+  const MessageView msg{MessageKind::kPut, key, value};
   // A leaf must hold two entries or splitting cannot make progress.
-  if (Message::bytes_for(key.size(), value.size()) > config_.node_bytes / 2) {
+  if (msg.bytes() > config_.node_bytes / 2) {
     return Status::invalid_argument("entry too large for half a node");
   }
   ++op_stats_.puts;
   op_stats_.logical_bytes_written += key.size() + value.size();
-  return root_add(
-      Message{MessageKind::kPut, std::string(key), std::string(value)});
+  return root_add(msg);
 }
 
 Status BeTree::try_erase(std::string_view key) {
   DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
   ++op_stats_.erases;
   op_stats_.logical_bytes_written += key.size();
-  return root_add(Message{MessageKind::kTombstone, std::string(key), {}});
+  return root_add({MessageKind::kTombstone, key, {}});
 }
 
 Status BeTree::try_upsert(std::string_view key, int64_t delta) {
   DAMKIT_RETURN_IF_ERROR(node::check_key_size(key));
   ++op_stats_.upserts;
   op_stats_.logical_bytes_written += key.size() + 8;
-  return root_add(
-      Message{MessageKind::kUpsert, std::string(key), encode_delta(delta)});
+  const std::string payload = encode_delta(delta);  // 8 bytes, held inline
+  return root_add({MessageKind::kUpsert, key, payload});
 }
 
-Status BeTree::root_add(Message msg) {
+Status BeTree::root_add(const MessageView& msg) {
   if (root_ == kInvalidNode) {
     StatusOr<uint64_t> id = cache_.store().try_allocate();
     DAMKIT_RETURN_IF_ERROR(id.status());
@@ -89,10 +89,7 @@ Status BeTree::root_add(Message msg) {
   if (root->is_leaf()) {
     root->leaf_apply(msg);
   } else {
-    // Two statements: the child index must be computed before the message
-    // is moved into the buffer (argument evaluation order is unspecified).
-    const size_t idx = root->child_index(msg.key);
-    root->buffer_add(idx, std::move(msg));
+    root->buffer_add(root->child_index(msg.key), msg);
   }
   cache_.mark_dirty(root_);
   if (overflowing(*root) || flush_pressure(*root)) return fix_root();
@@ -128,8 +125,7 @@ Status BeTree::fix_root() {
   ++height_;
   DAMKIT_RETURN_IF_ERROR(fixed);
   // A burst of splits can overfill even the fresh root.
-  if (overflowing(*new_root) ||
-      new_root->child_count() > fanout_) {
+  if (overflowing(*new_root) || new_root->child_count() > fanout_) {
     return fix_root();
   }
   return Status();
@@ -199,20 +195,18 @@ Status BeTree::flush_one(uint64_t id, NodeRef node, size_t depth) {
   StatusOr<NodeRef> child_or = try_fetch(child_id);
   DAMKIT_RETURN_IF_ERROR(child_or.status());
   NodeRef child = *std::move(child_or);
-  std::vector<Message> msgs = node->buffer_take(idx);
   ++op_stats_.flushes;
-  op_stats_.messages_moved += msgs.size();
+  op_stats_.messages_moved += node->buffer_count(idx);
   if (depth >= flushes_by_depth_.size()) flushes_by_depth_.resize(depth + 1);
   ++flushes_by_depth_[depth];
   cache_.mark_dirty(id);
 
-  if (child->is_leaf()) {
-    return apply_to_leaf_child(id, node, idx, std::move(msgs), depth);
-  }
+  if (child->is_leaf()) return apply_to_leaf_child(id, node, idx, depth);
 
-  for (Message& m : msgs) {
-    const size_t ci = child->child_index(m.key);
-    child->buffer_add(ci, std::move(m));
+  // Route each record into the child's buffer for its grandchild.
+  const MsgSegment msgs = node->take_buffer(idx);
+  for (const MessageView m : msgs.range()) {
+    child->buffer_add(child->child_index(m.key), m);
   }
   cache_.mark_dirty(child_id);
   if (overflowing(*child)) {
@@ -229,18 +223,15 @@ Status BeTree::flush_one(uint64_t id, NodeRef node, size_t depth) {
 }
 
 Status BeTree::apply_to_leaf_child(uint64_t parent_id, NodeRef parent,
-                                   size_t child_idx, std::vector<Message> msgs,
-                                   size_t depth) {
+                                   size_t child_idx, size_t depth) {
   const uint64_t leaf_id = parent->child(child_idx);
+  // Take the messages only once the leaf is here: a failed fetch leaves
+  // them buffered, so the flush can be retried without loss.
   StatusOr<NodeRef> leaf_or = try_fetch(leaf_id);
-  if (!leaf_or.ok()) {
-    // Nothing applied yet: hand the messages back to the parent buffer so
-    // the flush can be retried without loss.
-    for (Message& m : msgs) parent->buffer_add(child_idx, std::move(m));
-    return leaf_or.status();
-  }
+  DAMKIT_RETURN_IF_ERROR(leaf_or.status());
   NodeRef leaf = *std::move(leaf_or);
-  for (const Message& m : msgs) leaf->leaf_apply(m);
+  const MsgSegment msgs = parent->take_buffer(child_idx);
+  for (const MessageView m : msgs.range()) leaf->leaf_apply(m);
   cache_.mark_dirty(leaf_id);
 
   if (overflowing(*leaf)) {
@@ -309,27 +300,28 @@ Status BeTree::collapse_root() {
 StatusOr<std::optional<std::string>> BeTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
-  std::vector<std::vector<Message>> collected;  // root-first
-  uint64_t id = root_;
-  StatusOr<NodeRef> node = try_fetch(id);
+  // The key's records are copied out level by level, so the descent pins
+  // one node at a time.
+  std::vector<MsgSegment> path;
+  StatusOr<NodeRef> node = try_fetch(root_);
   DAMKIT_RETURN_IF_ERROR(node.status());
   while (!(*node)->is_leaf()) {
     const size_t idx = (*node)->child_index(key);
-    std::vector<Message> msgs;
-    (*node)->collect_for_key(idx, key, &msgs);
-    collected.push_back(std::move(msgs));
-    id = (*node)->child(idx);
-    node = try_fetch(id);
+    (*node)->collect_for_key(idx, key, &path.emplace_back());
+    node = try_fetch((*node)->child(idx));
     DAMKIT_RETURN_IF_ERROR(node.status());
   }
   std::optional<std::string> state;
   const size_t i = (*node)->lower_bound(key);
   if ((*node)->key_equals(i, key)) state = (*node)->value(i);
-  // Deeper buffers are older: apply leaf-adjacent levels first, each level
-  // in arrival order.
-  for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
-    for (const Message& m : *level) {
-      state = apply_message(std::move(state), m.view());
+  return apply_path(std::move(state), path);
+}
+
+std::optional<std::string> BeTree::apply_path(
+    std::optional<std::string> state, std::span<const MsgSegment> path) {
+  for (auto level = path.rbegin(); level != path.rend(); ++level) {
+    for (const MessageView m : level->range()) {
+      state = apply_message(std::move(state), m);
     }
   }
   return state;
@@ -438,8 +430,7 @@ void BeTree::bulk_load(
     DAMKIT_CHECK_MSG(i == 0 || kv::compare(prev_key, key) < 0,
                      "bulk_load keys must be strictly ascending");
     prev_key = key;
-    const uint64_t add =
-        node::KvRecord::encoded_size(key.size(), value.size());
+    const uint64_t add = node::KvRecord::encoded_size(key.size(), value.size());
     if (cur->entry_count() > 0 && cur->byte_size() + add > target) {
       const uint64_t id = cache_.store().allocate();
       DAMKIT_CHECK_OK(cache_.write_through(id, *cur));

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,7 +150,7 @@ class BeTree : public kv::Dictionary {
   /// Bε-tree caps per-child buffers at B/F (Theorem 9) by overriding this.
   virtual bool flush_pressure(const BeTreeNode& node) const;
 
-  Status root_add(Message msg);
+  Status root_add(const MessageView& msg);
   /// Restore size/fanout invariants at (id, node); any splits that the
   /// parent must absorb are appended to `out` in ascending key order —
   /// INCLUDING on a non-OK return (the caller must link whatever splits
@@ -160,10 +161,11 @@ class BeTree : public kv::Dictionary {
   /// Move one child buffer down a level; fixes the child recursively and
   /// absorbs its splits into `node`. The flush is attributed to `depth`.
   Status flush_one(uint64_t id, NodeRef node, size_t depth);
-  /// Apply messages to a leaf child of (parent); may merge/drop the leaf.
+  /// Apply child `child_idx`'s buffered messages to that leaf child of
+  /// (parent); may merge/drop the leaf. A failed leaf fetch leaves them
+  /// buffered.
   Status apply_to_leaf_child(uint64_t parent_id, NodeRef parent,
-                             size_t child_idx, std::vector<Message> msgs,
-                             size_t depth);
+                             size_t child_idx, size_t depth);
   Status fix_root();
   Status collapse_root();
   /// Depth-first range collection. `pending` holds the ancestors' buffered
@@ -177,6 +179,13 @@ class BeTree : public kv::Dictionary {
       uint64_t id, std::string_view lo, size_t limit,
       std::vector<MessageView>& pending,
       std::vector<std::pair<std::string, std::string>>* out);
+
+  /// A point query's result: `state` (the leaf's value for the key) with
+  /// the messages collected on the key's path applied. `path` holds one
+  /// segment per internal level, root first; deeper buffers are older, so
+  /// the deepest level goes first, each in arrival order.
+  static std::optional<std::string> apply_path(
+      std::optional<std::string> state, std::span<const MsgSegment> path);
 
   bool overflowing(const BeTreeNode& n) const {
     return n.byte_size() > config_.node_bytes;

@@ -26,13 +26,13 @@ std::shared_ptr<BeTreeNode> BeTreeNode::make_internal() {
   return n;
 }
 
-void BeTreeNode::leaf_apply(const Message& msg) {
+void BeTreeNode::leaf_apply(const MessageView& msg) {
   DAMKIT_CHECK(is_leaf_);
   const size_t i = entries_.lower_bound(msg.key);
   const bool present = entries_.key_equals(i, msg.key);
   std::optional<std::string> base;
   if (present) base = std::string(value(i));
-  std::optional<std::string> next = apply_message(std::move(base), msg.view());
+  std::optional<std::string> next = apply_message(std::move(base), msg);
 
   if (!next.has_value()) {
     if (present) entries_.erase_at(i);
@@ -77,29 +77,16 @@ void BeTreeNode::internal_remove_child(size_t pivot_idx) {
   segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(victim));
 }
 
-void BeTreeNode::buffer_add(size_t child_idx, const Message& msg) {
+void BeTreeNode::buffer_add(size_t child_idx, const MessageView& msg) {
   DAMKIT_CHECK(!is_leaf_);
-  MsgSegment& s = segments_[child_idx];
-  const size_t b = static_cast<size_t>(msg.bytes());
-  const size_t old = s.bytes.size();
-  s.bytes.resize(old + b);
-  node::TaggedRecord::encode(s.bytes.data() + old,
-                             static_cast<uint8_t>(msg.kind), msg.key,
-                             msg.payload);
-  s.count += 1;
-  total_buffer_bytes_ += b;
+  segments_[child_idx].add(msg);
+  total_buffer_bytes_ += msg.bytes();
 }
 
-std::vector<Message> BeTreeNode::buffer_take(size_t child_idx) {
+MsgSegment BeTreeNode::take_buffer(size_t child_idx) {
   DAMKIT_CHECK(!is_leaf_);
-  MsgSegment& s = segments_[child_idx];
-  std::vector<Message> out;
-  out.reserve(s.count);
-  for (const MessageView m : buffer(child_idx)) out.push_back(m.to_message());
-  total_buffer_bytes_ -= s.bytes.size();
-  s.bytes.clear();
-  s.count = 0;
-  return out;
+  total_buffer_bytes_ -= segments_[child_idx].bytes.size();
+  return std::exchange(segments_[child_idx], MsgSegment());
 }
 
 size_t BeTreeNode::fullest_child() const {
@@ -112,9 +99,9 @@ size_t BeTreeNode::fullest_child() const {
 }
 
 void BeTreeNode::collect_for_key(size_t child_idx, std::string_view key,
-                                 std::vector<Message>* out) const {
+                                 MsgSegment* out) const {
   for (const MessageView m : buffer(child_idx)) {
-    if (kv::compare(m.key, key) == 0) out->push_back(m.to_message());
+    if (kv::compare(m.key, key) == 0) out->add(m);
   }
 }
 

@@ -9,11 +9,13 @@
 //
 // Storage is zero-copy: leaf entries live in a node::KvPage and pivots in
 // a node::PivotPage (node/sorted_page.h), in wire format, and each child's
-// buffer is a packed MsgSegment of node::TaggedRecord messages (arrival
-// order, append-only), so serialize/deserialize move bytes without
-// per-entry allocations (a leaf adopts the read buffer outright) and
-// buffer(i) yields MessageView borrows. All byte-size accounting follows
-// the record formats in node/record.h.
+// buffer is a MsgSegment of node::TaggedRecord messages (message.h), so
+// serialize/deserialize move bytes without per-entry allocations (a leaf
+// adopts the read buffer outright). Messages enter and leave as records:
+// buffer_add appends a MessageView's record, buffer(i) yields MessageView
+// borrows, take_buffer moves a whole segment out, and leaf_apply takes a
+// view. All byte-size accounting follows the record formats in
+// node/record.h.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +59,7 @@ class BeTreeNode {
     std::vector<uint32_t> segments;  // small, unsorted
 
     bool has_segment(uint32_t idx) const {
-      return std::find(segments.begin(), segments.end(), idx) !=
-             segments.end();
+      return std::find(segments.begin(), segments.end(), idx) != segments.end();
     }
   };
   Residency residency;
@@ -74,7 +75,7 @@ class BeTreeNode {
     return entries_.key_equals(i, key);
   }
   /// Apply a message to the leaf's entries (put/tombstone/upsert).
-  void leaf_apply(const Message& msg);
+  void leaf_apply(const MessageView& msg);
   /// Append an entry known to sort after all existing ones (bulk load).
   void leaf_append(std::string_view key, std::string_view value) {
     DAMKIT_CHECK(is_leaf_);
@@ -112,18 +113,18 @@ class BeTreeNode {
   /// Borrowed view over child i's packed buffer segment (arrival order).
   /// Invalidated by any mutation of this node.
   MsgRange buffer(size_t child_idx) const {
-    const MsgSegment& s = segments_[child_idx];
-    return MsgRange(s.bytes.data(), s.bytes.size(), s.count);
+    return segments_[child_idx].range();
   }
-  /// Append a message to child i's buffer (arrival order).
-  void buffer_add(size_t child_idx, const Message& msg);
-  /// Move child i's entire buffer out as owned messages (clears it).
-  std::vector<Message> buffer_take(size_t child_idx);
+  /// Append a message's record to child i's buffer (arrival order).
+  void buffer_add(size_t child_idx, const MessageView& msg);
+  /// Move child i's entire buffer out (leaves it empty).
+  MsgSegment take_buffer(size_t child_idx);
   /// Index of the child with the largest pending buffer (bytes).
   size_t fullest_child() const;
-  /// Collect messages for `key` in child i's buffer, in arrival order.
+  /// Append copies of the records for `key` in child i's buffer to `out`,
+  /// in arrival order.
   void collect_for_key(size_t child_idx, std::string_view key,
-                       std::vector<Message>* out) const;
+                       MsgSegment* out) const;
 
   // --- Splitting ---
   struct SplitResult {
@@ -158,13 +159,6 @@ class BeTreeNode {
 
  private:
   BeTreeNode() = default;
-
-  /// One child's pending messages, packed in wire format (append-only;
-  /// the serialized image embeds the bytes verbatim).
-  struct MsgSegment {
-    std::vector<uint8_t> bytes;
-    uint32_t count = 0;
-  };
 
   bool is_leaf_ = true;
   node::KvPage entries_;    // leaf only

@@ -9,12 +9,19 @@
 //                counter value (missing/deleted counts as zero). Upserts
 //                are what make Bε-trees strictly faster than B-trees for
 //                read-modify-write workloads: no read is needed.
+//
+// A message has one form from put to leaf: the node::TaggedRecord wire
+// record, whose tag is the kind. MessageView borrows one message's fields;
+// MsgSegment, the only owned form, packs records back to back in arrival
+// order (a node buffer, a segment a flush moves down, the messages a point
+// query collects); MsgRange walks a segment as views.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "node/record.h"
 
@@ -22,41 +29,19 @@ namespace damkit::betree {
 
 enum class MessageKind : uint8_t { kPut = 0, kTombstone = 1, kUpsert = 2 };
 
-struct MessageView;
-
-struct Message {
-  MessageKind kind = MessageKind::kPut;
-  std::string key;
-  std::string payload;  // value for kPut, delta for kUpsert, empty for kTombstone
-
-  /// Serialized footprint of a message with the given sizes.
-  static uint64_t bytes_for(size_t key_len, size_t payload_len) {
-    return node::TaggedRecord::encoded_size(key_len, payload_len);
-  }
-  uint64_t bytes() const { return bytes_for(key.size(), payload.size()); }
-  /// Borrowed view of this message; valid while the message is alive and
-  /// unmodified.
-  MessageView view() const;
-};
-
-/// Zero-copy view of one message record; valid while the backing segment
-/// is unmutated.
+/// One message's fields, borrowed from a packed record (valid while its
+/// segment is unmutated) or from a caller's key and payload.
 struct MessageView {
   MessageKind kind = MessageKind::kPut;
   std::string_view key;
+  /// The value for kPut, the delta for kUpsert, empty for kTombstone.
   std::string_view payload;
 
-  Message to_message() const {
-    return Message{kind, std::string(key), std::string(payload)};
-  }
+  /// Serialized footprint: the size of the message's record.
   uint64_t bytes() const {
-    return Message::bytes_for(key.size(), payload.size());
+    return node::TaggedRecord::encoded_size(key.size(), payload.size());
   }
 };
-
-inline MessageView Message::view() const {
-  return MessageView{kind, key, payload};
-}
 
 /// Forward range over a packed message segment, in arrival order. Node
 /// buffer segments hold node::TaggedRecords back to back, exactly as the
@@ -101,6 +86,27 @@ class MsgRange {
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   size_t count_ = 0;
+};
+
+/// Messages packed as node::TaggedRecords back to back, in arrival order
+/// (append-only; a serialized node embeds a buffer's bytes verbatim).
+struct MsgSegment {
+  std::vector<uint8_t> bytes;
+  uint32_t count = 0;
+
+  /// Append `msg` as one record.
+  void add(const MessageView& msg) {
+    const size_t old = bytes.size();
+    bytes.resize(old + msg.bytes());
+    node::TaggedRecord::encode(bytes.data() + old,
+                               static_cast<uint8_t>(msg.kind), msg.key,
+                               msg.payload);
+    ++count;
+  }
+  /// Borrowed walk in arrival order; invalidated by any mutation.
+  MsgRange range() const {
+    return MsgRange(bytes.data(), bytes.size(), count);
+  }
 };
 
 /// Encode a (possibly negative) upsert delta as a kUpsert payload (the

@@ -12,7 +12,6 @@ namespace damkit::betree_opt {
 
 using betree::BeTreeNode;
 using betree::kInvalidNode;
-using betree::Message;
 
 OptBeTree::OptBeTree(sim::Device& dev, sim::IoContext& io,
                      betree::BeTreeConfig config)
@@ -59,8 +58,7 @@ uint32_t OptBeTree::leaf_chunk_of(const BeTreeNode& leaf,
       std::max<uint64_t>(1, (leaf.byte_size() + chunk_bytes - 1) / chunk_bytes);
   const size_t pos = leaf.lower_bound(key);
   return static_cast<uint32_t>(
-      std::min<uint64_t>(chunks - 1,
-                         pos * chunks / (leaf.entry_count() + 1)));
+      std::min<uint64_t>(chunks - 1, pos * chunks / (leaf.entry_count() + 1)));
 }
 
 StatusOr<OptBeTree::NodeRef> OptBeTree::try_fetch(uint64_t id) {
@@ -124,7 +122,7 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
   ++op_stats_.gets;
   if (root_ == kInvalidNode) return std::optional<std::string>();
 
-  std::vector<std::vector<Message>> collected;  // root-first
+  std::vector<betree::MsgSegment> path;  // the key's records, root first
   uint64_t id = root_;
   std::optional<std::string> result_state;
   for (;;) {
@@ -171,18 +169,10 @@ StatusOr<std::optional<std::string>> OptBeTree::try_get(std::string_view key) {
       DAMKIT_RETURN_IF_ERROR(charge_segment(
           id, node, static_cast<uint32_t>(idx), parts, newly_loaded));
     }
-    std::vector<Message> msgs;
-    node->collect_for_key(idx, key, &msgs);
-    collected.push_back(std::move(msgs));
+    node->collect_for_key(idx, key, &path.emplace_back());
     id = node->child(idx);
   }
-
-  for (auto level = collected.rbegin(); level != collected.rend(); ++level) {
-    for (const Message& m : *level) {
-      result_state = apply_message(std::move(result_state), m.view());
-    }
-  }
-  return result_state;
+  return apply_path(std::move(result_state), path);
 }
 
 void OptBeTree::export_metrics(stats::MetricsRegistry& reg,

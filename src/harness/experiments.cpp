@@ -104,8 +104,8 @@ MqExperimentResult run_mq_experiment(const sim::SsdConfig& ssd,
 
 namespace {
 
-/// EngineConfig for one sweep point: `node_bytes` mapped onto each
-/// engine's natural node/run granularity, cache sized by the sweep.
+/// EngineConfig for one sweep point of the B-tree or the Bε-tree: nodes of
+/// `node_bytes`, cache sized by the sweep.
 kv::EngineConfig sweep_engine_config(const SweepConfig& config,
                                      uint64_t node_bytes,
                                      uint64_t effective_cache) {
@@ -116,15 +116,6 @@ kv::EngineConfig sweep_engine_config(const SweepConfig& config,
   ecfg.betree.cache_bytes = effective_cache;
   ecfg.betree.target_fanout = config.betree_fanout;
   ecfg.betree.pivot_estimate_bytes = config.key_bytes + 8;
-  // LSM: the sorted-run granularity plays the node-size role.
-  ecfg.lsm.memtable_bytes = std::max<uint64_t>(node_bytes, 4 * kKiB);
-  ecfg.lsm.sstable_target_bytes = std::max<uint64_t>(node_bytes, 4 * kKiB);
-  ecfg.lsm.block_bytes = std::min<uint64_t>(node_bytes, 4 * kKiB);
-  ecfg.lsm.level1_bytes = std::max<uint64_t>(node_bytes * 8, 64 * kKiB);
-  // PDAM: a P·B node of roughly node_bytes.
-  ecfg.pdam.tree.block_bytes = std::max<uint64_t>(
-      512, node_bytes / static_cast<uint64_t>(ecfg.pdam.tree.parallelism));
-  ecfg.pdam.buffer_bytes = effective_cache;
   return ecfg;
 }
 
@@ -132,6 +123,9 @@ kv::EngineConfig sweep_engine_config(const SweepConfig& config,
 
 SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
   DAMKIT_CHECK(!config.node_sizes.empty());
+  DAMKIT_CHECK_MSG(config.kind == kv::EngineKind::kBTree ||
+                       config.kind == kv::EngineKind::kBeTree,
+                   "the node-size sweep runs the B-tree or the Bε-tree");
   SweepResult result;
 
   kv::WorkloadSpec spec;
@@ -223,34 +217,19 @@ SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config) {
     const double b = static_cast<double>(p.node_bytes);
     const double b_elems =
         std::max(2.0, b / static_cast<double>(entry_bytes));
-    switch (config.kind) {
-      // B-tree-shaped overlay: one node-sized IO per uncached level. The
-      // LSM and PDAM engines fall back to the same shape (sorted-run /
-      // PB-node reads per level), calibrated at the first point like the
-      // others.
-      case kv::EngineKind::kBTree:
-      case kv::EngineKind::kLsm:
-      case kv::EngineKind::kPdam: {
-        const double l = levels(b_elems);
-        raw_q.push_back((s + t * b) * l * 1e3);
-        raw_i.push_back((s + t * b) * l * 1e3);
-        break;
-      }
-      case kv::EngineKind::kBeTree:
-      case kv::EngineKind::kOptBeTree: {
-        const double f = (config.betree_fanout > 0)
-                             ? static_cast<double>(config.betree_fanout)
-                             : std::sqrt(b / static_cast<double>(
-                                                 config.key_bytes + 8));
-        const double l = levels(std::max(2.0, f));
-        if (config.kind == kv::EngineKind::kBeTree) {
-          raw_q.push_back((s + t * b) * l * 1e3);
-        } else {
-          raw_q.push_back((s + t * (b / f + f * 32.0)) * l * 1e3);
-        }
-        raw_i.push_back((s + t * b) * (f / b_elems) * l * 1e3);
-        break;
-      }
+    if (config.kind == kv::EngineKind::kBTree) {
+      // One node-sized IO per uncached level.
+      const double l = levels(b_elems);
+      raw_q.push_back((s + t * b) * l * 1e3);
+      raw_i.push_back((s + t * b) * l * 1e3);
+    } else {
+      const double f = (config.betree_fanout > 0)
+                           ? static_cast<double>(config.betree_fanout)
+                           : std::sqrt(b / static_cast<double>(
+                                               config.key_bytes + 8));
+      const double l = levels(std::max(2.0, f));
+      raw_q.push_back((s + t * b) * l * 1e3);
+      raw_i.push_back((s + t * b) * (f / b_elems) * l * 1e3);
     }
   }
   DAMKIT_CHECK(!raw_q.empty() && !raw_i.empty());

@@ -94,7 +94,7 @@ MqExperimentResult run_mq_experiment(const sim::SsdConfig& ssd,
 // ---------------------------------------------------------------------------
 
 struct SweepConfig {
-  kv::EngineKind kind = kv::EngineKind::kBTree;
+  kv::EngineKind kind = kv::EngineKind::kBTree;  // kBTree or kBeTree
   std::vector<uint64_t> node_sizes;
   uint64_t items = 1'000'000;   // bulk-loaded data set
   size_t key_bytes = 16;
@@ -126,6 +126,7 @@ struct SweepResult {
 };
 
 /// Runs the sweep on the given HDD profile (the §7 testbed is HDD-based).
+/// Only the B-tree and the Bε-tree are swept; another kind aborts.
 SweepResult run_nodesize_sweep(const sim::HddConfig& hdd, SweepConfig config);
 
 // ---------------------------------------------------------------------------

@@ -30,14 +30,20 @@ inline const uint8_t* bytes_of(std::string_view rec) {
   return reinterpret_cast<const uint8_t*>(rec.data());
 }
 
+/// Copy `bytes` to `at`; returns the end of the copy. An empty view's data()
+/// may be null, which memcpy must not be given even for zero bytes.
+inline uint8_t* copy_field(uint8_t* at, std::string_view bytes) {
+  if (!bytes.empty()) std::memcpy(at, bytes.data(), bytes.size());
+  return at + bytes.size();
+}
+
 /// Store the u16 key length at `klen_at` and the key at `body`; returns the
 /// end of the key.
 inline uint8_t* encode_key(uint8_t* klen_at, uint8_t* body,
                            std::string_view key) {
   DAMKIT_CHECK(key.size() <= kMaxKeyBytes);
   store_u16(klen_at, static_cast<uint16_t>(key.size()));
-  std::memcpy(body, key.data(), key.size());
-  return body + key.size();
+  return copy_field(body, key);
 }
 
 }  // namespace detail
@@ -77,8 +83,8 @@ struct KeyValueLayout {
   static void encode_key_value(uint8_t* p, std::string_view key,
                                std::string_view value) {
     store_u32(p + kTagBytes + 2, static_cast<uint32_t>(value.size()));
-    std::memcpy(detail::encode_key(p + kTagBytes, p + kHeaderBytes, key),
-                value.data(), value.size());
+    uint8_t* at = detail::encode_key(p + kTagBytes, p + kHeaderBytes, key);
+    detail::copy_field(at, value);
   }
 };
 

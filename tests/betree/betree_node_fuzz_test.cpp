@@ -20,18 +20,18 @@ TEST_P(NodeFuzzTest, BeTreeLeafScript) {
   for (int op = 0; op < 500; ++op) {
     const uint64_t id = rng.uniform(80);
     const double dice = rng.uniform_double();
-    betree::Message m;
-    m.key = kv::encode_key(id);
+    const std::string key = kv::encode_key(id);
+    std::string payload;
+    betree::MessageKind kind = betree::MessageKind::kPut;
     if (dice < 0.5) {
-      m.kind = betree::MessageKind::kPut;
-      m.payload = kv::make_value(rng.next(), rng.uniform(100));
+      payload = kv::make_value(rng.next(), rng.uniform(100));
     } else if (dice < 0.75) {
-      m.kind = betree::MessageKind::kTombstone;
+      kind = betree::MessageKind::kTombstone;
     } else {
-      m.kind = betree::MessageKind::kUpsert;
-      m.payload = betree::encode_delta(static_cast<int64_t>(rng.uniform(9)));
+      kind = betree::MessageKind::kUpsert;
+      payload = betree::encode_delta(static_cast<int64_t>(rng.uniform(9)));
     }
-    leaf->leaf_apply(m);
+    leaf->leaf_apply({kind, key, payload});
     if (op % 50 == 49) {
       ASSERT_EQ(leaf->byte_size(), leaf->recomputed_byte_size()) << op;
       std::vector<uint8_t> image;
@@ -56,12 +56,12 @@ TEST_P(NodeFuzzTest, BeTreeInternalBufferScript) {
   for (int op = 0; op < 400; ++op) {
     const double dice = rng.uniform_double();
     if (dice < 0.7) {
-      betree::Message m{betree::MessageKind::kPut,
-                        kv::encode_key(rng.uniform(7000)),
-                        kv::make_value(rng.next(), rng.uniform(60))};
-      node->buffer_add(node->child_index(m.key), std::move(m));
+      const std::string key = kv::encode_key(rng.uniform(7000));
+      const std::string value = kv::make_value(rng.next(), rng.uniform(60));
+      node->buffer_add(node->child_index(key),
+                       {betree::MessageKind::kPut, key, value});
     } else if (dice < 0.85 && node->total_buffer_bytes() > 0) {
-      (void)node->buffer_take(node->fullest_child());
+      (void)node->take_buffer(node->fullest_child());
     } else if (node->child_count() > 2) {
       node->internal_remove_child(rng.uniform(node->pivot_count()));
     }
@@ -102,8 +102,8 @@ TEST_P(NodeFuzzTest, BTreeLeafScriptWithSplits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NodeFuzzTest,
                          testing::Values(11ULL, 22ULL, 33ULL, 44ULL),
-                         [](const testing::TestParamInfo<uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
+                         [](const testing::TestParamInfo<uint64_t>& param) {
+                           return "seed" + std::to_string(param.param);
                          });
 
 }  // namespace

@@ -8,8 +8,8 @@
 namespace damkit::betree {
 namespace {
 
-Message put_msg(std::string k, std::string v) {
-  return Message{MessageKind::kPut, std::move(k), std::move(v)};
+MessageView put_msg(std::string_view k, std::string_view v) {
+  return {MessageKind::kPut, k, v};
 }
 
 TEST(BeTreeNodeTest, LeafApplyPutInsertOverwrite) {
@@ -26,18 +26,18 @@ TEST(BeTreeNodeTest, LeafApplyPutInsertOverwrite) {
 TEST(BeTreeNodeTest, LeafApplyTombstoneRemoves) {
   auto leaf = BeTreeNode::make_leaf();
   leaf->leaf_apply(put_msg("a", "1"));
-  leaf->leaf_apply(Message{MessageKind::kTombstone, "a", ""});
+  leaf->leaf_apply(MessageView{MessageKind::kTombstone, "a", ""});
   EXPECT_EQ(leaf->entry_count(), 0u);
   // Tombstone for an absent key is a no-op.
-  leaf->leaf_apply(Message{MessageKind::kTombstone, "zzz", ""});
+  leaf->leaf_apply(MessageView{MessageKind::kTombstone, "zzz", ""});
   EXPECT_EQ(leaf->entry_count(), 0u);
   EXPECT_EQ(leaf->byte_size(), leaf->recomputed_byte_size());
 }
 
 TEST(BeTreeNodeTest, LeafApplyUpsertCreatesAndAdds) {
   auto leaf = BeTreeNode::make_leaf();
-  leaf->leaf_apply(Message{MessageKind::kUpsert, "c", encode_delta(4)});
-  leaf->leaf_apply(Message{MessageKind::kUpsert, "c", encode_delta(6)});
+  leaf->leaf_apply(MessageView{MessageKind::kUpsert, "c", encode_delta(4)});
+  leaf->leaf_apply(MessageView{MessageKind::kUpsert, "c", encode_delta(6)});
   ASSERT_EQ(leaf->entry_count(), 1u);
   EXPECT_EQ(kv::decode_counter(leaf->value(0)), 10u);
 }
@@ -56,10 +56,10 @@ TEST(BeTreeNodeTest, BufferAddTakeAccounting) {
             node->buffer_bytes(0) + node->buffer_bytes(1));
   EXPECT_EQ(node->byte_size(), base + node->total_buffer_bytes());
 
-  const auto msgs = node->buffer_take(0);
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].key, "a");  // arrival order preserved
-  EXPECT_EQ(msgs[1].key, "b");
+  const MsgSegment msgs = node->take_buffer(0);
+  ASSERT_EQ(msgs.count, 2u);
+  EXPECT_EQ(msgs.range()[0].key, "a");  // arrival order preserved
+  EXPECT_EQ(msgs.range()[1].key, "b");
   EXPECT_EQ(node->buffer_bytes(0), 0u);
   EXPECT_EQ(node->byte_size(), node->recomputed_byte_size());
 }
@@ -79,12 +79,12 @@ TEST(BeTreeNodeTest, CollectForKeyInOrder) {
   node->internal_init(1);
   node->buffer_add(0, put_msg("k", "first"));
   node->buffer_add(0, put_msg("other", "x"));
-  node->buffer_add(0, Message{MessageKind::kTombstone, "k", ""});
-  std::vector<Message> out;
+  node->buffer_add(0, MessageView{MessageKind::kTombstone, "k", ""});
+  MsgSegment out;
   node->collect_for_key(0, "k", &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].payload, "first");
-  EXPECT_EQ(out[1].kind, MessageKind::kTombstone);
+  ASSERT_EQ(out.count, 2u);
+  EXPECT_EQ(out.range()[0].payload, "first");
+  EXPECT_EQ(out.range()[1].kind, MessageKind::kTombstone);
 }
 
 TEST(BeTreeNodeTest, InternalRemoveChildFoldsBuffer) {
@@ -106,8 +106,8 @@ TEST(BeTreeNodeTest, SerializeDeserializeInternalWithBuffers) {
   node->internal_init(10);
   node->internal_insert(0, "mid", 20);
   node->buffer_add(0, put_msg("a", "v1"));
-  node->buffer_add(1, Message{MessageKind::kUpsert, "x", encode_delta(3)});
-  node->buffer_add(1, Message{MessageKind::kTombstone, "y", ""});
+  node->buffer_add(1, MessageView{MessageKind::kUpsert, "x", encode_delta(3)});
+  node->buffer_add(1, MessageView{MessageKind::kTombstone, "y", ""});
   std::vector<uint8_t> image;
   node->serialize(image);
   EXPECT_EQ(image.size(), node->byte_size());

@@ -114,13 +114,13 @@ INSTANTIATE_TEST_SUITE_P(
                       5},
         // Large values relative to node size.
         PropertyParam{4096, 4, 32, 600, 150, FlushPolicy::kFullestChild, 6}),
-    [](const testing::TestParamInfo<PropertyParam>& info) {
-      return "node" + std::to_string(info.param.node_bytes) + "_f" +
-             std::to_string(info.param.fanout) + "_cache" +
-             std::to_string(info.param.cache_nodes) + "_val" +
-             std::to_string(info.param.value_bytes) + "_keys" +
-             std::to_string(info.param.key_space) + "_seed" +
-             std::to_string(info.param.seed);
+    [](const testing::TestParamInfo<PropertyParam>& param) {
+      return "node" + std::to_string(param.param.node_bytes) + "_f" +
+             std::to_string(param.param.fanout) + "_cache" +
+             std::to_string(param.param.cache_nodes) + "_val" +
+             std::to_string(param.param.value_bytes) + "_keys" +
+             std::to_string(param.param.key_space) + "_seed" +
+             std::to_string(param.param.seed);
     });
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "sim/hdd.h"
 #include "util/bytes.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace damkit::betree {
 namespace {
@@ -69,7 +70,8 @@ TEST_F(BeTreeTest, NewestMessageWins) {
   // Write the same key many times with filler between, so older versions
   // sink into deeper buffers while the newest stays near the root.
   for (uint64_t round = 0; round < 50; ++round) {
-    tree_->put("hot-key", "v" + std::to_string(round));
+    tree_->put("hot-key",
+               strfmt("v%llu", static_cast<unsigned long long>(round)));
     for (uint64_t i = 0; i < 100; ++i) {
       tree_->put(kv::encode_key(round * 100 + i), "filler-value");
     }
@@ -351,9 +353,9 @@ class ProbedBeTree : public BeTree {
     NodeRef node = try_fetch(root_).value();
     while (!node->is_leaf()) {
       const size_t idx = node->child_index(key);
-      std::vector<Message> msgs;
+      MsgSegment msgs;
       node->collect_for_key(idx, key, &msgs);
-      steps.push_back({idx, msgs.size()});
+      steps.push_back({idx, msgs.count});
       node = try_fetch(node->child(idx)).value();
     }
     const bool in_leaf = node->key_equals(node->lower_bound(key), key);

@@ -8,9 +8,9 @@ namespace damkit::betree {
 namespace {
 
 TEST(MessageTest, BytesAccounting) {
-  Message m{MessageKind::kPut, "key", "value"};
+  const MessageView m{MessageKind::kPut, "key", "value"};
   EXPECT_EQ(m.bytes(), 1u + 2 + 4 + 3 + 5);
-  EXPECT_EQ(Message::bytes_for(0, 0), 7u);
+  EXPECT_EQ(MessageView{}.bytes(), 7u);
 }
 
 TEST(MessageTest, CounterRoundTrip) {
@@ -26,54 +26,61 @@ TEST(MessageTest, NonCounterValueDecodesAsZero) {
 }
 
 TEST(MessageTest, ApplyPutReplaces) {
-  const Message m{MessageKind::kPut, "k", "new"};
-  EXPECT_EQ(apply_message(std::nullopt, m.view()), "new");
-  EXPECT_EQ(apply_message(std::string("old"), m.view()), "new");
+  const MessageView m{MessageKind::kPut, "k", "new"};
+  EXPECT_EQ(apply_message(std::nullopt, m), "new");
+  EXPECT_EQ(apply_message(std::string("old"), m), "new");
 }
 
 TEST(MessageTest, ApplyTombstoneDeletes) {
-  const Message m{MessageKind::kTombstone, "k", ""};
-  EXPECT_EQ(apply_message(std::string("old"), m.view()), std::nullopt);
-  EXPECT_EQ(apply_message(std::nullopt, m.view()), std::nullopt);
+  const MessageView m{MessageKind::kTombstone, "k", ""};
+  EXPECT_EQ(apply_message(std::string("old"), m), std::nullopt);
+  EXPECT_EQ(apply_message(std::nullopt, m), std::nullopt);
 }
 
 TEST(MessageTest, ApplyUpsertAddsFromZero) {
-  const Message m{MessageKind::kUpsert, "k", encode_delta(5)};
-  const auto out = apply_message(std::nullopt, m.view());
+  const std::string five = encode_delta(5);
+  const MessageView m{MessageKind::kUpsert, "k", five};
+  const auto out = apply_message(std::nullopt, m);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(kv::decode_counter(*out), 5u);
 }
 
 TEST(MessageTest, ApplyUpsertAccumulates) {
-  const Message m1{MessageKind::kUpsert, "k", encode_delta(5)};
-  const Message m2{MessageKind::kUpsert, "k", encode_delta(7)};
-  auto state = apply_message(std::nullopt, m1.view());
-  state = apply_message(std::move(state), m2.view());
+  const std::string five = encode_delta(5);
+  const std::string seven = encode_delta(7);
+  const MessageView m1{MessageKind::kUpsert, "k", five};
+  const MessageView m2{MessageKind::kUpsert, "k", seven};
+  auto state = apply_message(std::nullopt, m1);
+  state = apply_message(std::move(state), m2);
   EXPECT_EQ(kv::decode_counter(*state), 12u);
 }
 
 TEST(MessageTest, ApplyUpsertNegativeDelta) {
-  const Message up{MessageKind::kUpsert, "k", encode_delta(10)};
-  const Message down{MessageKind::kUpsert, "k", encode_delta(-4)};
-  auto state = apply_message(std::nullopt, up.view());
-  state = apply_message(std::move(state), down.view());
+  const std::string ten = encode_delta(10);
+  const std::string minus_four = encode_delta(-4);
+  const MessageView up{MessageKind::kUpsert, "k", ten};
+  const MessageView down{MessageKind::kUpsert, "k", minus_four};
+  auto state = apply_message(std::nullopt, up);
+  state = apply_message(std::move(state), down);
   EXPECT_EQ(kv::decode_counter(*state), 6u);
 }
 
 TEST(MessageTest, UpsertAfterTombstoneStartsFresh) {
-  const Message del{MessageKind::kTombstone, "k", ""};
-  const Message up{MessageKind::kUpsert, "k", encode_delta(3)};
-  auto state = apply_message(std::string("junk"), del.view());
-  state = apply_message(std::move(state), up.view());
+  const std::string three = encode_delta(3);
+  const MessageView del{MessageKind::kTombstone, "k", ""};
+  const MessageView up{MessageKind::kUpsert, "k", three};
+  auto state = apply_message(std::string("junk"), del);
+  state = apply_message(std::move(state), up);
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(kv::decode_counter(*state), 3u);
 }
 
 TEST(MessageTest, PutAfterUpsertWins) {
-  const Message up{MessageKind::kUpsert, "k", encode_delta(3)};
-  const Message put{MessageKind::kPut, "k", "explicit"};
-  auto state = apply_message(std::nullopt, up.view());
-  state = apply_message(std::move(state), put.view());
+  const std::string three = encode_delta(3);
+  const MessageView up{MessageKind::kUpsert, "k", three};
+  const MessageView put{MessageKind::kPut, "k", "explicit"};
+  auto state = apply_message(std::nullopt, up);
+  state = apply_message(std::move(state), put);
   EXPECT_EQ(*state, "explicit");
 }
 
